@@ -1,9 +1,9 @@
 """Command-line front door.
 
 One verb per library operation; exit codes: 0 success/YES, 1 verified
-NO/false, 2 usage or format error.  YES/NO decisions print a single token
-on stdout; diagnostics go to stderr.  All output is deterministic for a
-fixed invocation (``--jobs`` is accepted for interface stability but the
+NO/false, 2 usage or format error, 3 internal error.  YES/NO decisions
+print a single token on stdout; diagnostics go to stderr.  All output is
+deterministic for a fixed invocation (``--jobs`` is accepted for interface stability but the
 work here is cheap enough to run serially; CRYSTAL_FORGE_SEED is reserved
 and unused by these deterministic paths).
 """
@@ -363,6 +363,9 @@ def run(argv=None) -> int:
     except (_CliError, tc.TensorError, dg.DigraphError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as exit 1, "verified NO"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

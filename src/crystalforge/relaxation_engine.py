@@ -2,9 +2,12 @@
 
 ``build_ip_system`` materializes the equation system with one lambda
 variable per (vertex-tuple, value-tuple) pair and one mu variable per
-(instance edge, template edge) pair: normalization, lambda marginality over
-all k-tuples of positions, mu marginality, and the pattern-vanishing
-equations (realized as forced-zero variables).
+(instance edge, template edge) pair: normalization, lambda marginality for
+a generating set of position maps (a transposition, a k-cycle and a
+rank-(k-1) collapse), mu marginality for one map that uses both edge ends,
+and the pattern-vanishing equations (realized as forced-zero variables).
+The generator equations span the same row space as marginality for all
+k^k maps; ``build_ip_system`` gives the argument.
 
 Three deciders share the infrastructure:
 
@@ -90,12 +93,64 @@ def _canon(coeffs: dict, rhs: int):
     return (items, rhs)
 
 
+def _lambda_generators(k: int) -> list[tuple[int, ...]]:
+    """Position maps generating the full transformation monoid on [k]: a
+    transposition, a k-cycle and a rank-(k-1) collapse (for k = 2 the swap
+    and (0 0)).  At k = 1 the only map is the identity, whose marginality
+    equations are trivial."""
+    if k == 1:
+        return []
+    rest = tuple(range(2, k))
+    maps = [(1, 0) + rest, tuple(range(1, k)) + (0,), (0, 0) + rest]
+    return list(dict.fromkeys(maps))
+
+
+def _mu_generators(k: int) -> list[tuple[int, ...]]:
+    """Edge-end maps whose mu marginality implies that of every i in {0,1}^k."""
+    if k == 1:
+        return [(0,), (1,)]
+    return [(0,) + (1,) * (k - 1)]
+
+
 def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
-    """The full level-k equation system for instance X against template A.
+    """The level-k equation system for instance X against template A.
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
     up front: they are declared but never appear in an equation.
+
+    Marginality is emitted for a generating set of maps only.  For a tuple t
+    and a map i: [k] -> [k] write t.i = (t[i(0)], ..., t[i(k-1)]), so that
+    t.(i o j) = (t.i).j.  The lambda equation of i at (x, a) is
+
+        L_i(x, a):  sum over ahat with ahat.i = a of l(x, ahat) = l(x.i, a),
+
+    and the mu equation of i in {0,1}^k at an edge y is
+
+        M_i(y, a):  sum over template edges b with b.i = a of m(y, b) = l(y.i, a).
+
+    Composition:  L_{i o j}(x, a) = L_j(x.i, a) + sum over b with b.j = a
+    of L_i(x, b), because both sides expand to the same sums of l(x, .)
+    and l(x.i, .) terms.  By induction on the length of a word in the
+    generators, every L_i is a sum of generator equations (the identity,
+    the empty word, gives 0 = 0).  The transposition (1 0 2 ... k-1) and
+    the k-cycle (1 2 ... k-1 0) generate the symmetric group on [k], and
+    with the collapse (0 0 2 ... k-1), a map of rank k-1, they generate
+    the full transformation monoid.  For k >= 2 every i in {0,1}^k
+    factors as i = i0 o j with i0 = (0 1 ... 1) and j = i read as a map
+    [k] -> [k] (i0 fixes 0 and 1), and
+    M_i(y, a) = L_j(y.i0, a) + sum over c with c.j = a of M_i0(y, c).
+    At k = 1 both maps in {0,1}^1 are kept.
+
+    Forced-zero variables do not break these identities: every emitted
+    row is the corresponding full row with the forced-zero columns deleted
+    (a row whose a is incompatible with the pattern of x.i or y.i becomes
+    0 = 0), and deleting columns commutes with adding rows.  The generator
+    rows are a subset of the full family and every full row is an integer
+    combination of them, so both have the same rational row space and the
+    same integer row lattice.  Their nonnegative rational and integer
+    solution sets coincide, and BLP, AIP, BA and the relative-interior
+    support give the same answers on either.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -132,12 +187,11 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
         coeffs = {("l", x, a): 1 for a in compatible(bl, nb)}
         emit(coeffs, 1)
 
-    # lambda marginality: projecting the x-slice onto any position tuple i
+    # lambda marginality: projecting the x-slice along a generating map i
     # reproduces the slice of the projected vertex tuple
-    positions = list(itertools.product(range(k), repeat=k))
     for x in itertools.product(xv, repeat=k):
         bl_x, nb_x = _blocks(x)
-        for i in positions:
+        for i in _lambda_generators(k):
             xi = tuple(x[p] for p in i)
             bl_i, nb_i = _blocks(xi)
             for a in compatible(bl_i, nb_i):
@@ -160,9 +214,8 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
 
     # mu marginality: the i-projection of an edge's mu slice reproduces
     # the lambda slice of the projected vertex tuple
-    idx2 = list(itertools.product((0, 1), repeat=k))
     for y in x_edges:
-        for i in idx2:
+        for i in _mu_generators(k):
             yi = tuple(y[p] for p in i)
             by_a: dict[tuple, dict] = {}
             for b in a_edges:
@@ -394,58 +447,71 @@ def _reduce(equations, nonneg: bool) -> _Reduced:
 # ---------------------------------------------------------------------------
 
 
+def _rref(eqs, variables):
+    """Reduced row-echelon form of a sparse rational system.
+
+    ``eqs`` is a sequence of (coefficient-dict, rhs).  Returns
+    ``(rows, pivots, inconsistent)``: dense rows over the columns of
+    ``variables`` followed by the rhs, each with a unit entry in its pivot
+    column and zeros in every other pivot column; ``pivots[r]`` is the
+    pivot column of ``rows[r]``.  Dependent rows are dropped.  When the
+    rows are rationally inconsistent the result is ``([], [], True)``.
+    """
+    col = {v: j for j, v in enumerate(variables)}
+    n = len(variables)
+    rows: list[list] = []
+    pivot_row: dict[int, int] = {}  # col -> row index in rows
+    for coeffs, rhs in eqs:
+        row = [_Q(0)] * (n + 1)
+        for v, c in coeffs.items():
+            row[col[v]] = _Q(c)
+        row[n] = _Q(rhs)
+        for j, ri in pivot_row.items():
+            if row[j]:
+                f = row[j]
+                pr = rows[ri]
+                for jj in range(n + 1):
+                    if pr[jj]:
+                        row[jj] -= f * pr[jj]
+        lead = next((j for j in range(n) if row[j]), None)
+        if lead is None:
+            if row[n]:
+                return [], [], True
+            continue
+        f = row[lead]
+        if f != 1:
+            for jj in range(n + 1):
+                if row[jj]:
+                    row[jj] /= f
+        for r2 in rows:
+            if r2[lead]:
+                f = r2[lead]
+                for jj in range(n + 1):
+                    if row[jj]:
+                        r2[jj] -= f * row[jj]
+        pivot_row[lead] = len(rows)
+        rows.append(row)
+    pivots = [None] * len(rows)
+    for j, ri in pivot_row.items():
+        pivots[ri] = j
+    return rows, pivots, False
+
+
 class _Simplex:
     """Equality-form simplex over exact rationals.
 
-    Rows are first brought to reduced row-echelon form (dropping dependent
-    rows, detecting rational inconsistency), then phase 1 drives artificial
-    variables out.  After ``feasible()`` succeeds, ``maximize`` can be
-    called repeatedly with different objective columns (warm starts from
-    the current feasible basis).
+    Rows are first brought to reduced row-echelon form by ``_rref``
+    (dropping dependent rows, detecting rational inconsistency), then
+    phase 1 drives artificial variables out.  After ``feasible()``
+    succeeds, ``maximize`` can be called repeatedly with different
+    objective columns (warm starts from the current feasible basis).
     """
 
     def __init__(self, eqs, variables):
         self.vars = list(variables)
         self.n = len(self.vars)
         self.col = {v: j for j, v in enumerate(self.vars)}
-        self.inconsistent = False
-        rows = []
-        pivots: dict[int, int] = {}  # col -> row index in rows
-        for coeffs, rhs in eqs:
-            row = [_Q(0)] * (self.n + 1)
-            for v, c in coeffs.items():
-                row[self.col[v]] = _Q(c)
-            row[self.n] = _Q(rhs)
-            for j, ri in pivots.items():
-                if row[j]:
-                    f = row[j]
-                    pr = rows[ri]
-                    for jj in range(self.n + 1):
-                        if pr[jj]:
-                            row[jj] -= f * pr[jj]
-            lead = next((j for j in range(self.n) if row[j]), None)
-            if lead is None:
-                if row[self.n]:
-                    self.inconsistent = True
-                    return
-                continue
-            f = row[lead]
-            if f != 1:
-                for jj in range(self.n + 1):
-                    if row[jj]:
-                        row[jj] /= f
-            for ri, r2 in enumerate(rows):
-                if r2[lead]:
-                    f = r2[lead]
-                    for jj in range(self.n + 1):
-                        if row[jj]:
-                            r2[jj] -= f * row[jj]
-            pivots[lead] = len(rows)
-            rows.append(row)
-        self.rows = rows
-        self.basis = [None] * len(rows)
-        for j, ri in pivots.items():
-            self.basis[ri] = j
+        self.rows, self.basis, self.inconsistent = _rref(eqs, self.vars)
 
     def feasible(self) -> bool:
         if self.inconsistent:
@@ -665,43 +731,12 @@ def _independent_integer_rows(eqs, variables):
     """Rational row reduction: detect inconsistency, return an equivalent
     integer system with independent rows (same affine solution set, hence
     the same integer points)."""
-    col = {v: j for j, v in enumerate(variables)}
-    n = len(variables)
-    kept: list[list] = []
-    pivots: dict[int, int] = {}
-    for coeffs, rhs in eqs:
-        row = [_Q(0)] * (n + 1)
-        for v, c in coeffs.items():
-            row[col[v]] = _Q(c)
-        row[n] = _Q(rhs)
-        for j, ri in pivots.items():
-            if row[j]:
-                f = row[j]
-                pr = kept[ri]
-                for jj in range(n + 1):
-                    if pr[jj]:
-                        row[jj] -= f * pr[jj]
-        lead = next((j for j in range(n) if row[j]), None)
-        if lead is None:
-            if row[n]:
-                return None  # rationally inconsistent
-            continue
-        f = row[lead]
-        if f != 1:
-            for jj in range(n + 1):
-                if row[jj]:
-                    row[jj] /= f
-        for r2 in kept:
-            if r2[lead]:
-                f = r2[lead]
-                for jj in range(n + 1):
-                    if row[jj]:
-                        r2[jj] -= f * row[jj]
-        pivots[lead] = len(kept)
-        kept.append(row)
+    rows, _pivots, inconsistent = _rref(eqs, variables)
+    if inconsistent:
+        return None
     # scale each row to coprime integers
     out = []
-    for row in kept:
+    for row in rows:
         lcm = 1
         for c in row:
             d = int(c.denominator)
@@ -769,13 +804,19 @@ def _system_equations(sys: LinearSystem, extra_zero: frozenset = frozenset()):
     return tuple(out)
 
 
-def lp_feasible(sys: LinearSystem) -> Optional[dict]:
-    """A nonnegative exact-rational solution, or None (phase-1 optimum > 0)."""
+def _lp_pass(sys: LinearSystem):
+    """Nonnegative presolve and simplex phase 1, with a checked witness.
+
+    Returns ``(witness, reduced, simplex)``, or None when the system has no
+    nonnegative rational solution.  The witness (a value for every live
+    variable) is re-substituted into every equation of ``sys`` and checked
+    for nonnegativity before it is returned; the simplex is left on that
+    feasible basis for ``maximize``.
+    """
     red = _reduce(sys.equations, nonneg=True)
     if red.infeasible:
         return None
-    live = sorted(red.live)
-    sx = _Simplex(red.eqs, live)
+    sx = _Simplex(red.eqs, sorted(red.live))
     if not sx.feasible():
         return None
     full = red.resolve(sx.solution())
@@ -788,7 +829,13 @@ def lp_feasible(sys: LinearSystem) -> Optional[dict]:
             raise AssertionError("rational witness failed re-substitution")
     if any(val < 0 for val in out.values()):
         raise AssertionError("rational witness not nonnegative")
-    return out
+    return out, red, sx
+
+
+def lp_feasible(sys: LinearSystem) -> Optional[dict]:
+    """A nonnegative exact-rational solution, or None (phase-1 optimum > 0)."""
+    lp = _lp_pass(sys)
+    return None if lp is None else lp[0]
 
 
 def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:
@@ -811,15 +858,12 @@ def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
     somewhere, and every witness encountered marks all its positive
     variables, so most variables never need their own run.
     """
-    red = _reduce(sys.equations, nonneg=True)
-    if red.infeasible:
+    lp = _lp_pass(sys)
+    if lp is None:
         raise Infeasible("system has no nonnegative rational solution")
-    live = sorted(red.live)
-    sx = _Simplex(red.eqs, live)
-    if not sx.feasible():
-        raise Infeasible("system has no nonnegative rational solution")
+    _witness, red, sx = lp
     positive = {v for v, val in sx.solution().items() if val > 0}
-    for v in live:
+    for v in sx.vars:
         if v in positive:
             continue
         opt = sx.maximize(v)
@@ -844,9 +888,15 @@ def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
 
 
 def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
+    """BA^k: rational feasibility, then integer feasibility with every
+    variable outside the relative-interior support zeroed.  One presolve
+    and one phase 1 serve both steps: ``relative_interior_support`` runs
+    them (with the witness checks of ``lp_feasible``) before its support
+    loop and raises ``Infeasible`` when BLP rejects."""
     sys = build_ip_system(x_graph, a_graph, k)
-    if lp_feasible(sys) is None:
+    try:
+        support = relative_interior_support(sys)
+    except Infeasible:
         return False
-    support = relative_interior_support(sys)
     dead = frozenset(v for v in sys.live_variables() if v not in support)
     return diophantine_feasible(sys, dead) is not None

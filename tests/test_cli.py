@@ -216,6 +216,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_internal_error_exits_3(monkeypatch, capsys):
+    import crystalforge.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_fool_params", crash)
+    code, stdout, err = invoke(capsys, "fool", "params", "--c", "4", "--d", "4", "--k", "2")
+    assert code == 3 and stdout == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_jobs_flag_accepted(capsys):
     code, stdout, _ = invoke(capsys, "--jobs", "2", "fool", "params", "--c", "4", "--d", "4", "--k", "2")
     assert code == 0 and stdout.startswith("i 3\n")

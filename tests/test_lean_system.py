@@ -1,0 +1,177 @@
+"""The lean level-k system against the full one, kept here as an oracle.
+
+``full_ip_system`` emits lambda marginality for all k^k position maps and
+mu marginality for all of {0,1}^k; ``build_ip_system`` emits it for a
+generating set of maps only.  The tests check that both systems have the
+same rational row space and that the deciders' answers and supports agree.
+"""
+
+import itertools
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from crystalforge import relaxation_engine as rx
+from crystalforge.digraph_lab import Digraph, clique
+from crystalforge.relaxation_engine import (
+    Infeasible,
+    LinearSystem,
+    _blocks,
+    _canon,
+    build_ip_system,
+    decide_ba,
+    diophantine_feasible,
+    lp_feasible,
+    refines,
+    relative_interior_support,
+)
+
+
+def full_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
+    """The level-k system with marginality for every position map."""
+    xv = list(range(1, x_graph.vertex_count + 1))
+    av = list(range(1, a_graph.vertex_count + 1))
+    x_edges = x_graph.sorted_edges()
+    a_edges = a_graph.sorted_edges()
+
+    lam_keys = [
+        ("l", x, a)
+        for x in itertools.product(xv, repeat=k)
+        for a in itertools.product(av, repeat=k)
+    ]
+    mu_keys = [("m", y, b) for y in x_edges for b in a_edges]
+
+    forced = {key for key in lam_keys if not refines(key[1], key[2])}
+    if k >= 2:
+        forced.update(key for key in mu_keys if not refines(key[1], key[2]))
+
+    equations: dict = {}
+
+    def emit(coeffs: dict, rhs: int):
+        if not coeffs and rhs == 0:
+            return
+        equations.setdefault(_canon(coeffs, rhs), None)
+
+    def compatible(pattern_blocks, nblocks):
+        for vals in itertools.product(av, repeat=nblocks):
+            yield tuple(vals[b] for b in pattern_blocks)
+
+    for x in itertools.product(xv, repeat=k):
+        bl, nb = _blocks(x)
+        emit({("l", x, a): 1 for a in compatible(bl, nb)}, 1)
+
+    for x in itertools.product(xv, repeat=k):
+        bl_x, nb_x = _blocks(x)
+        for i in itertools.product(range(k), repeat=k):
+            xi = tuple(x[p] for p in i)
+            bl_i, nb_i = _blocks(xi)
+            for a in compatible(bl_i, nb_i):
+                pin = {}
+                for pos, val in zip(i, a):
+                    pin[bl_x[pos]] = val
+                free = [b for b in range(nb_x) if b not in pin]
+                coeffs: dict = {}
+                for vals in itertools.product(av, repeat=len(free)):
+                    assign = dict(pin)
+                    assign.update(zip(free, vals))
+                    key = ("l", x, tuple(assign[b] for b in bl_x))
+                    coeffs[key] = coeffs.get(key, 0) + 1
+                rkey = ("l", xi, a)
+                coeffs[rkey] = coeffs.get(rkey, 0) - 1
+                emit({v: c for v, c in coeffs.items() if c}, 0)
+
+    for y in x_edges:
+        for i in itertools.product((0, 1), repeat=k):
+            yi = tuple(y[p] for p in i)
+            by_a: dict = {}
+            for b in a_edges:
+                if ("m", y, b) in forced:
+                    continue
+                by_a.setdefault(tuple(b[p] for p in i), {})[("m", y, b)] = 1
+            for a in itertools.product(av, repeat=k):
+                coeffs = dict(by_a.get(a, {}))
+                rkey = ("l", yi, a)
+                if rkey not in forced:
+                    coeffs[rkey] = coeffs.get(rkey, 0) - 1
+                emit({v: c for v, c in coeffs.items() if c}, 0)
+
+    return LinearSystem(tuple(lam_keys + mu_keys), tuple(sorted(equations)), frozenset(forced))
+
+
+@st.composite
+def instances(draw):
+    """(X, A, k) with n, m <= 3 vertices, loops allowed, k <= 3, and at most
+    3^4 lambda variables per instance so the full system stays small."""
+    k = draw(st.integers(1, 3))
+    size = st.integers(1, 3) if k < 3 else st.integers(1, 2)
+    graphs = []
+    for n in (draw(size), draw(size)):
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        edges = draw(st.sets(st.sampled_from(pairs)))
+        graphs.append(Digraph(n, frozenset(edges)))
+    return graphs[0], graphs[1], k
+
+
+def augmented_rows(sys: LinearSystem, columns: dict) -> list[list[int]]:
+    rows = []
+    for items, rhs in sys.equations:
+        row = [0] * (len(columns) + 1)
+        for v, c in items:
+            row[columns[v]] = c
+        row[-1] = rhs
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_lean_and_full_systems_have_the_same_row_space(case):
+    x, a, k = case
+    lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
+    assert lean.variables == full.variables
+    assert lean.forced_zero == full.forced_zero
+    assert set(lean.equations) <= set(full.equations)
+    columns = {v: j for j, v in enumerate(lean.live_variables())}
+    lean_rows = augmented_rows(lean, columns)
+    full_rows = augmented_rows(full, columns)
+    rank = sympy.Matrix(lean_rows).rank() if lean_rows else 0
+    assert sympy.Matrix(lean_rows + full_rows).rank() == rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_lean_and_full_systems_give_the_same_answers(case):
+    x, a, k = case
+    lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
+    assert (lp_feasible(lean) is None) == (lp_feasible(full) is None)
+    assert (diophantine_feasible(lean) is None) == (diophantine_feasible(full) is None)
+    try:
+        support = relative_interior_support(lean)
+    except Infeasible:
+        assert lp_feasible(full) is None
+        return
+    assert relative_interior_support(full) == support
+    dead = [v for v in lean.live_variables() if v not in support]
+    assert (diophantine_feasible(lean, dead) is None) == (diophantine_feasible(full, dead) is None)
+
+
+def test_anchor_system_sizes():
+    sys = build_ip_system(clique(4), clique(3), 4)
+    assert len(sys.equations) == 12550
+    assert len(sys.variables) == 20808
+    assert len(sys.forced_zero) == 14136
+
+
+def test_ba_runs_one_presolve_of_each_kind(monkeypatch):
+    calls = []
+    real = rx._reduce
+
+    def counting(equations, nonneg):
+        calls.append(nonneg)
+        return real(equations, nonneg)
+
+    monkeypatch.setattr(rx, "_reduce", counting)
+    # BLP accepts the triangle against K2 at level 1, so BA reaches the
+    # integer step, which rejects it
+    assert decide_ba(clique(3), clique(2), 1) is False
+    assert sorted(calls) == [False, True]
