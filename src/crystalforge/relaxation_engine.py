@@ -240,6 +240,16 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
 # keeping the reduced system equivalent.  In nonneg (LP) mode a variable may
 # only be replaced by an expression that is itself manifestly nonnegative;
 # in integer mode any unit-coefficient variable may be eliminated.
+#
+# Every row stays integral: a row c*v + sum(cw*w) = rhs and its substitution
+# v := (rhs - sum(cw*w)) / c are kept as Python ints, and elimination is
+# fraction-free.  A row e with coefficient d on v becomes
+# |c|*e - sign(c)*d*row, a positive multiple of the rational substitution
+# e - (d/c)*row, so every coefficient keeps its sign and the elimination
+# order, the reduced rows up to positive scaling, the simplex tableau built
+# from them and the witnesses are those of rational elimination.  In nonneg
+# mode a row is divided by the gcd of its coefficients and rhs after each
+# elimination; in integer mode c is a unit and rows never grow.
 # ---------------------------------------------------------------------------
 
 
@@ -248,8 +258,8 @@ class _Reduced:
 
     def __init__(self):
         self.infeasible = False
-        self.eqs: list[tuple[dict, object]] = []
-        self.subs: dict = {}  # var -> (const, {var: coeff})
+        self.eqs: list[tuple[dict, int]] = []
+        self.subs: dict = {}  # var -> (c, rhs, {w: cw}): c*var + sum(cw*w) = rhs
         self.live: set = set()
 
     def resolve(self, assignment: dict, cache: dict | None = None) -> dict:
@@ -261,8 +271,12 @@ class _Reduced:
             if v in cache:
                 return cache[v]
             if v in self.subs:
-                const, lin = self.subs[v]
-                val = const + sum(c * value(w) for w, c in lin.items())
+                c, rhs, lin = self.subs[v]
+                val = rhs - sum(cw * value(w) for w, cw in lin.items())
+                if c == -1:
+                    val = -val
+                elif c != 1:
+                    val = _Q(val) / c
             else:
                 val = assignment.get(v, 0)
             cache[v] = val
@@ -282,8 +296,8 @@ class _Reduced:
                 return cache[v]
             cache[v] = False  # guard (substitutions are acyclic anyway)
             if v in self.subs:
-                const, lin = self.subs[v]
-                r = const > 0 or any(c > 0 and pos(w) for w, c in lin.items())
+                c, rhs, lin = self.subs[v]
+                r = rhs * c > 0 or any(cw * c < 0 and pos(w) for w, cw in lin.items())
             else:
                 r = v in positive_live
             cache[v] = r
@@ -294,36 +308,49 @@ class _Reduced:
 
 def _reduce(equations, nonneg: bool) -> _Reduced:
     red = _Reduced()
-    num = _Q if nonneg else int
-    eqs: dict[int, tuple[dict, object]] = {}
+    eqs: dict[int, tuple[dict, int]] = {}
     occ: dict = {}
     for eid, (items, rhs) in enumerate(equations):
-        coeffs = {v: num(c) for v, c in items if c}
-        eqs[eid] = (coeffs, num(rhs))
+        coeffs = {v: int(c) for v, c in items if c}
+        eqs[eid] = (coeffs, int(rhs))
         for v in coeffs:
             occ.setdefault(v, set()).add(eid)
     work = list(eqs)
     in_work = set(work)
 
-    def substitute(v, const, lin):
-        red.subs[v] = (const, dict(lin))
+    def substitute(v, c, rhs, lin):
+        """Eliminate v through the row c*v + sum(lin) = rhs."""
+        red.subs[v] = (c, rhs, lin)
+        scale = abs(c)
         for eid in list(occ.pop(v, ())):
             if eid not in eqs:
                 continue
-            coeffs, rhs = eqs[eid]
-            c = coeffs.pop(v, None)
-            if c is None:
+            coeffs, erhs = eqs[eid]
+            d = coeffs.pop(v, None)
+            if d is None:
                 continue
-            rhs = rhs - c * const
+            if c < 0:
+                d = -d
+            if scale != 1:
+                for w in coeffs:
+                    coeffs[w] *= scale
+                erhs *= scale
+            erhs -= d * rhs
             for w, cw in lin.items():
-                nc = coeffs.get(w, 0) + c * cw
+                nc = coeffs.get(w, 0) - d * cw
                 if nc:
                     coeffs[w] = nc
                     occ.setdefault(w, set()).add(eid)
                 else:
                     coeffs.pop(w, None)
                     occ.get(w, set()).discard(eid)
-            eqs[eid] = (coeffs, rhs)
+            if nonneg:
+                g = math.gcd(erhs, *coeffs.values())
+                if g > 1:
+                    for w in coeffs:
+                        coeffs[w] //= g
+                    erhs //= g
+            eqs[eid] = (coeffs, erhs)
             if eid not in in_work:
                 work.append(eid)
                 in_work.add(eid)
@@ -342,70 +369,53 @@ def _reduce(equations, nonneg: bool) -> _Reduced:
             continue
         if len(coeffs) == 1:
             (v, c), = coeffs.items()
-            if nonneg:
-                val = rhs / c
-                if val < 0:
-                    red.infeasible = True
-                    return red
-            else:
-                if rhs % c:
-                    red.infeasible = True
-                    return red
-                val = rhs // c
+            if (rhs * c < 0) if nonneg else (rhs % c):
+                red.infeasible = True
+                return red
             del eqs[eid]
-            substitute(v, val, {})
+            if nonneg:
+                substitute(v, c, rhs, {})
+            else:
+                substitute(v, 1, rhs // c, {})
             continue
         if nonneg:
-            pos = all(c > 0 for c in coeffs.values())
-            neg = all(c < 0 for c in coeffs.values())
-            if pos or neg:
+            npos = sum(1 for c in coeffs.values() if c > 0)
+            nneg = len(coeffs) - npos
+            if not npos or not nneg:
                 if rhs == 0:
                     vs = list(coeffs)
                     del eqs[eid]
                     for v in vs:
-                        substitute(v, num(0), {})
+                        substitute(v, 1, 0, {})
                     continue
-                if (pos and rhs < 0) or (neg and rhs > 0):
+                if (rhs < 0) if not nneg else (rhs > 0):
                     red.infeasible = True
                     return red
-            # substitution v := rhs/c - sum(cj/c) wj, valid when every term
-            # of the replacement is nonnegative
-            cand = None
-            for v, c in coeffs.items():
-                const = rhs / c
-                if const < 0:
-                    continue
-                if all(w == v or (cw / c) <= 0 for w, cw in coeffs.items()):
-                    use = len(occ.get(v, ()))
-                    if cand is None or use < cand[0]:
-                        cand = (use, v, c)
-            if cand is not None:
-                _, v, c = cand
-                lin = {w: -cw / c for w, cw in coeffs.items() if w != v}
-                del eqs[eid]
-                occ.get(v, set()).discard(eid)
-                for w in lin:
-                    occ.get(w, set()).discard(eid)
-                substitute(v, rhs / c, lin)
-                continue
+            # v := (rhs - sum(cw*w)) / c has only nonnegative terms exactly
+            # when rhs*c >= 0 and v is the row's only variable with the
+            # sign of c
+            candidates = [
+                (v, c) for v, c in coeffs.items()
+                if (c > 0 and npos == 1 and rhs >= 0) or (c < 0 and nneg == 1 and rhs <= 0)
+            ] if npos == 1 or nneg == 1 else ()
         else:
-            cand = None
-            for v, c in coeffs.items():
-                if c in (1, -1):
-                    use = len(occ.get(v, ()))
-                    if cand is None or use < cand[0]:
-                        cand = (use, v, c)
-            if cand is not None:
-                _, v, c = cand
-                lin = {w: -cw // c for w, cw in coeffs.items() if w != v}
-                del eqs[eid]
-                occ.get(v, set()).discard(eid)
-                for w in lin:
-                    occ.get(w, set()).discard(eid)
-                substitute(v, rhs // c, lin)
-                continue
+            candidates = [(v, c) for v, c in coeffs.items() if c in (1, -1)]
+        cand = None
+        for v, c in candidates:
+            use = len(occ.get(v, ()))
+            if cand is None or use < cand[0]:
+                cand = (use, v, c)
+        if cand is not None:
+            _, v, c = cand
+            lin = {w: cw for w, cw in coeffs.items() if w != v}
+            del eqs[eid]
+            occ.get(v, set()).discard(eid)
+            for w in lin:
+                occ.get(w, set()).discard(eid)
+            substitute(v, c, rhs, lin)
 
-    # final dedup (and, in integer mode, content reduction)
+    # final dedup (and, in integer mode, content reduction); rows equal up
+    # to a nonzero multiple share the primitive row with a positive lead
     seen = set()
     final = []
     for coeffs, rhs in eqs.values():
@@ -414,25 +424,21 @@ def _reduce(equations, nonneg: bool) -> _Reduced:
                 red.infeasible = True
                 return red
             continue
+        g = math.gcd(*coeffs.values())
         if not nonneg:
-            g = 0
-            for c in coeffs.values():
-                g = math.gcd(g, abs(int(c)))
+            if rhs % g:
+                red.infeasible = True
+                return red
             if g > 1:
-                if rhs % g:
-                    red.infeasible = True
-                    return red
                 coeffs = {v: c // g for v, c in coeffs.items()}
                 rhs = rhs // g
-        key_items = tuple(sorted(coeffs.items()))
-        lead = key_items[0][1]
-        if nonneg:
-            key = (tuple((v, c / lead) for v, c in key_items), rhs / lead)
+                g = 1
         else:
-            if lead < 0:
-                key = (tuple((v, -c) for v, c in key_items), -rhs)
-            else:
-                key = (key_items, rhs)
+            g = math.gcd(g, rhs)
+        key_items = tuple(sorted(coeffs.items()))
+        if key_items[0][1] < 0:
+            g = -g
+        key = (tuple((v, c // g) for v, c in key_items), rhs // g)
         if key in seen:
             continue
         seen.add(key)
@@ -560,14 +566,17 @@ class _Simplex:
     def _pivot(self, i, j):
         tab = self._tab
         row = tab[i]
+        nz = [jj for jj, c in enumerate(row) if c]
         p = row[j]
         if p != 1:
             inv = 1 / p
-            tab[i] = row = [c * inv for c in row]
+            for jj in nz:
+                row[jj] *= inv
         for ii, r2 in enumerate(tab):
             if ii != i and r2[j]:
                 f = r2[j]
-                tab[ii] = [a - f * b for a, b in zip(r2, row)]
+                for jj in nz:
+                    r2[jj] -= f * row[jj]
         self._basis[i] = j
 
     def _run(self, cost) -> Optional[object]:
@@ -804,6 +813,11 @@ def _system_equations(sys: LinearSystem, extra_zero: frozenset = frozenset()):
     return tuple(out)
 
 
+def _fraction(val) -> Fraction:
+    """An ``int``, ``Fraction`` or gmpy2 ``mpq`` as a ``Fraction``."""
+    return Fraction(int(val.numerator), int(val.denominator))
+
+
 def _lp_pass(sys: LinearSystem):
     """Nonnegative presolve and simplex phase 1, with a checked witness.
 
@@ -820,10 +834,7 @@ def _lp_pass(sys: LinearSystem):
     if not sx.feasible():
         return None
     full = red.resolve(sx.solution())
-    out = {}
-    for v in sys.live_variables():
-        val = full.get(v, 0)
-        out[v] = val if isinstance(val, Fraction) else Fraction(int(val.numerator), int(val.denominator)) if hasattr(val, "denominator") else Fraction(val)
+    out = {v: _fraction(full.get(v, 0)) for v in sys.live_variables()}
     for items, rhs in sys.equations:
         if sum(out[v] * c for v, c in items) != rhs:
             raise AssertionError("rational witness failed re-substitution")

@@ -167,77 +167,96 @@ def _permute_shadows(p, shape, shadows, perm):
 
 
 def _realise(p: int, shape: Shape, shadows: dict[Index, IntTensor]) -> IntTensor:
-    q = len(shape)
-    full = tuple(range(1, q + 1))
+    """Realise a realistic (p, shape)-system.
 
-    # A (q, n)-system is its own realisation.
-    if p == q:
-        return shadows[full]
+    The rotate step, the p = 1 peel and the tilde step each reduce the same
+    p-system by one unit of width; they run as a loop that records how to
+    rebuild the larger tensor, and the records are applied in reverse once
+    the base case is reached.  Only the hat system of the general step
+    recurses, on p - 1, so the recursion depth is at most q.
+    """
+    undo: list[tuple] = []
+    while True:
+        q = len(shape)
 
-    # Base of the width induction: a single cell, value shared by all shadows.
-    if all(w == 1 for w in shape):
-        any_shadow = shadows[tuple(range(1, p + 1))]
-        v = any_shadow.entries.get((1,) * p, 0)
-        return IntTensor._raw(shape, {(1,) * q: v} if v else {})
+        # A (q, n)-system is its own realisation.
+        if p == q:
+            c = shadows[tuple(range(1, q + 1))]
+            break
 
-    # The induction step peels the last mode, so rotate a mode of width >= 2
-    # into last position when needed.  Tie-break: the highest-index wide mode.
-    if shape[-1] < 2:
-        t = max(m for m in range(1, q + 1) if shape[m - 1] >= 2)
-        perm = list(range(1, q + 1))
-        perm[t - 1], perm[q - 1] = perm[q - 1], perm[t - 1]
-        perm = tuple(perm)
-        new_shape, new_shadows = _permute_shadows(p, shape, shadows, perm)
-        c = _realise(p, new_shape, new_shadows)
-        # A transposition is its own inverse, so the same selector undoes it.
-        return project(c, perm)
+        # Base of the width induction: a single cell, value shared by all
+        # shadows.
+        if all(w == 1 for w in shape):
+            any_shadow = shadows[tuple(range(1, p + 1))]
+            v = any_shadow.entries.get((1,) * p, 0)
+            c = IntTensor._raw(shape, {(1,) * q: v} if v else {})
+            break
 
-    nq = shape[-1]
+        # The induction step peels the last mode, so rotate a mode of width
+        # >= 2 into last position when needed.  Tie-break: the highest-index
+        # wide mode.
+        if shape[-1] < 2:
+            t = max(m for m in range(1, q + 1) if shape[m - 1] >= 2)
+            perm = list(range(1, q + 1))
+            perm[t - 1], perm[q - 1] = perm[q - 1], perm[t - 1]
+            perm = tuple(perm)
+            shape, shadows = _permute_shadows(p, shape, shadows, perm)
+            # A transposition is its own inverse, so the same selector
+            # undoes it.
+            undo.append(("rotate", perm))
+            continue
 
-    if p == 1:
-        # Peel the final value of the last mode's shadow into the corner cell,
-        # compensate the other shadows at their own final coordinate, recurse.
-        sq = shadows[(q,)]
-        ell = sq.entries.get((nq,), 0)
-        new_shape = shape[:-1] + (nq - 1,)
-        new_shadows: dict[Index, IntTensor] = {}
-        for m in range(1, q):
-            sm = shadows[(m,)]
-            ent = dict(sm.entries)
-            at = (shape[m - 1],)
-            v = ent.get(at, 0) - ell
-            if v:
-                ent[at] = v
+        nq = shape[-1]
+
+        if p == 1:
+            # Peel the final value of the last mode's shadow into the corner
+            # cell and compensate the other shadows at their own final
+            # coordinate.
+            sq = shadows[(q,)]
+            ell = sq.entries.get((nq,), 0)
+            new_shadows: dict[Index, IntTensor] = {}
+            for m in range(1, q):
+                sm = shadows[(m,)]
+                ent = dict(sm.entries)
+                at = (shape[m - 1],)
+                v = ent.get(at, 0) - ell
+                if v:
+                    ent[at] = v
+                else:
+                    ent.pop(at, None)
+                new_shadows[(m,)] = IntTensor._raw(sm.shape, ent)
+            new_shadows[(q,)] = _truncate_last(sq)
+            # the all-max corner index equals the shape tuple
+            undo.append(("place", shape, {shape: ell} if ell else {}))
+            shape, shadows = shape[:-1] + (nq - 1,), new_shadows
+            continue
+
+        # General step (2 <= p < q, nq >= 2): split off the final slice of
+        # the last mode.  The hat system prescribes that slice via the
+        # shadows that use mode q; the tilde system is what remains after
+        # subtracting it.
+        hat_shadows = {
+            i: _slice_last(shadows[i + (q,)], nq) for i in increasing_tuples(q - 1, p - 1)
+        }
+        chat = _realise(p - 1, shape[:-1], hat_shadows)
+        til_shadows: dict[Index, IntTensor] = {}
+        for i in increasing_tuples(q, p):
+            if i[-1] == q:
+                til_shadows[i] = _truncate_last(shadows[i])
             else:
-                ent.pop(at, None)
-            new_shadows[(m,)] = IntTensor._raw(sm.shape, ent)
-        new_shadows[(q,)] = _truncate_last(sq)
-        ct = _realise(1, new_shape, new_shadows)
-        out = dict(ct.entries)
-        if ell:
-            out[shape] = ell  # the all-max corner index equals the shape tuple
-        return IntTensor._raw(shape, out)
+                til_shadows[i] = sub(shadows[i], project(chat, i))
+        undo.append(("place", shape, {idx + (nq,): v for idx, v in chat.entries.items()}))
+        shape, shadows = shape[:-1] + (nq - 1,), til_shadows
 
-    # General step (2 <= p < q, nq >= 2): split off the final slice of the
-    # last mode.  The hat system prescribes that slice via the shadows that
-    # use mode q; the tilde system is what remains after subtracting it.
-    hat_shadows = {
-        i: _slice_last(shadows[i + (q,)], nq) for i in increasing_tuples(q - 1, p - 1)
-    }
-    chat = _realise(p - 1, shape[:-1], hat_shadows)
-
-    til_shadows: dict[Index, IntTensor] = {}
-    for i in increasing_tuples(q, p):
-        if i[-1] == q:
-            til_shadows[i] = _truncate_last(shadows[i])
+    for step in reversed(undo):
+        if step[0] == "rotate":
+            c = project(c, step[1])
         else:
-            til_shadows[i] = sub(shadows[i], project(chat, i))
-    ctil = _realise(p, shape[:-1] + (nq - 1,), til_shadows)
-
-    out = dict(ctil.entries)
-    for idx, v in chat.entries.items():
-        out[idx + (nq,)] = v
-    return IntTensor._raw(shape, out)
+            _, full_shape, cells = step
+            out = dict(c.entries)
+            out.update(cells)
+            c = IntTensor._raw(full_shape, out)
+    return c
 
 
 # ---------------------------------------------------------------------------

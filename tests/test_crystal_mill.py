@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -76,6 +77,19 @@ def test_crystalise_dimensions_and_shadows():
     assert c.shape == (3, 3, 3, 3)
     rep = is_crystal(c, 1)
     assert rep.is_crystal and rep.shadow == s
+
+
+def test_crystalise_wide_tensor_within_default_recursion_limit():
+    # the realiser's depth is bounded by q, not by the width
+    s = IntTensor((400,), {(i,): 1 + i % 3 for i in range(1, 401)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        c = crystalise(s, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert c.shape == (400, 400, 400)
+    assert all(project(c, (m,)) == s for m in (1, 2, 3))
 
 
 def test_crystalise_requires_crystal_input():

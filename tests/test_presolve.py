@@ -1,0 +1,307 @@
+"""The integer presolve and the simplex against reference implementations.
+
+``reference_reduce`` is the rational nonnegative presolve that ``_reduce``
+replaced: the same elimination rules carried out in ``Fraction``s.  The
+integer presolve must make the same decisions and produce the same rows up
+to positive scaling, so the tableau and the witnesses do not change.  The
+simplex (phase 1, sparse pivots) is checked against sympy's exact
+``linprog``.
+"""
+
+import itertools
+from fractions import Fraction
+from unittest import mock
+
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.solvers.simplex import linprog
+
+from crystalforge import relaxation_engine as rx
+from crystalforge.digraph_lab import Digraph
+from crystalforge.relaxation_engine import (
+    Infeasible,
+    LinearSystem,
+    build_ip_system,
+    lp_feasible,
+    relative_interior_support,
+)
+
+
+class ReferenceReduced:
+    def __init__(self):
+        self.infeasible = False
+        self.eqs = []
+        self.subs = {}  # var -> (const, {var: coeff})
+        self.live = set()
+
+    def resolve(self, assignment, cache=None):
+        cache = {} if cache is None else cache
+
+        def value(v):
+            if v not in cache:
+                if v in self.subs:
+                    const, lin = self.subs[v]
+                    cache[v] = const + sum(c * value(w) for w, c in lin.items())
+                else:
+                    cache[v] = assignment.get(v, 0)
+            return cache[v]
+
+        return {v: value(v) for v in set(self.subs) | self.live | set(assignment)}
+
+    def support_status(self, positive_live):
+        cache = {}
+
+        def pos(v):
+            if v not in cache:
+                cache[v] = False
+                if v in self.subs:
+                    const, lin = self.subs[v]
+                    cache[v] = const > 0 or any(c > 0 and pos(w) for w, c in lin.items())
+                else:
+                    cache[v] = v in positive_live
+            return cache[v]
+
+        return {v for v in set(self.subs) | self.live if pos(v)}
+
+
+def reference_reduce(equations) -> ReferenceReduced:
+    """Nonnegative presolve over ``Fraction``s, as before the integer rewrite."""
+    red = ReferenceReduced()
+    eqs = {}
+    occ = {}
+    for eid, (items, rhs) in enumerate(equations):
+        coeffs = {v: Fraction(c) for v, c in items if c}
+        eqs[eid] = (coeffs, Fraction(rhs))
+        for v in coeffs:
+            occ.setdefault(v, set()).add(eid)
+    work = list(eqs)
+    in_work = set(work)
+
+    def substitute(v, const, lin):
+        red.subs[v] = (const, dict(lin))
+        for eid in list(occ.pop(v, ())):
+            if eid not in eqs:
+                continue
+            coeffs, rhs = eqs[eid]
+            c = coeffs.pop(v, None)
+            if c is None:
+                continue
+            rhs = rhs - c * const
+            for w, cw in lin.items():
+                nc = coeffs.get(w, 0) + c * cw
+                if nc:
+                    coeffs[w] = nc
+                    occ.setdefault(w, set()).add(eid)
+                else:
+                    coeffs.pop(w, None)
+                    occ.get(w, set()).discard(eid)
+            eqs[eid] = (coeffs, rhs)
+            if eid not in in_work:
+                work.append(eid)
+                in_work.add(eid)
+
+    while work:
+        eid = work.pop()
+        in_work.discard(eid)
+        if eid not in eqs:
+            continue
+        coeffs, rhs = eqs[eid]
+        if not coeffs:
+            if rhs != 0:
+                red.infeasible = True
+                return red
+            del eqs[eid]
+            continue
+        if len(coeffs) == 1:
+            (v, c), = coeffs.items()
+            if rhs / c < 0:
+                red.infeasible = True
+                return red
+            del eqs[eid]
+            substitute(v, rhs / c, {})
+            continue
+        pos = all(c > 0 for c in coeffs.values())
+        neg = all(c < 0 for c in coeffs.values())
+        if pos or neg:
+            if rhs == 0:
+                vs = list(coeffs)
+                del eqs[eid]
+                for v in vs:
+                    substitute(v, Fraction(0), {})
+                continue
+            if (pos and rhs < 0) or (neg and rhs > 0):
+                red.infeasible = True
+                return red
+        cand = None
+        for v, c in coeffs.items():
+            if rhs / c < 0:
+                continue
+            if all(w == v or cw / c <= 0 for w, cw in coeffs.items()):
+                use = len(occ.get(v, ()))
+                if cand is None or use < cand[0]:
+                    cand = (use, v, c)
+        if cand is not None:
+            _, v, c = cand
+            lin = {w: -cw / c for w, cw in coeffs.items() if w != v}
+            del eqs[eid]
+            occ.get(v, set()).discard(eid)
+            for w in lin:
+                occ.get(w, set()).discard(eid)
+            substitute(v, rhs / c, lin)
+
+    seen = set()
+    final = []
+    for coeffs, rhs in eqs.values():
+        if not coeffs:
+            if rhs != 0:
+                red.infeasible = True
+                return red
+            continue
+        key_items = tuple(sorted(coeffs.items()))
+        lead = key_items[0][1]
+        key = (tuple((v, c / lead) for v, c in key_items), rhs / lead)
+        if key in seen:
+            continue
+        seen.add(key)
+        final.append((coeffs, rhs))
+    red.eqs = final
+    red.live = {v for coeffs, _ in final for v in coeffs}
+    return red
+
+
+def with_reference_presolve(fn, sys):
+    real = rx._reduce
+
+    def patched(equations, nonneg):
+        return reference_reduce(equations) if nonneg else real(equations, nonneg)
+
+    with mock.patch.object(rx, "_reduce", patched):
+        return fn(sys)
+
+
+def positive_multiple(row, ref_row) -> bool:
+    (coeffs, rhs), (ref_coeffs, ref_rhs) = row, ref_row
+    if coeffs.keys() != ref_coeffs.keys():
+        return False
+    v = next(iter(coeffs))
+    ratio = Fraction(coeffs[v]) / ref_coeffs[v]
+    return ratio > 0 and rhs == ratio * ref_rhs and all(
+        c == ratio * ref_coeffs[w] for w, c in coeffs.items()
+    )
+
+
+def support_or_none(sys):
+    try:
+        return relative_interior_support(sys)
+    except Infeasible:
+        return None
+
+
+def assert_matches_reference(sys: LinearSystem):
+    red = rx._reduce(sys.equations, nonneg=True)
+    ref = reference_reduce(sys.equations)
+    assert red.infeasible == ref.infeasible
+    if not red.infeasible:
+        assert red.live == ref.live
+        assert red.subs.keys() == ref.subs.keys()
+        for v, (c, rhs, lin) in red.subs.items():
+            const, ref_lin = ref.subs[v]
+            assert Fraction(rhs, c) == const
+            assert {w: Fraction(-cw, c) for w, cw in lin.items()} == ref_lin
+        assert all(type(c) is int for coeffs, rhs in red.eqs for c in (rhs, *coeffs.values()))
+        assert len(red.eqs) == len(ref.eqs)
+        assert all(positive_multiple(row, ref_row) for row, ref_row in zip(red.eqs, ref.eqs))
+    assert lp_feasible(sys) == with_reference_presolve(lp_feasible, sys)
+    assert support_or_none(sys) == with_reference_presolve(support_or_none, sys)
+
+
+@st.composite
+def level_k_systems(draw):
+    """Level-k systems with n, m <= 3 vertices, loops allowed, k <= 3."""
+    k = draw(st.integers(1, 3))
+    size = st.integers(1, 3) if k < 3 else st.integers(1, 2)
+    graphs = []
+    for n in (draw(size), draw(size)):
+        pairs = list(itertools.product(range(1, n + 1), repeat=2))
+        graphs.append(Digraph(n, frozenset(draw(st.sets(st.sampled_from(pairs))))))
+    return build_ip_system(graphs[0], graphs[1], k)
+
+
+@st.composite
+def integer_systems(draw):
+    """Random systems, x >= 0, of at most 6 variables and 5 equations with
+    coefficients and rhs in [-3, 3]."""
+    n = draw(st.integers(1, 6))
+    variables = tuple(("l", (j,), (0,)) for j in range(n))
+    rows = draw(st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n), st.integers(-3, 3)),
+        min_size=1, max_size=5,
+    ))
+    equations = {}
+    for coeffs, rhs in rows:
+        items = tuple((v, c) for v, c in zip(variables, coeffs) if c)
+        if items or rhs:
+            equations.setdefault((items, rhs), None)
+    return LinearSystem(variables, tuple(equations), frozenset())
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_k_systems())
+def test_presolve_matches_reference_on_level_k_systems(sys):
+    assert_matches_reference(sys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_presolve_matches_reference_on_integer_systems(sys):
+    assert_matches_reference(sys)
+
+
+def test_presolve_scales_by_non_unit_pivots():
+    # x, y, z >= 0:  2x - 3y = 1 eliminates x = (1 + 3y)/2; the row
+    # 3x + 3y - 6z = 3 becomes 2*row - 3*(2x - 3y = 1) = 15y - 12z = 3, is
+    # kept as 5y - 4z = 1, and eliminates y = (1 + 4z)/5
+    x, y, z = (("l", (j,), (0,)) for j in range(3))
+    sys = LinearSystem((x, y, z), (
+        (((x, 2), (y, -3)), 1),
+        (((x, 3), (y, 3), (z, -6)), 3),
+    ), frozenset())
+    red = rx._reduce(sys.equations, nonneg=True)
+    assert red.subs == {x: (2, 1, {y: -3}), y: (5, 1, {z: -4})}
+    assert red.eqs == []
+    assert lp_feasible(sys) == {x: Fraction(4, 5), y: Fraction(1, 5), z: 0}
+    assert_matches_reference(sys)
+
+
+def sympy_feasible(sys: LinearSystem) -> bool:
+    """Decide Ax = b, x >= 0 with sympy's exact ``linprog``.
+
+    With the rows signed so that b >= 0, the system is feasible exactly
+    when max 1^T A x subject to Ax <= b, x >= 0 reaches 1^T b.  The origin
+    is feasible for that LP, so sympy's phase 1 has no work to do: given
+    the equalities directly, sympy 1.14 loops or returns infeasible points
+    on some of these systems.
+    """
+    rows = [(dict(items), rhs) for items, rhs in sys.equations if items]
+    if len(rows) < len(sys.equations):
+        return False  # a row 0 = rhs with rhs != 0
+    if not rows:
+        return True
+    a = sympy.Matrix([[coeffs.get(v, 0) for v in sys.variables] for coeffs, _ in rows])
+    b = sympy.Matrix([rhs for _, rhs in rows])
+    for i in range(len(rows)):
+        if b[i] < 0:
+            a[i, :], b[i] = -a[i, :], -b[i]
+    opt, _x = linprog(-sympy.ones(1, len(rows)) * a, A=a, b=b)
+    return -opt == sum(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_lp_feasible_agrees_with_sympy_linprog(sys):
+    witness = lp_feasible(sys)
+    assert (witness is not None) == sympy_feasible(sys)
+    if witness is not None:
+        assert all(witness[v] >= 0 for v in sys.variables)
+        for items, rhs in sys.equations:
+            assert sum(c * witness[v] for v, c in items) == rhs
