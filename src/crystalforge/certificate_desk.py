@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .tensor_core import (
     Index,
@@ -28,6 +28,7 @@ from .tensor_core import (
     is_hollow,
     loads_st,
     project,
+    pushforward,
     total,
 )
 from .crystal_mill import BadDimension, NotACrystal, is_crystal
@@ -227,20 +228,6 @@ def check_refinement(zeta: ZaffCertificate, xi: QconvMap) -> bool:
     return True
 
 
-def scatter(fn: Callable[[Index], Index], t: IntTensor, out_shape) -> IntTensor:
-    """Push entries forward along an index map, summing over preimages."""
-    out_shape = tuple(out_shape)
-    out: dict[Index, int] = {}
-    for idx, v in t.entries.items():
-        key = tuple(fn(idx))
-        s = out.get(key, 0) + v
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return IntTensor(out_shape, out)
-
-
 def transform_certificate_homomorphism(
     cert: ZaffCertificate, f: Mapping[int, int], b_graph: Digraph
 ) -> ZaffCertificate:
@@ -254,9 +241,9 @@ def transform_certificate_homomorphism(
     shape = (p,) * k
 
     def g(idx: Index) -> Index:
-        return tuple(fmap[c] for c in idx)
+        return tuple([fmap[c] for c in idx])
 
-    zeta = {x: scatter(g, t, shape) for x, t in cert.zeta.items()}
+    zeta = {x: pushforward(t, g, shape) for x, t in cert.zeta.items()}
     is_cl = b_graph == clique(p)
     return ZaffCertificate(k, cert.instance, b_graph, zeta, template_clique=p if is_cl else None)
 
@@ -318,7 +305,7 @@ def transform_certificate_line_digraph(
                         f"image of {gam} has mass at {idx}, whose pair "
                         f"{(idx[2 * ell], idx[2 * ell + 1])} is not a template edge"
                     )
-        zeta[xbar] = scatter(beta, old, (m,) * k)
+        zeta[xbar] = pushforward(old, beta, (m,) * k)
     return ZaffCertificate(k, dx, da, zeta, template_clique=None)
 
 

@@ -3,9 +3,7 @@
 One verb per library operation; exit codes: 0 success/YES, 1 verified
 NO/false, 2 usage or format error, 3 internal error.  YES/NO decisions
 print a single token on stdout; diagnostics go to stderr.  All output is
-deterministic for a fixed invocation (``--jobs`` is accepted for interface stability but the
-work here is cheap enough to run serially; CRYSTAL_FORGE_SEED is reserved
-and unused by these deterministic paths).
+deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -252,8 +250,6 @@ def _cmd_fool_params(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="crystalforge")
-    top.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="verification parallelism (accepted; work runs serially)")
     sub = top.add_subparsers(dest="group", required=True)
 
     def out(p):
@@ -355,9 +351,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (_CliError, tc.TensorError, dg.DigraphError, json.JSONDecodeError) as exc:

@@ -149,10 +149,8 @@ def mine_hollow_crystal(k: int) -> IntTensor:
     y = tuple(range(n_hat + 1, n + 1))
     acc = dict(w.entries)
     for d, coeff in w.entries.items():
-        # subtract coeff * quartz(n, d, y); valid since d lives in [n̂]^k
-        for z in itertools.product((0, 1), repeat=k):
-            idx = tuple(y[i] if z[i] else d[i] for i in range(k))
-            sgn = -1 if sum(z) % 2 else 1
+        # valid since d lives in [n̂]^k and y in (n̂, n]^k
+        for idx, sgn in quartz(n, d, y).entries.items():
             s = acc.get(idx, 0) - coeff * sgn
             if s:
                 acc[idx] = s

@@ -150,7 +150,10 @@ def homomorphism_exists(x: Digraph, a: Digraph) -> Optional[dict[int, int]]:
 
 
 def check_homomorphism(x: Digraph, a: Digraph, f: dict[int, int]) -> bool:
-    return all(v in f for v in range(1, x.vertex_count + 1)) and all(
+    """``f`` maps every vertex of ``x`` to a vertex of ``a`` and every edge
+    of ``x`` to an edge of ``a``."""
+    n = a.vertex_count
+    return all(v in f and 1 <= f[v] <= n for v in range(1, x.vertex_count + 1)) and all(
         (f[u], f[v]) in a.edges for u, v in x.edges
     )
 

@@ -754,16 +754,15 @@ def _independent_integer_rows(eqs, variables):
     return out
 
 
-def integer_feasible(equations, variables=None) -> Optional[dict]:
+def integer_feasible(equations) -> Optional[dict]:
     """Solve a sparse integer equality system exactly.
 
     ``equations`` is an iterable of (coefficient-dict, rhs).  Returns an
     integer assignment (defaulting unconstrained variables to zero) or
     None.
     """
-    eq_list = [(dict(c), r) for c, r in equations]
-    canon = tuple((tuple(sorted(c.items())), r) for c, r in eq_list)
-    red = _reduce(canon, nonneg=False)
+    eq_list = list(equations)
+    red = _reduce([(c.items(), r) for c, r in eq_list], nonneg=False)
     if red.infeasible:
         return None
     live = sorted(red.live)

@@ -74,9 +74,14 @@ class ShadowSystem:
         Only increasing tuples are stored; other orderings are answered by
         reflecting the stored shadow.
         """
-        key = tuple(sorted(sel))
-        perm = tuple(key.index(m) + 1 for m in sel)
-        return project(self.shadows[key], perm)
+        return _reflect(self.shadows, sel)
+
+
+def _reflect(shadows: Mapping[Index, IntTensor], sel: Index) -> IntTensor:
+    """The shadow on the injective mode tuple ``sel``: the stored shadow on
+    its sorted form, with its modes reordered to follow ``sel``."""
+    key = tuple(sorted(sel))
+    return project(shadows[key], tuple(key.index(m) + 1 for m in sel))
 
 
 def constant_system(s: IntTensor, q: int) -> ShadowSystem:
@@ -91,31 +96,34 @@ def constant_system(s: IntTensor, q: int) -> ShadowSystem:
 def is_realistic(sys: ShadowSystem, witness: bool = False):
     """Check all pairwise compatibility equations.
 
+    Shadows i and j must agree on every common (p-1)-tuple of modes:
+    project(S_i, r) == project(S_j, s) whenever i∘r == j∘s.  Two distinct
+    shadows share at most one such tuple, so the projections are bucketed
+    by their tuple of modes and each bucket is compared against its first
+    member.
+
     Returns True/False; with ``witness=True`` returns (ok, quadruple) where
     the quadruple (i, j, r, s) is the first violation in lexicographic order
     (None when realistic).
     """
-    q = len(sys.shape)
-    keys = increasing_tuples(q, sys.p)
     subsel = increasing_tuples(sys.p, sys.p - 1)
-    cache: dict[tuple[Index, Index], IntTensor] = {}
-
-    def proj(i, r):
-        got = cache.get((i, r))
-        if got is None:
-            got = cache[(i, r)] = project(sys.shadows[i], r)
-        return got
-
-    for i in keys:
-        for j in keys:
-            for r in subsel:
-                ir = tuple(i[x - 1] for x in r)
-                for s in subsel:
-                    if ir != tuple(j[x - 1] for x in s):
-                        continue
-                    if proj(i, r) != proj(j, s):
-                        return (False, (i, j, r, s)) if witness else False
-    return (True, None) if witness else True
+    buckets: dict[Index, list[tuple[Index, Index, IntTensor]]] = {}
+    for i in increasing_tuples(len(sys.shape), sys.p):
+        for r in subsel:
+            modes = tuple(i[x - 1] for x in r)
+            buckets.setdefault(modes, []).append((i, r, project(sys.shadows[i], r)))
+    first = None
+    for members in buckets.values():
+        # members are in increasing i, so the bucket's least violation pairs
+        # its first member with the first member that disagrees with it
+        i, r, head = members[0]
+        for j, s, t in members[1:]:
+            if t != head:
+                if first is None or (i, j, r, s) < first:
+                    first = (i, j, r, s)
+                break
+    ok = first is None
+    return (ok, first) if witness else ok
 
 
 def verify_realisation(c: IntTensor, sys: ShadowSystem) -> bool:
@@ -159,10 +167,7 @@ def _permute_shadows(p, shape, shadows, perm):
     new_shape = tuple(shape[perm[m] - 1] for m in range(q))
     new_shadows = {}
     for i_new in increasing_tuples(q, p):
-        olds = tuple(perm[m - 1] for m in i_new)
-        key = tuple(sorted(olds))
-        sel = tuple(key.index(m) + 1 for m in olds)
-        new_shadows[i_new] = project(shadows[key], sel)
+        new_shadows[i_new] = _reflect(shadows, tuple(perm[m - 1] for m in i_new))
     return new_shape, new_shadows
 
 

@@ -1,4 +1,4 @@
-"""Sparse exact-integer tensors with contraction and projection.
+"""Sparse exact-integer tensors with contraction, pushforward and projection.
 
 A tensor here is a finitely supported map from a product of 1-based index
 ranges ``[n1] x ... x [nq]`` to arbitrary-precision integers.  Everything else
@@ -10,7 +10,7 @@ small and purely functional: no operation mutates its arguments.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 Shape = tuple[int, ...]
 Index = tuple[int, ...]
@@ -203,6 +203,25 @@ def _check_selector(sel: Iterable[int], q: int) -> tuple[int, ...]:
     return sel
 
 
+def pushforward(t: IntTensor, fn: Callable[[Index], Index], shape: Iterable[int]) -> IntTensor:
+    """Push ``t`` forward along the index map ``fn`` into a tensor of ``shape``.
+
+    Entry i of the result is the sum of the entries of ``t`` at all indices
+    j with fn(j) = i; sums that cancel to zero are dropped.  ``fn`` must
+    return index tuples inside ``shape``: they are not checked here, so a
+    caller mapping through outside data validates that data first.
+    """
+    out: dict[Index, int] = {}
+    for idx, v in t.entries.items():
+        key = fn(idx)
+        s = out.get(key, 0) + v
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return IntTensor._raw(tuple(shape), out)
+
+
 def project(t: IntTensor, sel: Iterable[int]) -> IntTensor:
     """Project ``t`` onto the modes selected by ``sel`` (1-based, may repeat).
 
@@ -211,33 +230,10 @@ def project(t: IntTensor, sel: Iterable[int]) -> IntTensor:
     transpose); the empty selector yields the scalar total.
     """
     sel = _check_selector(sel, len(t.shape))
-    out: dict[Index, int] = {}
-    for idx, v in t.entries.items():
-        key = tuple(idx[m - 1] for m in sel)
-        s = out.get(key, 0) + v
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    return IntTensor._raw(tuple(t.shape[m - 1] for m in sel), out)
-
-
-def materialize_projection_tensor(shape: Iterable[int], sel: Iterable[int]) -> IntTensor:
-    """The explicit 0/1 projection tensor for ``sel`` on ``shape``.
-
-    Its entry at (i, j) is 1 iff j_sel = i.  Contracting it against any
-    tensor of shape ``shape`` over all of that tensor's modes reproduces
-    ``project``; algorithms never materialize it (this exists for tests
-    and the equivalence property).
-    """
-    shape = tuple(int(w) for w in shape)
-    sel = _check_selector(sel, len(shape))
-    out_shape = tuple(shape[m - 1] for m in sel) + shape
-    entries: dict[Index, int] = {}
-    for j in itertools.product(*(range(1, w + 1) for w in shape)):
-        i = tuple(j[m - 1] for m in sel)
-        entries[i + j] = 1
-    return IntTensor._raw(out_shape, entries)
+    pos = tuple(m - 1 for m in sel)
+    return pushforward(
+        t, lambda idx: tuple([idx[m] for m in pos]), tuple(t.shape[m] for m in pos)
+    )
 
 
 # ---------------------------------------------------------------------------

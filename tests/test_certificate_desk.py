@@ -17,7 +17,6 @@ from crystalforge.certificate_desk import (
     certificate_from_json,
     certificate_to_json,
     check_refinement,
-    scatter,
     transform_certificate_homomorphism,
     transform_certificate_line_digraph,
     uniform_qconv_map,
@@ -139,24 +138,6 @@ def test_check_refinement():
     assert not check_refinement(cert, xi)
 
 
-# -- scatter ----------------------------------------------------------------
-
-
-def test_scatter_sums_preimages():
-    t = IntTensor((3,), {(1,): 2, (2,): 3, (3,): -3})
-    merged = scatter(lambda i: (1,) if i[0] < 3 else (2,), t, (2,))
-    assert merged == IntTensor((2,), {(1,): 5, (2,): -3})
-
-
-def test_scatter_composes():
-    t = IntTensor((4, 4), {(1, 2): 1, (3, 4): -2, (2, 2): 5})
-    f = lambda i: (i[0],)  # noqa: E731
-    g = lambda i: ((i[0] + 1) // 2,)  # noqa: E731
-    lhs = scatter(g, scatter(f, t, (4,)), (2,))
-    rhs = scatter(lambda i: g(f(i)), t, (2,))
-    assert lhs == rhs
-
-
 # -- transports -------------------------------------------------------------
 
 
@@ -167,6 +148,17 @@ def test_homomorphism_transport_preserves_validity():
     assert ok, why
     with pytest.raises(NotAHomomorphism):
         transform_certificate_homomorphism(cert, {1: 1, 2: 1, 3: 3}, clique(5))
+
+
+def test_homomorphism_transport_rejects_map_leaving_target():
+    # vertex 3 of the template is isolated, so only the range check can
+    # catch its image lying outside the target
+    template = Digraph(3, frozenset({(1, 2), (2, 1)}))
+    img = IntTensor((3, 3), {(1, 2): 1})
+    zeta = {x: img for x in [(1, 1), (1, 2), (2, 1), (2, 2)]}
+    cert = ZaffCertificate(2, Digraph(2, frozenset()), template, zeta)
+    with pytest.raises(NotAHomomorphism):
+        transform_certificate_homomorphism(cert, {1: 1, 2: 2, 3: 99}, clique(3))
 
 
 def test_line_digraph_transport():

@@ -228,7 +228,6 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
-def test_jobs_flag_accepted(capsys):
+def test_jobs_flag_is_a_usage_error(capsys):
     code, stdout, _ = invoke(capsys, "--jobs", "2", "fool", "params", "--c", "4", "--d", "4", "--k", "2")
-    assert code == 0 and stdout.startswith("i 3\n")
-    assert invoke(capsys, "--jobs", "0", "fool", "params", "--c", "4", "--d", "4", "--k", "2")[0] == 2
+    assert code == 2 and stdout == ""

@@ -131,6 +131,13 @@ def test_check_homomorphism_partial_map():
     assert not check_homomorphism(clique(2), clique(2), {1: 1})
 
 
+def test_check_homomorphism_map_leaving_target():
+    x = Digraph(3, frozenset({(1, 2), (2, 1)}))
+    assert check_homomorphism(x, clique(3), {1: 1, 2: 2, 3: 3})
+    assert not check_homomorphism(x, clique(3), {1: 1, 2: 2, 3: 99})
+    assert not check_homomorphism(x, clique(3), {1: 1, 2: 2, 3: 0})
+
+
 # -- iteration / fooling parameters -----------------------------------------
 
 

@@ -104,7 +104,7 @@ def test_integer_feasible_basic():
 
 def test_integer_feasible_unconstrained_default_zero():
     x, y = V[0], V[1]
-    sol = integer_feasible([({x: 1}, 3)], variables=[x, y])
+    sol = integer_feasible([({x: 1}, 3)])
     assert sol[x] == 3 and sol.get(y, 0) == 0
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalforge.tensor_core import IntTensor, TensorError, project
+from crystalforge.tensor_core import IntTensor, TensorError, add, project
 from crystalforge.shadow_realiser import (
     NotRealistic,
     ShadowSystem,
@@ -77,6 +77,49 @@ def test_unrealistic_system_reports_first_violation():
     with pytest.raises(NotRealistic) as exc:
         realise(sys)
     assert exc.value.quadruple == quad
+
+
+def reference_is_realistic(sys):
+    """The plain sweep over all quadruples (i, j, r, s) in lexicographic
+    order; returns (ok, first violation)."""
+    keys = increasing_tuples(len(sys.shape), sys.p)
+    subsel = increasing_tuples(sys.p, sys.p - 1)
+    for i in keys:
+        for j in keys:
+            for r in subsel:
+                for s in subsel:
+                    if tuple(i[x - 1] for x in r) != tuple(j[x - 1] for x in s):
+                        continue
+                    if project(sys.shadows[i], r) != project(sys.shadows[j], s):
+                        return False, (i, j, r, s)
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_realistic_matches_reference_sweep(data):
+    # projection systems of a random tensor, then up to three single-cell
+    # perturbations of random shadows (zero perturbations: realistic)
+    q = data.draw(st.integers(1, 4))
+    shape = tuple(data.draw(st.integers(1, 3)) for _ in range(q))
+    p = data.draw(st.integers(1, q))
+    entries = data.draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(1, w) for w in shape)), st.integers(-3, 3), max_size=6
+        )
+    )
+    shadows = dict(system_of(IntTensor(shape, entries), p).shadows)
+    keys = sorted(shadows)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.sampled_from(keys))
+        sh = shadows[i].shape
+        idx = data.draw(st.tuples(*(st.integers(1, w) for w in sh)))
+        delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        shadows[i] = add(shadows[i], IntTensor(sh, {idx: delta}))
+    sys = ShadowSystem(p, shape, shadows)
+    want = reference_is_realistic(sys)
+    assert is_realistic(sys, witness=True) == want
+    assert is_realistic(sys) == want[0]
 
 
 def test_realise_round_trip_randomized():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +15,8 @@ from crystalforge.tensor_core import (
     is_affine,
     is_hollow,
     loads_st,
-    materialize_projection_tensor,
     project,
+    pushforward,
     read_st,
     scale,
     sub,
@@ -204,6 +206,16 @@ def test_project_composes(t, data):
     assert lhs == rhs
 
 
+def materialize_projection_tensor(shape, sel):
+    """The explicit 0/1 projection tensor for ``sel`` on ``shape``: its entry
+    at (i, j) is 1 iff j_sel = i."""
+    shape = tuple(shape)
+    entries = {}
+    for j in itertools.product(*(range(1, w + 1) for w in shape)):
+        entries[tuple(j[m - 1] for m in sel) + j] = 1
+    return IntTensor(tuple(shape[m - 1] for m in sel) + shape, entries)
+
+
 @settings(max_examples=40)
 @given(small_tensors, st.data())
 def test_materialized_projection_agrees_with_direct(t, data):
@@ -212,6 +224,37 @@ def test_materialized_projection_agrees_with_direct(t, data):
     p = materialize_projection_tensor(t.shape, sel)
     via_contract = contract(p, t, q)
     assert via_contract == project(t, sel)
+
+
+# -- pushforward ------------------------------------------------------------
+
+
+def test_pushforward_sums_preimages():
+    t = T((3,), {(1,): 2, (2,): 3, (3,): -3})
+    merged = pushforward(t, lambda i: (1,) if i[0] < 3 else (2,), (2,))
+    assert merged == T((2,), {(1,): 5, (2,): -3})
+
+
+def test_pushforward_drops_cancelled_entries():
+    t = T((2, 2), {(1, 2): 4, (2, 1): -4, (2, 2): 1})
+    folded = pushforward(t, lambda i: (i[0] + i[1] - 1,), (3,))
+    assert folded.entries == {(3,): 1}
+
+
+def test_pushforward_composes():
+    t = T((4, 4), {(1, 2): 1, (3, 4): -2, (2, 2): 5})
+    f = lambda i: (i[0],)  # noqa: E731
+    g = lambda i: ((i[0] + 1) // 2,)  # noqa: E731
+    lhs = pushforward(pushforward(t, f, (4,)), g, (2,))
+    rhs = pushforward(t, lambda i: g(f(i)), (2,))
+    assert lhs == rhs
+
+
+@given(small_tensors, st.data())
+def test_project_is_pushforward_along_selector(t, data):
+    sel = tuple(data.draw(st.lists(st.integers(1, t.dim), max_size=4)))
+    shape = tuple(t.shape[m - 1] for m in sel)
+    assert project(t, sel) == pushforward(t, lambda j: tuple(j[m - 1] for m in sel), shape)
 
 
 # -- .st format -------------------------------------------------------------
