@@ -177,6 +177,8 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_relax(args) -> int:
+    if args.k < 1:
+        raise _CliError(f"--k must be >= 1, got {args.k}")
     x = _load_digraph(args.instance)
     a = _load_digraph(args.template)
     decide = {"blp": rx.decide_blp, "aip": rx.decide_aip, "ba": rx.decide_ba}[args.which]

@@ -20,7 +20,7 @@ from .tensor_core import (
     TensorError,
     project,
 )
-from .shadow_realiser import constant_system, increasing_tuples, _realise
+from .shadow_realiser import _realise, constant_system, increasing_tuples
 
 
 class NotCubical(TensorError):
@@ -89,8 +89,8 @@ def crystalise(s: IntTensor, q: int) -> IntTensor:
         )
     sys = constant_system(s, q)
     # The constant system over a (k-1)-crystal is realistic by construction,
-    # so skip the quadratic compatibility sweep and recurse directly.
-    return _realise(sys.p, sys.shape, dict(sys.shadows))
+    # so skip the compatibility sweep and sum the closed form directly.
+    return _realise(sys.p, sys.shape, sys.shadows)
 
 
 def quartz(n: int, a: Index, b: Index) -> IntTensor:

@@ -1,12 +1,37 @@
 """Systems of shadows: compatibility checking and constructive realisation.
 
 A (p, n)-system assigns a p-dimensional tensor S_i to every strictly
-increasing p-tuple i of modes of a target shape n.  The system is
-*realistic* when any two shadows agree on every common sub-projection, and
-*realisable* when a single tensor C of shape n has all the S_i as its
-increasing p-projections.  The two notions coincide, and ``realise``
-constructs a witness by nested induction: first on p, then on the total
-width sum.
+increasing p-tuple i of modes of a target shape n = (n_1, ..., n_q).  The
+system is *realistic* when any two shadows agree on every common
+sub-projection, and *realisable* when a single tensor C of shape n has all
+the S_i as its increasing p-projections.  The two notions coincide, and
+``realise`` constructs a witness in closed form:
+
+    C = sum over T ⊆ [q] with |T| <= p of
+        (-1)^(p-|T|) * binom(q-|T|-1, p-|T|) * E_T(pi_T)
+
+Here pi_T is the projection onto the modes T of any shadow S_i with T ⊆ i,
+and E_T places the entries of pi_T on the modes in T with every other mode
+m at its last coordinate n_m (the *corner*).  When |T| = p the coefficient
+is 1; when p = q only T = [q] is left and the shadow itself comes back.
+Every entry of C has at most p coordinates off the corner.
+
+Proof.  pi_T is well defined: any two p-sets containing T are joined by a
+chain of p-sets containing T in which neighbours share p - 1 modes, and
+neighbouring shadows agree on those, hence on T.  Split each mode's
+Z^(n_m) as span(delta_(n_m)) ⊕ {zero-sum vectors}.  For S ⊆ [q] with
+|S| <= p let C_S = sum over T ⊆ S of (-1)^(|S|-|T|) E_T(pi_T), the
+Möbius inverse of E_T(pi_T) = sum over S ⊆ T of C_S.  C_S sits at the
+corner off S, and it is zero-sum along every m in S: summing mode m out
+of E_T(pi_T) and of E_(T+m)(pi_(T+m)) (m not in T) gives the same
+tensor, because pi_T is a projection of pi_(T+m), and the two carry
+opposite signs.  Let C = sum of C_S over |S| <= p.  Projecting onto an
+increasing p-tuple i sums out the modes off i, which kills every C_S with
+S ⊄ i, so the projection of C is that of sum over S ⊆ i of C_S =
+E_i(pi_i), which is S_i.  Collecting the terms of C by T (p < q), the
+coefficient of E_T(pi_T) with |T| = t is
+sum_(j=0..p-t) (-1)^j binom(q-t, j) = (-1)^(p-t) binom(q-t-1, p-t).  All
+coefficients are integers, so C is an integer tensor.
 """
 
 from __future__ import annotations
@@ -15,6 +40,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from math import comb
 from typing import Mapping
 
 from .tensor_core import (
@@ -25,7 +51,6 @@ from .tensor_core import (
     dumps_st,
     loads_st,
     project,
-    sub,
 )
 
 
@@ -72,16 +97,11 @@ class ShadowSystem:
         """Shadow for an arbitrary (possibly non-increasing) injective tuple.
 
         Only increasing tuples are stored; other orderings are answered by
-        reflecting the stored shadow.
+        reflecting the stored shadow on the sorted tuple so that its modes
+        follow ``sel``.
         """
-        return _reflect(self.shadows, sel)
-
-
-def _reflect(shadows: Mapping[Index, IntTensor], sel: Index) -> IntTensor:
-    """The shadow on the injective mode tuple ``sel``: the stored shadow on
-    its sorted form, with its modes reordered to follow ``sel``."""
-    key = tuple(sorted(sel))
-    return project(shadows[key], tuple(key.index(m) + 1 for m in sel))
+        key = tuple(sorted(sel))
+        return project(self.shadows[key], tuple(key.index(m) + 1 for m in sel))
 
 
 def constant_system(s: IntTensor, q: int) -> ShadowSystem:
@@ -136,131 +156,49 @@ def realise(sys: ShadowSystem) -> IntTensor:
     """Construct a tensor whose increasing p-projections are the given shadows.
 
     Raises NotRealistic (with the first violated quadruple) when the system
-    fails the compatibility check.  The construction is deterministic; the
-    only free choice is the mode-rotation tie-break documented in
-    ``_realise``.
+    fails the compatibility check.  The tensor is the closed-form sum of
+    the module docstring, a function of the shadows alone.
     """
     ok, quad = is_realistic(sys, witness=True)
     if not ok:
         raise NotRealistic(quad)
-    return _realise(sys.p, sys.shape, dict(sys.shadows))
+    return _realise(sys.p, sys.shape, sys.shadows)
 
 
-def _slice_last(t: IntTensor, coord: int) -> IntTensor:
-    """Fix the last mode at ``coord`` and drop it."""
-    return IntTensor._raw(
-        t.shape[:-1], {idx[:-1]: v for idx, v in t.entries.items() if idx[-1] == coord}
-    )
-
-
-def _truncate_last(t: IntTensor) -> IntTensor:
-    """Drop the final coordinate of the last mode (width shrinks by one)."""
-    w = t.shape[-1]
-    return IntTensor._raw(
-        t.shape[:-1] + (w - 1,), {idx: v for idx, v in t.entries.items() if idx[-1] < w}
-    )
-
-
-def _permute_shadows(p, shape, shadows, perm):
-    """Relabel modes: new mode m corresponds to old mode perm[m-1]."""
-    q = len(shape)
-    new_shape = tuple(shape[perm[m] - 1] for m in range(q))
-    new_shadows = {}
-    for i_new in increasing_tuples(q, p):
-        new_shadows[i_new] = _reflect(shadows, tuple(perm[m - 1] for m in i_new))
-    return new_shape, new_shadows
-
-
-def _realise(p: int, shape: Shape, shadows: dict[Index, IntTensor]) -> IntTensor:
-    """Realise a realistic (p, shape)-system.
-
-    The rotate step, the p = 1 peel and the tilde step each reduce the same
-    p-system by one unit of width; they run as a loop that records how to
-    rebuild the larger tensor, and the records are applied in reverse once
-    the base case is reached.  Only the hat system of the general step
-    recurses, on p - 1, so the recursion depth is at most q.
+def _realise(p: int, shape: Shape, shadows: Mapping[Index, IntTensor]) -> IntTensor:
+    """Realise a realistic (p, shape)-system by the inclusion-exclusion sum
+    of the module docstring.  Each pi_T is projected from one pi of the
+    next size up; there is no recursion, so the depth is 1 at any width.
+    The result is checked against every shadow before it is returned
+    (AssertionError on a mismatch).
     """
-    undo: list[tuple] = []
-    while True:
-        q = len(shape)
-
-        # A (q, n)-system is its own realisation.
-        if p == q:
-            c = shadows[tuple(range(1, q + 1))]
-            break
-
-        # Base of the width induction: a single cell, value shared by all
-        # shadows.
-        if all(w == 1 for w in shape):
-            any_shadow = shadows[tuple(range(1, p + 1))]
-            v = any_shadow.entries.get((1,) * p, 0)
-            c = IntTensor._raw(shape, {(1,) * q: v} if v else {})
-            break
-
-        # The induction step peels the last mode, so rotate a mode of width
-        # >= 2 into last position when needed.  Tie-break: the highest-index
-        # wide mode.
-        if shape[-1] < 2:
-            t = max(m for m in range(1, q + 1) if shape[m - 1] >= 2)
-            perm = list(range(1, q + 1))
-            perm[t - 1], perm[q - 1] = perm[q - 1], perm[t - 1]
-            perm = tuple(perm)
-            shape, shadows = _permute_shadows(p, shape, shadows, perm)
-            # A transposition is its own inverse, so the same selector
-            # undoes it.
-            undo.append(("rotate", perm))
-            continue
-
-        nq = shape[-1]
-
-        if p == 1:
-            # Peel the final value of the last mode's shadow into the corner
-            # cell and compensate the other shadows at their own final
-            # coordinate.
-            sq = shadows[(q,)]
-            ell = sq.entries.get((nq,), 0)
-            new_shadows: dict[Index, IntTensor] = {}
-            for m in range(1, q):
-                sm = shadows[(m,)]
-                ent = dict(sm.entries)
-                at = (shape[m - 1],)
-                v = ent.get(at, 0) - ell
-                if v:
-                    ent[at] = v
-                else:
-                    ent.pop(at, None)
-                new_shadows[(m,)] = IntTensor._raw(sm.shape, ent)
-            new_shadows[(q,)] = _truncate_last(sq)
-            # the all-max corner index equals the shape tuple
-            undo.append(("place", shape, {shape: ell} if ell else {}))
-            shape, shadows = shape[:-1] + (nq - 1,), new_shadows
-            continue
-
-        # General step (2 <= p < q, nq >= 2): split off the final slice of
-        # the last mode.  The hat system prescribes that slice via the
-        # shadows that use mode q; the tilde system is what remains after
-        # subtracting it.
-        hat_shadows = {
-            i: _slice_last(shadows[i + (q,)], nq) for i in increasing_tuples(q - 1, p - 1)
-        }
-        chat = _realise(p - 1, shape[:-1], hat_shadows)
-        til_shadows: dict[Index, IntTensor] = {}
-        for i in increasing_tuples(q, p):
-            if i[-1] == q:
-                til_shadows[i] = _truncate_last(shadows[i])
+    q = len(shape)
+    if p == q:
+        return shadows[tuple(range(1, q + 1))]
+    pi: dict[Index, IntTensor] = {i: shadows[i] for i in increasing_tuples(q, p)}
+    for t in range(p, 0, -1):
+        for up in increasing_tuples(q, t):
+            for x in range(t):
+                low = up[:x] + up[x + 1:]
+                if low not in pi:
+                    pi[low] = project(pi[up], [y for y in range(1, t + 1) if y != x + 1])
+    out: dict[Index, int] = {}
+    for modes, s in pi.items():
+        coeff = (-1) ** (p - len(modes)) * comb(q - len(modes) - 1, p - len(modes))
+        for idx, v in s.entries.items():
+            # E_T: the entry sits at idx on the modes in T, at the corner elsewhere
+            key = list(shape)
+            for m, x in zip(modes, idx):
+                key[m - 1] = x
+            key = tuple(key)
+            total = out.get(key, 0) + coeff * v
+            if total:
+                out[key] = total
             else:
-                til_shadows[i] = sub(shadows[i], project(chat, i))
-        undo.append(("place", shape, {idx + (nq,): v for idx, v in chat.entries.items()}))
-        shape, shadows = shape[:-1] + (nq - 1,), til_shadows
-
-    for step in reversed(undo):
-        if step[0] == "rotate":
-            c = project(c, step[1])
-        else:
-            _, full_shape, cells = step
-            out = dict(c.entries)
-            out.update(cells)
-            c = IntTensor._raw(full_shape, out)
+                del out[key]
+    c = IntTensor._raw(tuple(shape), out)
+    if not verify_realisation(c, ShadowSystem(p, shape, shadows)):
+        raise AssertionError("realisation does not reproduce its shadows")
     return c
 
 

@@ -258,6 +258,8 @@ def dumps_st(t: IntTensor) -> str:
 
 
 def loads_st(text: str) -> IntTensor:
+    if not isinstance(text, str):
+        raise StFormatError(f".st payload must be a string, got {type(text).__name__}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -97,6 +97,14 @@ def test_shadows_check_unrealistic(tmp_path, capsys):
     assert code == 1 and "not realistic" in err
 
 
+def test_shadows_check_non_string_payload_is_a_format_error(tmp_path, capsys):
+    doc = {"p": 1, "widths": [2], "shadows": [{"axes": [1], "tensor": 5}]}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, stdout, err = invoke(capsys, "shadows", "check", str(f))
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
 # -- digraph / hom ----------------------------------------------------------
 
 
@@ -144,6 +152,15 @@ def test_relax_verbs(tmp_path, capsys):
     assert code == 0 and stdout == "YES\n"
 
 
+def test_relax_level_below_one_is_a_usage_error(tmp_path, capsys):
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    k3 = write_graph(tmp_path / "k3.json", clique(3))
+    for which in ("blp", "aip", "ba"):
+        for k in ("0", "-1"):
+            code, stdout, err = invoke(capsys, "relax", which, "--k", k, k4, k3)
+            assert code == 2 and stdout == "" and err.startswith("error:")
+
+
 # -- cert -------------------------------------------------------------------
 
 
@@ -189,6 +206,21 @@ def test_cert_verify_rejects_tampering(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
     assert code == 1 and stdout == "NO\n" and err
+
+
+def test_cert_verify_non_string_payload_is_a_format_error(tmp_path, capsys):
+    cst = tmp_path / "c.st"
+    invoke(capsys, "crystal", "mine", "--k", "2", "-o", str(cst))
+    lifted = tmp_path / "c4.st"
+    invoke(capsys, "crystal", "crystalise", "--q", "4", str(cst), "-o", str(lifted))
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    cert = tmp_path / "cert.json"
+    invoke(capsys, "cert", "from-crystal", "--k", "2", str(lifted), k4, "-o", str(cert))
+    doc = json.loads(cert.read_text())
+    doc["zeta"][0]["tensor"] = 5
+    cert.write_text(json.dumps(doc))
+    code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
+    assert code == 2 and stdout == "" and err.startswith("error:")
 
 
 # -- fool -------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystalforge.digraph_lab import Digraph, clique
 from crystalforge.relaxation_engine import (
@@ -84,6 +85,26 @@ def test_smith_normal_form_randomized():
         n = rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
         check_snf(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=r, max_size=r
+            )
+        )
+    )
+)
+def test_smith_normal_form_matches_sympy(m):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    check_snf(m)  # U*M*V = D, U and V unimodular, divisibility chain
+    _, D, _ = smith_normal_form([row[:] for row in m])
+    diag = [abs(D[i][i]) for i in range(min(len(m), len(m[0])))]
+    assert diag == [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ)]
 
 
 def sat_int(eqs, sol):

@@ -1,12 +1,17 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystalforge.tensor_core import IntTensor, TensorError, add, project
+import crystalforge.crystal_mill as cm
+from crystalforge.certificate_desk import certificate_from_crystal
+from crystalforge.digraph_lab import clique
+from crystalforge.tensor_core import IntTensor, TensorError, add, dumps_st, project, sub
 from crystalforge.shadow_realiser import (
     NotRealistic,
     ShadowSystem,
+    _realise,
     constant_system,
     increasing_tuples,
     is_realistic,
@@ -143,7 +148,7 @@ def test_realise_full_system_returns_the_tensor():
 
 
 def test_realise_width_one_modes():
-    # forces the mode-rotation branch: last mode has width 1
+    # width-1 modes sit at their corner in every term of the sum
     c = IntTensor((3, 2, 1), {(1, 2, 1): 4, (3, 1, 1): -2})
     for p in (1, 2):
         sys = system_of(c, p)
@@ -187,6 +192,142 @@ def test_realise_property(data):
     c = IntTensor(shape, entries)
     sys = system_of(c, p)
     assert verify_realisation(realise(sys), sys)
+
+
+# -- the closed form against the inductive construction ----------------------
+
+
+def reference_realise(p, shape, shadows):
+    """The inductive realiser the closed form replaced: nested induction on
+    p and on the total width, peeling the last mode's final slice; a mode
+    of width >= 2 is rotated into last position when the last one has
+    width 1.  Same arguments as ``_realise``."""
+
+    def reflect(shadows, sel):
+        key = tuple(sorted(sel))
+        return project(shadows[key], tuple(key.index(m) + 1 for m in sel))
+
+    def slice_last(t, coord):
+        return IntTensor._raw(
+            t.shape[:-1], {idx[:-1]: v for idx, v in t.entries.items() if idx[-1] == coord}
+        )
+
+    def truncate_last(t):
+        w = t.shape[-1]
+        return IntTensor._raw(
+            t.shape[:-1] + (w - 1,), {idx: v for idx, v in t.entries.items() if idx[-1] < w}
+        )
+
+    undo = []
+    while True:
+        q = len(shape)
+        if p == q:
+            c = shadows[tuple(range(1, q + 1))]
+            break
+        if all(w == 1 for w in shape):
+            v = shadows[tuple(range(1, p + 1))].entries.get((1,) * p, 0)
+            c = IntTensor._raw(shape, {(1,) * q: v} if v else {})
+            break
+        if shape[-1] < 2:
+            t = max(m for m in range(1, q + 1) if shape[m - 1] >= 2)
+            perm = list(range(1, q + 1))
+            perm[t - 1], perm[q - 1] = perm[q - 1], perm[t - 1]
+            perm = tuple(perm)
+            shape = tuple(shape[perm[m] - 1] for m in range(q))
+            shadows = {
+                i: reflect(shadows, tuple(perm[m - 1] for m in i))
+                for i in increasing_tuples(q, p)
+            }
+            undo.append(("rotate", perm))
+            continue
+        nq = shape[-1]
+        if p == 1:
+            ell = shadows[(q,)].entries.get((nq,), 0)
+            new_shadows = {}
+            for m in range(1, q):
+                at = (shape[m - 1],)
+                new_shadows[(m,)] = sub(shadows[(m,)], IntTensor(shadows[(m,)].shape, {at: ell}))
+            new_shadows[(q,)] = truncate_last(shadows[(q,)])
+            undo.append(("place", shape, {shape: ell} if ell else {}))
+            shape, shadows = shape[:-1] + (nq - 1,), new_shadows
+            continue
+        hat = {i: slice_last(shadows[i + (q,)], nq) for i in increasing_tuples(q - 1, p - 1)}
+        chat = reference_realise(p - 1, shape[:-1], hat)
+        til = {}
+        for i in increasing_tuples(q, p):
+            if i[-1] == q:
+                til[i] = truncate_last(shadows[i])
+            else:
+                til[i] = sub(shadows[i], project(chat, i))
+        undo.append(("place", shape, {idx + (nq,): v for idx, v in chat.entries.items()}))
+        shape, shadows = shape[:-1] + (nq - 1,), til
+
+    for step in reversed(undo):
+        if step[0] == "rotate":
+            c = project(c, step[1])
+        else:
+            _, full_shape, cells = step
+            out = dict(c.entries)
+            out.update(cells)
+            c = IntTensor._raw(full_shape, out)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_form_realises_every_p(data):
+    # projection systems of random tensors (so realistic), widths 1-3
+    q = data.draw(st.integers(1, 6))
+    shape = tuple(data.draw(st.integers(1, 3)) for _ in range(q))
+    entries = data.draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(1, w) for w in shape)), st.integers(-4, 4), max_size=8
+        )
+    )
+    c = IntTensor(shape, entries)
+    for p in range(1, q + 1):
+        sys = system_of(c, p)
+        w = realise(sys)
+        assert verify_realisation(w, sys)
+        # every entry is off the corner in at most p coordinates
+        for idx in w.entries:
+            assert sum(x != n for x, n in zip(idx, shape)) <= p
+        if p == q:
+            assert w == c
+
+
+def test_miner_output_is_the_same_under_either_realiser(monkeypatch):
+    closed = [dumps_st(cm.mine_hollow_crystal(k)) for k in range(1, 6)]
+    monkeypatch.setattr(cm, "_realise", reference_realise)
+    assert [dumps_st(cm.mine_hollow_crystal(k)) for k in range(1, 6)] == closed
+
+
+def test_certificate_zeta_is_the_same_from_either_realisation():
+    # the two realisations of the same constant system differ as tensors,
+    # but every projection a certificate takes is fixed by the shadows
+    s = cm.mine_hollow_crystal(3)
+    sys = constant_system(s, 5)
+    mine = _realise(sys.p, sys.shape, sys.shadows)
+    ref = reference_realise(sys.p, sys.shape, sys.shadows)
+    assert mine != ref
+    assert verify_realisation(ref, sys) and verify_realisation(mine, sys)
+    assert mine == cm.crystalise(s, 5)
+    for k, n in ((3, 5), (2, 4)):
+        a = certificate_from_crystal(mine, clique(n), k)
+        b = certificate_from_crystal(ref, clique(n), k)
+        assert a.zeta == b.zeta
+
+
+def test_wrong_realisation_is_caught_before_it_is_returned(monkeypatch):
+    import crystalforge.shadow_realiser as sr
+
+    u = cm.mine_hollow_crystal(2)
+    # a wrong coefficient in the sum must not reach the caller
+    monkeypatch.setattr(sr, "comb", lambda n, k: math.comb(n, k) + 1)
+    with pytest.raises(AssertionError):
+        realise(system_of(IntTensor((2, 2, 2), {(1, 2, 1): 3}), 2))
+    with pytest.raises(AssertionError):
+        cm.crystalise(u, 3)
 
 
 def test_json_round_trip(tmp_path):
