@@ -33,7 +33,7 @@ from .tensor_core import (
 )
 from .crystal_mill import BadDimension, NotACrystal, is_crystal
 from .digraph_lab import Digraph, check_homomorphism, clique, line_digraph
-from .relaxation_engine import integer_feasible, refines
+from .relaxation_engine import _lambda_generators, integer_feasible, refines
 
 
 class NotAffine(TensorError):
@@ -93,7 +93,10 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     must have at least max(k+1, |V(X)|) modes; unused modes act as isolated
     vertices), so the image of x is just the projection of the crystal onto
     the selector x.  Tensoriality is then projection composition, for free.
+    The level k must be at least 2, the least level the verifiers accept.
     """
+    if k < 2:
+        raise BadDimension(f"certificate level must be >= 2, got k={k}")
     if not x_graph.is_loopless():
         raise NotAHomomorphism("instance digraph must be loopless")
     q = c.dim
@@ -136,6 +139,23 @@ def _edge_vector_exists(cert: ZaffCertificate, y: tuple[int, int]) -> bool:
 
 
 def _check_common(cert: ZaffCertificate) -> Optional[str]:
+    """Affinity, tensoriality and the edge vectors; the reason of the first
+    failure, or None.
+
+    Tensoriality asks zeta[x.i] = project(zeta[x], i) for every vertex
+    k-tuple x and every position map i: [k] -> [k], where
+    x.i = (x[i(0)], ..., x[i(k-1)]).  It is checked for the generators
+    ``_lambda_generators(k)`` only, which is enough: x.(i o j) = (x.i).j and
+    project(project(t, i), j) = project(t, i o j), so if the identity holds
+    at every x for i and for j, then
+
+        zeta[x.(i o j)] = zeta[(x.i).j] = project(zeta[x.i], j)
+                        = project(project(zeta[x], i), j) = project(zeta[x], i o j),
+
+    and it holds for i o j.  The maps that pass are closed under
+    composition, and for k >= 2 (the verifiers refuse smaller k) the
+    generators generate every map in [k]^k, the identity included.
+    """
     k = cert.k
     xs = list(itertools.product(range(1, cert.instance.vertex_count + 1), repeat=k))
     for x in xs:
@@ -143,7 +163,7 @@ def _check_common(cert: ZaffCertificate) -> Optional[str]:
             return f"image at {x} is not affine (total {total(cert.zeta[x])})"
     for x in xs:
         t = cert.zeta[x]
-        for i in itertools.product(range(k), repeat=k):
+        for i in _lambda_generators(k):
             xi = tuple(x[p] for p in i)
             if cert.zeta[xi] != project(t, tuple(p + 1 for p in i)):
                 return f"tensoriality fails at x={x}, positions={tuple(p + 1 for p in i)}"

@@ -9,6 +9,13 @@ and the pattern-vanishing equations (realized as forced-zero variables).
 The generator equations span the same row space as marginality for all
 k^k maps; ``build_ip_system`` gives the argument.
 
+Variables are numbered columns: the equations, the presolve, the simplex
+and the witness checks work on int column indices, and ``variables[j]``
+names column j.  Results cross back to VarKeys only at the public
+boundary (``lp_feasible``, ``diophantine_feasible``,
+``relative_interior_support``); ``integer_feasible`` accepts any sortable
+keys.
+
 Three deciders share the infrastructure:
 
 * BLP: nonnegative rational feasibility (exact-rational simplex, phase 1,
@@ -47,12 +54,27 @@ class Infeasible(ValueError):
 
 @dataclass(frozen=True)
 class LinearSystem:
+    """A sparse integer equation system over numbered columns.
+
+    ``variables[j]`` is the VarKey that names column j.  ``equations`` and
+    ``forced_zero`` refer to columns by their int index, so presolve,
+    sorting and lookups hash small ints instead of nested tuples.  Each
+    equation is ``(((column, coeff), ...), rhs)`` with its columns
+    ascending.  Keys appear only at the boundary: the witnesses of
+    ``lp_feasible`` and ``diophantine_feasible``, the set returned by
+    ``relative_interior_support`` and the ``forced_zero=`` argument of
+    ``diophantine_feasible`` are VarKeys.
+    """
+
     variables: tuple[VarKey, ...]
-    equations: tuple[tuple[tuple[tuple[VarKey, int], ...], int], ...]
-    forced_zero: frozenset[VarKey]
+    equations: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    forced_zero: frozenset[int]
+
+    def live_columns(self) -> list[int]:
+        return [j for j in range(len(self.variables)) if j not in self.forced_zero]
 
     def live_variables(self) -> list[VarKey]:
-        return [v for v in self.variables if v not in self.forced_zero]
+        return [self.variables[j] for j in self.live_columns()]
 
 
 def refines(s: tuple, t: tuple) -> bool:
@@ -72,7 +94,7 @@ def var_key_str(v: VarKey) -> str:
     return f"{kind}:{','.join(map(str, x))}:{','.join(map(str, a))}"
 
 
-def _blocks(t: tuple) -> tuple[list[int], int]:
+def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
     """Equality pattern of a tuple: block id per position, number of blocks."""
     seen: dict = {}
     out = []
@@ -80,7 +102,15 @@ def _blocks(t: tuple) -> tuple[list[int], int]:
         if v not in seen:
             seen[v] = len(seen)
         out.append(seen[v])
-    return out, len(seen)
+    return tuple(out), len(seen)
+
+
+def _rank(t: tuple, base: int) -> int:
+    """Index of a tuple over 1..base in ``itertools.product`` order."""
+    r = 0
+    for v in t:
+        r = r * base + v - 1
+    return r
 
 
 def _canon(coeffs: dict, rhs: int):
@@ -114,6 +144,13 @@ def _mu_generators(k: int) -> list[tuple[int, ...]]:
 
 def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     """The level-k equation system for instance X against template A.
+
+    With n = |V(X)|, m = |V(A)| and tuples ranked in ``itertools.product``
+    order, lambda (x, a) is column rank(x)*m^k + rank(a) and mu (y, b) is
+    column n^k*m^k + idx(y)*|E(A)| + idx(b), where idx is the position in
+    the sorted edge list.  Column order is the sorted order of the VarKeys,
+    so the sorted equations and everything computed from them are those of
+    a system keyed by VarKeys.
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
@@ -154,22 +191,57 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    xv = list(range(1, x_graph.vertex_count + 1))
-    av = list(range(1, a_graph.vertex_count + 1))
+    n, m = x_graph.vertex_count, a_graph.vertex_count
+    xs = list(itertools.product(range(1, n + 1), repeat=k))
+    avals = list(itertools.product(range(1, m + 1), repeat=k))
     x_edges = x_graph.sorted_edges()
     a_edges = a_graph.sorted_edges()
+    mk = len(avals)
+    mu0 = len(xs) * mk
+    variables = tuple(
+        [("l", x, a) for x in xs for a in avals]
+        + [("m", y, b) for y in x_edges for b in a_edges]
+    )
 
-    lam_keys = [
-        ("l", x, a)
-        for x in itertools.product(xv, repeat=k)
-        for a in itertools.product(av, repeat=k)
-    ]
-    mu_keys = [("m", y, b) for y in x_edges for b in a_edges]
+    # Everything below depends on x only through its equality pattern and
+    # its rank, so the value-tuple work is done once per pattern.
+    compat: dict[tuple, list[tuple[tuple, int]]] = {}
 
-    forced = {key for key in lam_keys if not refines(key[1], key[2])}
-    if k >= 2:
-        forced.update(key for key in mu_keys if not refines(key[1], key[2]))
+    def compatible(bl: tuple, nb: int) -> list[tuple[tuple, int]]:
+        """(a, rank(a)) for the value tuples a compatible with a pattern."""
+        if bl not in compat:
+            compat[bl] = [
+                (a, _rank(a, m))
+                for a in (tuple(vals[b] for b in bl)
+                          for vals in itertools.product(range(1, m + 1), repeat=nb))
+            ]
+        return compat[bl]
 
+    marg: dict[tuple, list[tuple[int, dict[int, int]]]] = {}
+
+    def marginal(bl_x: tuple, nb_x: int, i: tuple) -> list[tuple[int, dict[int, int]]]:
+        """(rank(a), {rank(ahat): multiplicity}) for each a compatible with
+        the pattern of x.i: the lambda terms of L_i(x, a) on the x-slice."""
+        key = (bl_x, i)
+        if key not in marg:
+            rows = []
+            for a, ra in compatible(*_blocks(tuple(bl_x[p] for p in i))):
+                # pins: value of each x-block touched by a position of i
+                pin: dict[int, int] = {}
+                for pos, val in zip(i, a):
+                    pin[bl_x[pos]] = val
+                free = [b for b in range(nb_x) if b not in pin]
+                terms: dict[int, int] = {}
+                for vals in itertools.product(range(1, m + 1), repeat=len(free)):
+                    assign = dict(pin)
+                    assign.update(zip(free, vals))
+                    r = _rank(tuple(assign[b] for b in bl_x), m)
+                    terms[r] = terms.get(r, 0) + 1
+                rows.append((ra, terms))
+            marg[key] = rows
+        return marg[key]
+
+    forced: set[int] = set()
     equations: dict = {}
 
     def emit(coeffs: dict, rhs: int):
@@ -177,62 +249,43 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
             return
         equations.setdefault(_canon(coeffs, rhs), None)
 
-    def compatible(pattern_blocks: list[int], nblocks: int):
-        for vals in itertools.product(av, repeat=nblocks):
-            yield tuple(vals[b] for b in pattern_blocks)
-
-    # normalization: each lambda slice sums to one
-    for x in itertools.product(xv, repeat=k):
-        bl, nb = _blocks(x)
-        coeffs = {("l", x, a): 1 for a in compatible(bl, nb)}
-        emit(coeffs, 1)
-
-    # lambda marginality: projecting the x-slice along a generating map i
-    # reproduces the slice of the projected vertex tuple
-    for x in itertools.product(xv, repeat=k):
+    for rank_x, x in enumerate(xs):
+        bx = rank_x * mk
         bl_x, nb_x = _blocks(x)
+        live = {ra for _a, ra in compatible(bl_x, nb_x)}
+        forced.update(bx + ra for ra in range(mk) if ra not in live)
+        # normalization: each lambda slice sums to one
+        emit({bx + ra: 1 for ra in live}, 1)
+        # lambda marginality: projecting the x-slice along a generating map
+        # i reproduces the slice of the projected vertex tuple
         for i in _lambda_generators(k):
-            xi = tuple(x[p] for p in i)
-            bl_i, nb_i = _blocks(xi)
-            for a in compatible(bl_i, nb_i):
-                # pins: value of each x-block touched by a position of i
-                pin: dict[int, int] = {}
-                for pos, val in zip(i, a):
-                    pin[bl_x[pos]] = val
-                free = [b for b in range(nb_x) if b not in pin]
-                coeffs: dict = {}
-                for vals in itertools.product(av, repeat=len(free)):
-                    assign = dict(pin)
-                    assign.update(zip(free, vals))
-                    ahat = tuple(assign[b] for b in bl_x)
-                    key = ("l", x, ahat)
-                    coeffs[key] = coeffs.get(key, 0) + 1
-                rkey = ("l", xi, a)
-                coeffs[rkey] = coeffs.get(rkey, 0) - 1
-                coeffs = {v: c for v, c in coeffs.items() if c}
-                emit(coeffs, 0)
+            bxi = _rank(tuple(x[p] for p in i), n) * mk
+            for ra, terms in marginal(bl_x, nb_x, i):
+                coeffs = {bx + r: c for r, c in terms.items()}
+                rcol = bxi + ra
+                coeffs[rcol] = coeffs.get(rcol, 0) - 1
+                emit({j: c for j, c in coeffs.items() if c}, 0)
 
     # mu marginality: the i-projection of an edge's mu slice reproduces
     # the lambda slice of the projected vertex tuple
-    for y in x_edges:
+    for iy, y in enumerate(x_edges):
+        by0 = mu0 + iy * len(a_edges)
         for i in _mu_generators(k):
-            yi = tuple(y[p] for p in i)
-            by_a: dict[tuple, dict] = {}
-            for b in a_edges:
-                if ("m", y, b) in forced:
+            byi = _rank(tuple(y[p] for p in i), n) * mk
+            by_a: dict[int, dict] = {}
+            for ib, b in enumerate(a_edges):
+                if k >= 2 and not refines(y, b):
+                    forced.add(by0 + ib)
                     continue
-                a = tuple(b[p] for p in i)
-                by_a.setdefault(a, {})[("m", y, b)] = 1
-            for a in itertools.product(av, repeat=k):
-                coeffs = dict(by_a.get(a, {}))
-                rkey = ("l", yi, a)
-                if rkey not in forced:
-                    coeffs[rkey] = coeffs.get(rkey, 0) - 1
-                coeffs = {v: c for v, c in coeffs.items() if c}
+                by_a.setdefault(_rank(tuple(b[p] for p in i), m), {})[by0 + ib] = 1
+            for ra in range(mk):
+                coeffs = dict(by_a.get(ra, {}))
+                if byi + ra not in forced:
+                    coeffs[byi + ra] = -1
                 emit(coeffs, 0)
 
     eq_tuple = tuple(sorted(equations))
-    return LinearSystem(tuple(lam_keys + mu_keys), eq_tuple, frozenset(forced))
+    return LinearSystem(variables, eq_tuple, frozenset(forced))
 
 
 # ---------------------------------------------------------------------------
@@ -582,33 +635,43 @@ class _Simplex:
     def _run(self, cost) -> Optional[object]:
         """Maximize cost^T x from the current feasible basis (Bland's rule).
 
-        Returns the optimum, or None when unbounded.
+        Returns the optimum, or None when unbounded.  The reduced costs
+        cost[j] - sum_i cost[basis[i]] * tab[i][j] are computed once, with
+        the negated objective value in the rhs slot, and the row rides at
+        the bottom of the tableau while the loop runs, so ``_pivot`` keeps
+        it current.
         """
         tab, basis, ncols = self._tab, self._basis, self._ncols
-        while True:
-            cb = [cost[b] for b in basis]
-            enter = None
-            for j in range(ncols):
-                if j in basis:
-                    continue
-                red = cost[j] - sum(cb[i] * tab[i][j] for i in range(len(tab)) if tab[i][j])
-                if red > 0:
-                    enter = j
-                    break
-            if enter is None:
-                val = sum(cb[i] * tab[i][-1] for i in range(len(tab)))
-                return val
-            leave = None
-            best = None
-            for i in range(len(tab)):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
-            if leave is None:
-                return None  # unbounded
-            self._pivot(leave, enter)
+        obj = list(cost) + [_Q(0)]
+        for i, b in enumerate(basis):
+            cb = cost[b]
+            if cb:
+                for jj, c in enumerate(tab[i]):
+                    if c:
+                        obj[jj] -= cb * c
+        in_basis = set(basis)
+        m = len(tab)
+        tab.append(obj)
+        try:
+            while True:
+                enter = next((j for j in range(ncols) if obj[j] > 0 and j not in in_basis), None)
+                if enter is None:
+                    return -obj[-1]
+                leave = None
+                best = None
+                for i in range(m):
+                    a = tab[i][enter]
+                    if a > 0:
+                        ratio = tab[i][-1] / a
+                        if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                            best, leave = ratio, i
+                if leave is None:
+                    return None  # unbounded
+                in_basis.discard(basis[leave])
+                in_basis.add(enter)
+                self._pivot(leave, enter)
+        finally:
+            tab.pop()
 
     def maximize(self, var) -> Optional[object]:
         """Maximize a single variable from the current feasible state.
@@ -806,7 +869,7 @@ def _system_equations(sys: LinearSystem, extra_zero: frozenset = frozenset()):
         return sys.equations
     out = []
     for items, rhs in sys.equations:
-        kept = tuple((v, c) for v, c in items if v not in extra_zero)
+        kept = tuple((j, c) for j, c in items if j not in extra_zero)
         if kept or rhs:
             out.append((kept, rhs))
     return tuple(out)
@@ -821,10 +884,11 @@ def _lp_pass(sys: LinearSystem):
     """Nonnegative presolve and simplex phase 1, with a checked witness.
 
     Returns ``(witness, reduced, simplex)``, or None when the system has no
-    nonnegative rational solution.  The witness (a value for every live
-    variable) is re-substituted into every equation of ``sys`` and checked
-    for nonnegativity before it is returned; the simplex is left on that
-    feasible basis for ``maximize``.
+    nonnegative rational solution.  The witness maps every live column to
+    its value.  Before it is returned it is checked in integers: with D
+    the lcm of its denominators and N_j = D * value_j, every equation must
+    give sum(c * N_j) = rhs * D and every N_j must be nonnegative.  The
+    simplex is left on that feasible basis for ``maximize``.
     """
     red = _reduce(sys.equations, nonneg=True)
     if red.infeasible:
@@ -833,30 +897,45 @@ def _lp_pass(sys: LinearSystem):
     if not sx.feasible():
         return None
     full = red.resolve(sx.solution())
-    out = {v: _fraction(full.get(v, 0)) for v in sys.live_variables()}
+    out = {j: full.get(j, 0) for j in sys.live_columns()}
+    den = math.lcm(*(int(val.denominator) for val in out.values()))
+    num = {j: int(val.numerator) * (den // int(val.denominator)) for j, val in out.items()}
     for items, rhs in sys.equations:
-        if sum(out[v] * c for v, c in items) != rhs:
+        if sum(c * num[j] for j, c in items) != rhs * den:
             raise AssertionError("rational witness failed re-substitution")
-    if any(val < 0 for val in out.values()):
+    if any(v < 0 for v in num.values()):
         raise AssertionError("rational witness not nonnegative")
     return out, red, sx
 
 
 def lp_feasible(sys: LinearSystem) -> Optional[dict]:
-    """A nonnegative exact-rational solution, or None (phase-1 optimum > 0)."""
+    """A nonnegative exact-rational solution keyed by VarKey, or None
+    (phase-1 optimum > 0)."""
     lp = _lp_pass(sys)
-    return None if lp is None else lp[0]
+    if lp is None:
+        return None
+    return {sys.variables[j]: _fraction(val) for j, val in lp[0].items()}
+
+
+def _integer_solution(sys: LinearSystem, dead: frozenset = frozenset()) -> Optional[dict]:
+    """An integer solution over the columns of ``sys`` with ``dead`` zeroed."""
+    eqs = _system_equations(sys, dead)
+    return integer_feasible([(dict(items), rhs) for items, rhs in eqs])
 
 
 def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:
-    """An integer solution of the system with the given variables zeroed."""
+    """An integer solution keyed by VarKey, with the given variables zeroed."""
     extra = frozenset(forced_zero)
-    eqs = _system_equations(sys, extra)
-    sol = integer_feasible([(dict(items), rhs) for items, rhs in eqs])
+    if extra:
+        col = {v: j for j, v in enumerate(sys.variables)}
+        extra = frozenset(col[v] for v in extra)
+    sol = _integer_solution(sys, extra)
     if sol is None:
         return None
-    out = {v: 0 for v in sys.variables}
-    out.update({v: sol.get(v, 0) for v in sys.live_variables() if v not in extra})
+    out = dict.fromkeys(sys.variables, 0)
+    for j in sys.live_columns():
+        if j not in extra:
+            out[sys.variables[j]] = sol.get(j, 0)
     return out
 
 
@@ -872,41 +951,41 @@ def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
     if lp is None:
         raise Infeasible("system has no nonnegative rational solution")
     _witness, red, sx = lp
-    positive = {v for v, val in sx.solution().items() if val > 0}
-    for v in sx.vars:
-        if v in positive:
+    positive = {j for j, val in sx.solution().items() if val > 0}
+    for j in sx.vars:
+        if j in positive:
             continue
-        opt = sx.maximize(v)
+        opt = sx.maximize(j)
         if opt is None or opt > 0:
-            positive.add(v)
+            positive.add(j)
             positive.update(w for w, val in sx.solution().items() if val > 0)
     support = red.support_status(positive)
-    # variables outside every equation are unconstrained, hence positive
-    # somewhere; forced-zero variables are not
-    for v in sys.live_variables():
-        if v not in red.live and v not in red.subs:
-            support.add(v)
-    return {v for v in sys.live_variables() if v in support}
+    # columns outside every equation are unconstrained, hence positive
+    # somewhere; forced-zero columns are not
+    return {
+        sys.variables[j] for j in sys.live_columns()
+        if j in support or (j not in red.live and j not in red.subs)
+    }
 
 
 def decide_blp(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
-    return lp_feasible(build_ip_system(x_graph, a_graph, k)) is not None
+    return _lp_pass(build_ip_system(x_graph, a_graph, k)) is not None
 
 
 def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
-    return diophantine_feasible(build_ip_system(x_graph, a_graph, k)) is not None
+    return _integer_solution(build_ip_system(x_graph, a_graph, k)) is not None
 
 
 def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     """BA^k: rational feasibility, then integer feasibility with every
     variable outside the relative-interior support zeroed.  One presolve
     and one phase 1 serve both steps: ``relative_interior_support`` runs
-    them (with the witness checks of ``lp_feasible``) before its support
-    loop and raises ``Infeasible`` when BLP rejects."""
+    them (with the checks of the rational witness) before its support loop
+    and raises ``Infeasible`` when BLP rejects."""
     sys = build_ip_system(x_graph, a_graph, k)
     try:
         support = relative_interior_support(sys)
     except Infeasible:
         return False
-    dead = frozenset(v for v in sys.live_variables() if v not in support)
-    return diophantine_feasible(sys, dead) is not None
+    dead = frozenset(j for j in sys.live_columns() if sys.variables[j] not in support)
+    return _integer_solution(sys, dead) is not None

@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crystalforge.tensor_core import IntTensor, TensorError, project
-from crystalforge.crystal_mill import mine_hollow_shadowed_crystal
+from crystalforge import certificate_desk as cd
+from crystalforge.tensor_core import IntTensor, TensorError, is_affine, project, total
+from crystalforge.crystal_mill import BadDimension, mine_hollow_shadowed_crystal
 from crystalforge.digraph_lab import Digraph, clique, line_digraph
 from crystalforge.certificate_desk import (
     DimensionMismatch,
@@ -54,6 +57,15 @@ def test_from_crystal_preconditions():
         certificate_from_crystal(scale(c, 2), clique(4), 2)
     with pytest.raises(NotAHomomorphism):
         certificate_from_crystal(c, Digraph(2, frozenset({(1, 1)})), 2)
+
+
+def test_from_crystal_rejects_level_below_two():
+    # the verifiers refuse k < 2, so such a certificate could only be
+    # written to be answered NO
+    c = mine_hollow_shadowed_crystal(2, 4)
+    for k in (0, 1, -1):
+        with pytest.raises(BadDimension):
+            certificate_from_crystal(c, clique(4), k)
 
 
 def test_certificate_totality_enforced():
@@ -266,3 +278,93 @@ def test_certificate_json_malformed():
         certificate_from_json("{}")
     with pytest.raises(TensorError):
         certificate_from_json("[1, 2]")
+
+
+# -- tensoriality by generator maps -----------------------------------------
+
+
+def reference_check_common(cert):
+    """``_check_common`` with tensoriality checked for all k^k position maps."""
+    k = cert.k
+    xs = list(itertools.product(range(1, cert.instance.vertex_count + 1), repeat=k))
+    for x in xs:
+        if not is_affine(cert.zeta[x]):
+            return f"image at {x} is not affine (total {total(cert.zeta[x])})"
+    for x in xs:
+        t = cert.zeta[x]
+        for i in itertools.product(range(k), repeat=k):
+            xi = tuple(x[p] for p in i)
+            if cert.zeta[xi] != project(t, tuple(p + 1 for p in i)):
+                return f"tensoriality fails at x={x}, positions={tuple(p + 1 for p in i)}"
+    for y in cert.instance.sorted_edges():
+        if not cd._edge_vector_exists(cert, y):
+            return f"no integer edge vector for instance edge {y}"
+    return None
+
+
+def verdict(reason):
+    """None when the check passes, else which check failed."""
+    return None if reason is None else reason.split()[0]
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """Level k in {2, 3}: zeta[x] = project(T, x) for a random affine T over
+    n instance vertices (tensorial by construction), then up to three
+    images changed by moving a unit of mass, transposing modes, copying
+    another image, or projecting another affine tensor onto x (which keeps
+    every permutation check at a tuple with repeated vertices)."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+    w = draw(st.integers(2, 3))
+
+    def affine_tensor():
+        idx = st.tuples(*[st.integers(1, w)] * n)
+        entries = draw(st.dictionaries(idx, st.integers(-2, 2), max_size=4))
+        corner = (1,) * n
+        entries[corner] = entries.get(corner, 0) + 1 - sum(entries.values())
+        return IntTensor((w,) * n, entries)
+
+    t = affine_tensor()
+    xs = list(itertools.product(range(1, n + 1), repeat=k))
+    zeta = {x: project(t, x) for x in xs}
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.sampled_from(xs))
+        kind = draw(st.sampled_from(["move", "transpose", "copy", "reproject"]))
+        if kind == "move":
+            src, dst = draw(st.tuples(*[st.integers(1, w)] * k)), draw(st.tuples(*[st.integers(1, w)] * k))
+            moved = dict(zeta[x].entries)
+            moved[src] = moved.get(src, 0) - 1
+            moved[dst] = moved.get(dst, 0) + 1
+            zeta[x] = IntTensor((w,) * k, moved)
+        elif kind == "transpose":
+            zeta[x] = project(zeta[x], draw(st.permutations(range(1, k + 1))))
+        elif kind == "reproject":
+            zeta[x] = project(affine_tensor(), x)
+        else:
+            zeta[x] = zeta[draw(st.sampled_from(xs))]
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    instance = Digraph(n, frozenset(draw(st.sets(st.sampled_from(pairs)))))
+    return ZaffCertificate(k, instance, clique(w), zeta, template_clique=w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_certificates())
+def test_generator_tensoriality_matches_all_maps(cert):
+    assert verdict(cd._check_common(cert)) == verdict(reference_check_common(cert))
+
+
+def test_generator_tensoriality_on_mined_certificates():
+    cert = k4_cert()
+    assert cd._check_common(cert) is None and reference_check_common(cert) is None
+    t = cert.zeta[(1, 2)]
+    moved = dict(t.entries)
+    a = sorted(moved)[0]
+    moved[a] -= 1
+    moved[(3, 3)] = moved.get((3, 3), 0) + 1  # still affine
+    # the diagonal image, symmetric under the swap, breaks only the collapse
+    diagonal = IntTensor((3, 3), {(2, 2): 1})
+    for bad in (tamper(cert, (1, 2), project(t, (2, 1))), tamper(cert, (1, 2), IntTensor((3, 3), moved)),
+                tamper(cert, (1, 1), diagonal)):
+        assert verdict(cd._check_common(bad)) == verdict(reference_check_common(bad))
+        assert verdict(cd._check_common(bad)) is not None

@@ -208,6 +208,21 @@ def test_cert_verify_rejects_tampering(tmp_path, capsys):
     assert code == 1 and stdout == "NO\n" and err
 
 
+def test_cert_from_crystal_level_below_two_is_a_usage_error(tmp_path, capsys):
+    cst = tmp_path / "c.st"
+    invoke(capsys, "crystal", "mine", "--k", "2", "-o", str(cst))
+    lifted = tmp_path / "c4.st"
+    invoke(capsys, "crystal", "crystalise", "--q", "4", str(cst), "-o", str(lifted))
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    for k in ("0", "1"):
+        cert = tmp_path / f"cert{k}.json"
+        code, stdout, err = invoke(
+            capsys, "cert", "from-crystal", "--k", k, str(lifted), k4, "-o", str(cert)
+        )
+        assert code == 2 and stdout == "" and err.startswith("error:")
+        assert not cert.exists()
+
+
 def test_cert_verify_non_string_payload_is_a_format_error(tmp_path, capsys):
     cst = tmp_path / "c.st"
     invoke(capsys, "crystal", "mine", "--k", "2", "-o", str(cst))

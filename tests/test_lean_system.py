@@ -10,6 +10,7 @@ import itertools
 
 import sympy
 from hypothesis import given, settings, strategies as st
+from keyed_systems import keyed_system
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, clique
@@ -95,7 +96,7 @@ def full_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
                     coeffs[rkey] = coeffs.get(rkey, 0) - 1
                 emit({v: c for v, c in coeffs.items() if c}, 0)
 
-    return LinearSystem(tuple(lam_keys + mu_keys), tuple(sorted(equations)), frozenset(forced))
+    return keyed_system(lam_keys + mu_keys, sorted(equations), forced)
 
 
 @st.composite
@@ -131,7 +132,7 @@ def test_lean_and_full_systems_have_the_same_row_space(case):
     assert lean.variables == full.variables
     assert lean.forced_zero == full.forced_zero
     assert set(lean.equations) <= set(full.equations)
-    columns = {v: j for j, v in enumerate(lean.live_variables())}
+    columns = {j: c for c, j in enumerate(lean.live_columns())}
     lean_rows = augmented_rows(lean, columns)
     full_rows = augmented_rows(full, columns)
     rank = sympy.Matrix(lean_rows).rank() if lean_rows else 0

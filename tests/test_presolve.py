@@ -14,6 +14,7 @@ from unittest import mock
 
 import sympy
 from hypothesis import given, settings, strategies as st
+from keyed_systems import keyed_system
 from sympy.solvers.simplex import linprog
 
 from crystalforge import relaxation_engine as rx
@@ -242,7 +243,7 @@ def integer_systems(draw):
         items = tuple((v, c) for v, c in zip(variables, coeffs) if c)
         if items or rhs:
             equations.setdefault((items, rhs), None)
-    return LinearSystem(variables, tuple(equations), frozenset())
+    return keyed_system(variables, equations)
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,12 +263,12 @@ def test_presolve_scales_by_non_unit_pivots():
     # 3x + 3y - 6z = 3 becomes 2*row - 3*(2x - 3y = 1) = 15y - 12z = 3, is
     # kept as 5y - 4z = 1, and eliminates y = (1 + 4z)/5
     x, y, z = (("l", (j,), (0,)) for j in range(3))
-    sys = LinearSystem((x, y, z), (
+    sys = keyed_system((x, y, z), (
         (((x, 2), (y, -3)), 1),
         (((x, 3), (y, 3), (z, -6)), 3),
-    ), frozenset())
+    ))
     red = rx._reduce(sys.equations, nonneg=True)
-    assert red.subs == {x: (2, 1, {y: -3}), y: (5, 1, {z: -4})}
+    assert red.subs == {0: (2, 1, {1: -3}), 1: (5, 1, {2: -4})}  # columns of x, y, z
     assert red.eqs == []
     assert lp_feasible(sys) == {x: Fraction(4, 5), y: Fraction(1, 5), z: 0}
     assert_matches_reference(sys)
@@ -287,7 +288,7 @@ def sympy_feasible(sys: LinearSystem) -> bool:
         return False  # a row 0 = rhs with rhs != 0
     if not rows:
         return True
-    a = sympy.Matrix([[coeffs.get(v, 0) for v in sys.variables] for coeffs, _ in rows])
+    a = sympy.Matrix([[coeffs.get(j, 0) for j in range(len(sys.variables))] for coeffs, _ in rows])
     b = sympy.Matrix([rhs for _, rhs in rows])
     for i in range(len(rows)):
         if b[i] < 0:
@@ -304,4 +305,4 @@ def test_lp_feasible_agrees_with_sympy_linprog(sys):
     if witness is not None:
         assert all(witness[v] >= 0 for v in sys.variables)
         for items, rhs in sys.equations:
-            assert sum(c * witness[v] for v, c in items) == rhs
+            assert sum(c * witness[sys.variables[j]] for j, c in items) == rhs
