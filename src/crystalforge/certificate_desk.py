@@ -33,7 +33,7 @@ from .tensor_core import (
 )
 from .crystal_mill import BadDimension, NotACrystal, is_crystal
 from .digraph_lab import Digraph, check_homomorphism, clique, line_digraph
-from .relaxation_engine import _lambda_generators, integer_feasible, refines
+from .relaxation_engine import _lambda_generators, _mu_generators, integer_feasible, refines
 
 
 class NotAffine(TensorError):
@@ -120,22 +120,31 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
 
 
 def _edge_vector_exists(cert: ZaffCertificate, y: tuple[int, int]) -> bool:
-    """Integer vector over template edges whose every i-projection matches
-    the certificate image of the projected edge tuple."""
+    """Integer vector q over template edges whose i0-projection is the
+    certificate image at y.i0, for the one edge-end map i0 of
+    ``_mu_generators(k)``; its columns are edge positions in the sorted
+    edge list.
+
+    Call only after affinity and tensoriality have passed (as
+    ``_check_common`` does); then this is the full edge condition.  Every
+    i in {0,1}^k factors as i = i0 o j with j = i read as a map [k] -> [k]
+    (the factorisation in ``build_ip_system``'s docstring), so the
+    i-projection of q is the j-projection of its i0-projection, that is
+    project(zeta[y.i0], j) = zeta[y.i] by tensoriality.  Summed over
+    every a, the rows give sum(q) = total(zeta[y.i0]) = 1 by affinity, so
+    the normalisation row is implied too.
+    """
     k = cert.k
     a_edges = cert.template.sorted_edges()
-    equations = []
-    equations.append(({("q", b): 1 for b in a_edges}, 1))
-    for i in itertools.product((0, 1), repeat=k):
-        yi = tuple(y[p] for p in i)
-        img = cert.zeta[yi]
-        by_a: dict[Index, dict] = {}
-        for b in a_edges:
-            a = tuple(b[p] for p in i)
-            by_a.setdefault(a, {})[("q", b)] = 1
-        for a in set(by_a) | set(img.entries):
-            equations.append((dict(by_a.get(a, {})), img.entries.get(a, 0)))
-    return integer_feasible(equations) is not None
+    rows = []
+    for i in _mu_generators(k):
+        img = cert.zeta[tuple(y[p] for p in i)].entries
+        by_a: dict[Index, list] = {}
+        for col, b in enumerate(a_edges):
+            by_a.setdefault(tuple(b[p] for p in i), []).append((col, 1))
+        for a in by_a.keys() | img.keys():
+            rows.append((tuple(by_a.get(a, ())), img.get(a, 0)))
+    return integer_feasible(rows) is not None
 
 
 def _check_common(cert: ZaffCertificate) -> Optional[str]:
@@ -268,18 +277,16 @@ def transform_certificate_homomorphism(
     return ZaffCertificate(k, cert.instance, b_graph, zeta, template_clique=p if is_cl else None)
 
 
-def transform_certificate_line_digraph(
-    cert: ZaffCertificate, anchor: Optional[tuple] = None
-) -> ZaffCertificate:
+def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate:
     """Lower a level-2k certificate for (X, A) to a level-k certificate
     for the line digraphs (dX, dA).
 
     The new images regroup the old index 2k-tuples into k consecutive
     pairs, each read as a template edge.  Requires the support condition:
     for every vertex tuple of dX, the corresponding old image is supported
-    on tuples whose consecutive pairs are all template edges — then the
-    anchor (an edge of dA, lexicographically smallest by default) only
-    names the default edge used off-support and never receives mass.
+    on tuples whose consecutive pairs are all template edges.  Off that
+    support, pairs map to a default template edge: the first end of the
+    lexicographically least edge of dA.  It never receives mass.
     """
     if cert.k % 2 != 0 or cert.k < 2:
         raise BadDimension("certificate level must be even and >= 2")
@@ -292,15 +299,7 @@ def transform_certificate_line_digraph(
         raise EmptyLineTemplate("the template's line digraph has no edges")
     if not x_graph.edges:
         raise EmptyLineTemplate("the instance's line digraph has no labelled vertices")
-    if anchor is None:
-        e1, e2 = min((a_labels[u - 1], a_labels[v - 1]) for u, v in da.edges)
-    else:
-        e1, e2 = anchor
-        e1, e2 = tuple(e1), tuple(e2)
-        pos = {e: i + 1 for i, e in enumerate(a_labels)}
-        if e1 not in pos or e2 not in pos or (pos[e1], pos[e2]) not in da.edges:
-            raise EmptyLineTemplate(f"anchor {(e1, e2)} is not an edge of the line template")
-    default_edge = e1
+    default_edge = min((a_labels[u - 1], a_labels[v - 1]) for u, v in da.edges)[0]
 
     a_pos = {e: i + 1 for i, e in enumerate(a_labels)}
     a_edges = a_graph.edges

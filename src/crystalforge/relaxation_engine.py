@@ -13,8 +13,10 @@ Variables are numbered columns: the equations, the presolve, the simplex
 and the witness checks work on int column indices, and ``variables[j]``
 names column j.  Results cross back to VarKeys only at the public
 boundary (``lp_feasible``, ``diophantine_feasible``,
-``relative_interior_support``); ``integer_feasible`` accepts any sortable
-keys.
+``relative_interior_support``).  ``integer_feasible``, the one integer
+solver, reads rows in the shape of ``LinearSystem.equations`` together
+with a set of columns fixed to 0; BA, AIP, ``diophantine_feasible`` and
+the certificate edge systems all hand it their rows as they are.
 
 Three deciders share the infrastructure:
 
@@ -307,6 +309,16 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
 
 
 class _Reduced:
+    """A presolved system: the rows left (``eqs``), the columns in them
+    (``live``) and the eliminated columns (``subs``, in elimination order).
+
+    A substitution names only columns that were in some row when it was
+    made, and each of those is eliminated later, live at the end, or free
+    (neither; read as 0).  So one pass over ``subs`` in reverse elimination
+    order reads only settled columns, and neither ``resolve`` nor
+    ``support_status`` recurses, however long a substitution chain is.
+    """
+
     __slots__ = ("infeasible", "eqs", "subs", "live")
 
     def __init__(self):
@@ -315,57 +327,40 @@ class _Reduced:
         self.subs: dict = {}  # var -> (c, rhs, {w: cw}): c*var + sum(cw*w) = rhs
         self.live: set = set()
 
-    def resolve(self, assignment: dict, cache: dict | None = None) -> dict:
+    def resolve(self, assignment: dict) -> dict:
         """Extend an assignment of live variables to all eliminated ones."""
-        if cache is None:
-            cache = {}
-
-        def value(v):
-            if v in cache:
-                return cache[v]
-            if v in self.subs:
-                c, rhs, lin = self.subs[v]
-                val = rhs - sum(cw * value(w) for w, cw in lin.items())
-                if c == -1:
-                    val = -val
-                elif c != 1:
-                    val = _Q(val) / c
-            else:
-                val = assignment.get(v, 0)
-            cache[v] = val
-            return val
-
-        out = {}
-        for v in set(self.subs) | self.live | set(assignment):
-            out[v] = value(v)
+        out = dict.fromkeys(self.live, 0)
+        out.update(assignment)
+        for v, (c, rhs, lin) in reversed(self.subs.items()):
+            val = rhs - sum(cw * out.get(w, 0) for w, cw in lin.items())
+            if c == -1:
+                val = -val
+            elif c != 1:
+                val = _Q(val) / c
+            out[v] = val
         return out
 
     def support_status(self, positive_live: set) -> set:
-        """Variables that can be positive, given the support of live ones."""
-        cache: dict = {}
-
-        def pos(v):
-            if v in cache:
-                return cache[v]
-            cache[v] = False  # guard (substitutions are acyclic anyway)
-            if v in self.subs:
-                c, rhs, lin = self.subs[v]
-                r = rhs * c > 0 or any(cw * c < 0 and pos(w) for w, cw in lin.items())
-            else:
-                r = v in positive_live
-            cache[v] = r
-            return r
-
-        return {v for v in set(self.subs) | self.live if pos(v)}
+        """Variables that can be positive, given the live ones that can."""
+        positive = self.live & positive_live
+        for v, (c, rhs, lin) in reversed(self.subs.items()):
+            if rhs * c > 0 or any(cw * c < 0 and w in positive for w, cw in lin.items()):
+                positive.add(v)
+        return positive
 
 
-def _reduce(equations, nonneg: bool) -> _Reduced:
+def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
+    """Presolve rows ``((column, coeff), ...), rhs`` with every column in
+    ``zero`` fixed to 0; a row left as 0 = 0 is dropped on entry."""
     red = _Reduced()
     eqs: dict[int, tuple[dict, int]] = {}
     occ: dict = {}
-    for eid, (items, rhs) in enumerate(equations):
-        coeffs = {v: int(c) for v, c in items if c}
-        eqs[eid] = (coeffs, int(rhs))
+    for items, rhs in equations:
+        coeffs = {v: c for v, c in items if c and v not in zero}
+        if not coeffs and not rhs:
+            continue
+        eid = len(eqs)
+        eqs[eid] = (coeffs, rhs)
         for v in coeffs:
             occ.setdefault(v, set()).add(eid)
     work = list(eqs)
@@ -817,25 +812,25 @@ def _independent_integer_rows(eqs, variables):
     return out
 
 
-def integer_feasible(equations) -> Optional[dict]:
+def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
     """Solve a sparse integer equality system exactly.
 
-    ``equations`` is an iterable of (coefficient-dict, rhs).  Returns an
-    integer assignment (defaulting unconstrained variables to zero) or
-    None.
+    ``rows`` is a sequence of ``(((column, coeff), ...), rhs)``, the shape
+    of ``LinearSystem.equations``; columns may be any sortable keys.  Every
+    column in ``zero`` is fixed to 0.  Returns an integer solution as
+    {column: value}, an absent column being 0, or None.
     """
-    eq_list = list(equations)
-    red = _reduce([(c.items(), r) for c, r in eq_list], nonneg=False)
+    red = _reduce(rows, nonneg=False, zero=zero)
     if red.infeasible:
         return None
     live = sorted(red.live)
     assignment: dict = {}
     if red.eqs:
-        rows = _independent_integer_rows(red.eqs, live)
-        if rows is None:
+        indep = _independent_integer_rows(red.eqs, live)
+        if indep is None:
             return None
-        mat = [row[:-1] for row in rows]
-        rhs = [row[-1] for row in rows]
+        mat = [row[:-1] for row in indep]
+        rhs = [row[-1] for row in indep]
         U, D, V = smith_normal_form(mat)
         r, n = len(mat), len(live)
         c = [sum(U[i][j] * rhs[j] for j in range(r)) for i in range(r)]
@@ -851,10 +846,11 @@ def integer_feasible(equations) -> Optional[dict]:
                 y[i] = c[i] // d
         xs = [sum(V[i][j] * y[j] for j in range(n)) for i in range(n)]
         assignment = dict(zip(live, xs))
-    full = red.resolve(assignment)
-    out = {v: int(val) for v, val in full.items()}
-    for coeffs, rhs in eq_list:
-        if sum(c * out.get(v, 0) for v, c in coeffs.items()) != rhs:
+    # integer presolve substitutes through unit pivots, so the values are
+    # ints; zeroed columns are absent and read as 0
+    out = red.resolve(assignment)
+    for items, rhs in rows:
+        if sum(c * out.get(v, 0) for v, c in items) != rhs:
             raise AssertionError("integer witness failed re-substitution")
     return out
 
@@ -862,17 +858,6 @@ def integer_feasible(equations) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # Public deciders.
 # ---------------------------------------------------------------------------
-
-
-def _system_equations(sys: LinearSystem, extra_zero: frozenset = frozenset()):
-    if not extra_zero:
-        return sys.equations
-    out = []
-    for items, rhs in sys.equations:
-        kept = tuple((j, c) for j, c in items if j not in extra_zero)
-        if kept or rhs:
-            out.append((kept, rhs))
-    return tuple(out)
 
 
 def _fraction(val) -> Fraction:
@@ -917,25 +902,18 @@ def lp_feasible(sys: LinearSystem) -> Optional[dict]:
     return {sys.variables[j]: _fraction(val) for j, val in lp[0].items()}
 
 
-def _integer_solution(sys: LinearSystem, dead: frozenset = frozenset()) -> Optional[dict]:
-    """An integer solution over the columns of ``sys`` with ``dead`` zeroed."""
-    eqs = _system_equations(sys, dead)
-    return integer_feasible([(dict(items), rhs) for items, rhs in eqs])
-
-
 def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:
     """An integer solution keyed by VarKey, with the given variables zeroed."""
-    extra = frozenset(forced_zero)
-    if extra:
+    zero = frozenset(forced_zero)
+    if zero:
         col = {v: j for j, v in enumerate(sys.variables)}
-        extra = frozenset(col[v] for v in extra)
-    sol = _integer_solution(sys, extra)
+        zero = frozenset(col[v] for v in zero)
+    sol = integer_feasible(sys.equations, zero)
     if sol is None:
         return None
     out = dict.fromkeys(sys.variables, 0)
-    for j in sys.live_columns():
-        if j not in extra:
-            out[sys.variables[j]] = sol.get(j, 0)
+    for j, val in sol.items():
+        out[sys.variables[j]] = val
     return out
 
 
@@ -973,7 +951,7 @@ def decide_blp(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
 
 
 def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
-    return _integer_solution(build_ip_system(x_graph, a_graph, k)) is not None
+    return integer_feasible(build_ip_system(x_graph, a_graph, k).equations) is not None
 
 
 def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
@@ -988,4 +966,4 @@ def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     except Infeasible:
         return False
     dead = frozenset(j for j in sys.live_columns() if sys.variables[j] not in support)
-    return _integer_solution(sys, dead) is not None
+    return integer_feasible(sys.equations, dead) is not None

@@ -8,6 +8,7 @@ from crystalforge import certificate_desk as cd
 from crystalforge.tensor_core import IntTensor, TensorError, is_affine, project, total
 from crystalforge.crystal_mill import BadDimension, mine_hollow_shadowed_crystal
 from crystalforge.digraph_lab import Digraph, clique, line_digraph
+from crystalforge.relaxation_engine import integer_feasible
 from crystalforge.certificate_desk import (
     DimensionMismatch,
     EmptyLineTemplate,
@@ -280,11 +281,28 @@ def test_certificate_json_malformed():
         certificate_from_json("[1, 2]")
 
 
-# -- tensoriality by generator maps -----------------------------------------
+# -- tensoriality and edge vectors by generator maps -------------------------
+
+
+def reference_edge_vector_exists(cert, y):
+    """The edge check with a row family for every i in {0,1}^k and the
+    normalisation row, over template-edge columns."""
+    k = cert.k
+    a_edges = cert.template.sorted_edges()
+    rows = [(tuple((b, 1) for b in a_edges), 1)]
+    for i in itertools.product((0, 1), repeat=k):
+        img = cert.zeta[tuple(y[p] for p in i)]
+        by_a = {}
+        for b in a_edges:
+            by_a.setdefault(tuple(b[p] for p in i), []).append((b, 1))
+        for a in set(by_a) | set(img.entries):
+            rows.append((tuple(by_a.get(a, ())), img.entries.get(a, 0)))
+    return integer_feasible(rows) is not None
 
 
 def reference_check_common(cert):
-    """``_check_common`` with tensoriality checked for all k^k position maps."""
+    """``_check_common`` with tensoriality checked for all k^k position maps
+    and edge vectors for all i in {0,1}^k."""
     k = cert.k
     xs = list(itertools.product(range(1, cert.instance.vertex_count + 1), repeat=k))
     for x in xs:
@@ -297,7 +315,7 @@ def reference_check_common(cert):
             if cert.zeta[xi] != project(t, tuple(p + 1 for p in i)):
                 return f"tensoriality fails at x={x}, positions={tuple(p + 1 for p in i)}"
     for y in cert.instance.sorted_edges():
-        if not cd._edge_vector_exists(cert, y):
+        if not reference_edge_vector_exists(cert, y):
             return f"no integer edge vector for instance edge {y}"
     return None
 
@@ -368,3 +386,41 @@ def test_generator_tensoriality_on_mined_certificates():
                 tamper(cert, (1, 1), diagonal)):
         assert verdict(cd._check_common(bad)) == verdict(reference_check_common(bad))
         assert verdict(cd._check_common(bad)) is not None
+
+
+def projected_certificate(t, instance, template, k):
+    """zeta[x] = project(t, x): affine and tensorial whenever t is affine."""
+    xs = itertools.product(range(1, instance.vertex_count + 1), repeat=k)
+    n = template.vertex_count
+    clique_n = n if template == clique(n) else None
+    return ZaffCertificate(k, instance, template, {x: project(t, x) for x in xs}, clique_n)
+
+
+EDGE_ONLY_FAILURES = [
+    # an instance edge's image with mass at (1, 1), not an edge of K3 (a
+    # clique has no loops), at k = 2 and 3
+    (IntTensor((3, 3), {(1, 1): 1}), clique(2), clique(3), 2),
+    (IntTensor((3, 3), {(1, 1): 1}), clique(2), clique(3), 3),
+    # mass 2 on an edge and -1 on the reversed pair, which the directed
+    # 3-cycle lacks
+    (IntTensor((3, 3), {(1, 2): 2, (2, 1): -1}), Digraph(2, frozenset({(1, 2)})), cycle(3), 2),
+]
+
+
+@pytest.mark.parametrize("t, instance, template, k", EDGE_ONLY_FAILURES)
+def test_edge_step_alone_rejects(t, instance, template, k):
+    cert = projected_certificate(t, instance, template, k)
+    reason = "no integer edge vector for instance edge (1, 2)"
+    assert reference_check_common(cert) == reason
+    ok, why = verify_zaff_certificate_general(cert, instance, template)
+    assert (ok, why) == (False, reason)
+    if cert.template_clique is not None:
+        ok, why = verify_clique_certificate(cert, instance, cert.template_clique)
+        assert (ok, why) == (False, reason)
+
+
+def test_mined_level_four_certificate_verifies():
+    cert = certificate_from_crystal(mine_hollow_shadowed_crystal(4, 5), cycle(3), 4)
+    assert reference_check_common(cert) is None
+    ok, why = verify_clique_certificate(cert, cycle(3), cert.template_clique)
+    assert ok, why

@@ -247,8 +247,8 @@ def resolving_to(change):
     """Patch ``_Reduced.resolve`` so that ``change`` edits its result."""
     resolve = rx._Reduced.resolve
 
-    def patched(self, assignment, cache=None):
-        return change(resolve(self, assignment, cache))
+    def patched(self, assignment):
+        return change(resolve(self, assignment))
 
     return mock.patch.object(rx._Reduced, "resolve", patched)
 

@@ -167,9 +167,9 @@ def test_ba_runs_one_presolve_of_each_kind(monkeypatch):
     calls = []
     real = rx._reduce
 
-    def counting(equations, nonneg):
+    def counting(equations, nonneg, zero=frozenset()):
         calls.append(nonneg)
-        return real(equations, nonneg)
+        return real(equations, nonneg, zero)
 
     monkeypatch.setattr(rx, "_reduce", counting)
     # BLP accepts the triangle against K2 at level 1, so BA reaches the

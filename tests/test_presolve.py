@@ -5,13 +5,16 @@ replaced: the same elimination rules carried out in ``Fraction``s.  The
 integer presolve must make the same decisions and produce the same rows up
 to positive scaling, so the tableau and the witnesses do not change.  The
 simplex (phase 1, sparse pivots) is checked against sympy's exact
-``linprog``.
+``linprog``.  Witnesses are resolved through substitution chains longer
+than the recursion limit.
 """
 
 import itertools
 from fractions import Fraction
+from sys import getrecursionlimit, setrecursionlimit
 from unittest import mock
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from keyed_systems import keyed_system
@@ -23,6 +26,7 @@ from crystalforge.relaxation_engine import (
     Infeasible,
     LinearSystem,
     build_ip_system,
+    integer_feasible,
     lp_feasible,
     relative_interior_support,
 )
@@ -306,3 +310,46 @@ def test_lp_feasible_agrees_with_sympy_linprog(sys):
         assert all(witness[v] >= 0 for v in sys.variables)
         for items, rhs in sys.equations:
             assert sum(c * witness[sys.variables[j]] for j, c in items) == rhs
+
+
+# -- no recursion in presolve resolution -------------------------------------
+
+
+@pytest.fixture
+def recursion_limit_1000():
+    old = getrecursionlimit()
+    setrecursionlimit(1000)
+    yield
+    setrecursionlimit(old)
+
+
+def test_integer_feasible_resolves_a_long_difference_chain(recursion_limit_1000):
+    # x_j - x_{j+1} = 1, listed last row first: presolve substitutes each
+    # column through the next, a chain 1,000 links long
+    n = 1000
+    rows = [(((j, 1), (j + 1, -1)), 1) for j in reversed(range(n))]
+    sol = integer_feasible(rows)
+    assert sol is not None
+    assert all(sum(c * sol.get(v, 0) for v, c in items) == rhs for items, rhs in rows)
+
+
+def anchored_chain(m):
+    """x_0 = 1 as the first row, then x_{i+1} - x_i = 0, with x_i in column
+    m - 1 - i, so the deepest substitution sits in the lowest column."""
+    col = [m - 1 - i for i in range(m)]
+    rows = [(((col[0], 1),), 1)]
+    rows += [(tuple(sorted(((col[i + 1], 1), (col[i], -1)))), 0) for i in range(m - 1)]
+    return LinearSystem(tuple(("l", (j,), (0,)) for j in range(m)), tuple(rows), frozenset())
+
+
+def test_lp_feasible_resolves_a_long_anchored_chain(recursion_limit_1000):
+    chain = anchored_chain(601)
+    witness = lp_feasible(chain)
+    assert witness == dict.fromkeys(chain.variables, 1)
+    for items, rhs in chain.equations:
+        assert sum(c * witness[chain.variables[j]] for j, c in items) == rhs
+
+
+def test_support_resolves_a_long_anchored_chain(recursion_limit_1000):
+    chain = anchored_chain(601)
+    assert relative_interior_support(chain) == set(chain.variables)

@@ -107,24 +107,24 @@ def test_smith_normal_form_matches_sympy(m):
 
 
 def sat_int(eqs, sol):
-    return all(sum(c * sol.get(v, 0) for v, c in coeffs.items()) == rhs for coeffs, rhs in eqs)
+    return all(sum(c * sol.get(v, 0) for v, c in items) == rhs for items, rhs in eqs)
 
 
 def test_integer_feasible_basic():
     x, y = V[0], V[1]
-    eqs = [({x: 2, y: 4}, 6)]
+    eqs = [(((x, 2), (y, 4)), 6)]
     sol = integer_feasible(eqs)
     assert sol is not None and sat_int(eqs, sol)
-    assert integer_feasible([({x: 2, y: 2}, 1)]) is None  # parity obstruction
-    assert integer_feasible([({x: 1, y: 1}, 1), ({x: 1, y: -1}, 0)]) is None  # x = 1/2
-    assert integer_feasible([({x: 1}, 1), ({x: 1}, 2)]) is None  # inconsistent
-    sol = integer_feasible([({}, 0), ({x: 1}, -7)])
+    assert integer_feasible([(((x, 2), (y, 2)), 1)]) is None  # parity obstruction
+    assert integer_feasible([(((x, 1), (y, 1)), 1), (((x, 1), (y, -1)), 0)]) is None  # x = 1/2
+    assert integer_feasible([(((x, 1),), 1), (((x, 1),), 2)]) is None  # inconsistent
+    sol = integer_feasible([((), 0), (((x, 1),), -7)])
     assert sol == {x: -7}
 
 
 def test_integer_feasible_unconstrained_default_zero():
     x, y = V[0], V[1]
-    sol = integer_feasible([({x: 1}, 3)])
+    sol = integer_feasible([(((x, 1),), 3)])
     assert sol[x] == 3 and sol.get(y, 0) == 0
 
 
@@ -137,9 +137,9 @@ def test_integer_feasible_randomized_consistency():
         planted = {v: rng.randint(-4, 4) for v in xs}
         eqs = []
         for _ in range(rng.randint(1, 5)):
-            coeffs = {v: rng.randint(-3, 3) for v in xs if rng.random() < 0.7}
-            rhs = sum(c * planted[v] for v, c in coeffs.items())
-            eqs.append((coeffs, rhs))
+            items = tuple((v, rng.randint(-3, 3)) for v in xs if rng.random() < 0.7)
+            rhs = sum(c * planted[v] for v, c in items)
+            eqs.append((items, rhs))
         sol = integer_feasible(eqs)
         assert sol is not None and sat_int(eqs, sol)
 
