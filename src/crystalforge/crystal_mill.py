@@ -90,7 +90,7 @@ def crystalise(s: IntTensor, q: int) -> IntTensor:
     sys = constant_system(s, q)
     # The constant system over a (k-1)-crystal is realistic by construction,
     # so skip the compatibility sweep and sum the closed form directly.
-    return _realise(sys.p, sys.shape, sys.shadows)
+    return _realise(sys)
 
 
 def quartz(n: int, a: Index, b: Index) -> IntTensor:

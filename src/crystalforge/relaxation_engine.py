@@ -22,8 +22,9 @@ Three deciders share the infrastructure:
 
 * BLP: nonnegative rational feasibility (exact-rational simplex, phase 1,
   Bland's anti-cycling rule);
-* AIP: integer feasibility (Smith normal form with minimal-absolute-value
-  pivoting);
+* AIP: integer feasibility (integer presolve, then a Smith normal form
+  taken straight on the presolved integer rows, pivoting on the least
+  nonzero entry; no rational row reduction);
 * BA: rational feasibility, then integer feasibility of the system refined
   by zeroing every variable that vanishes on the whole polytope (the
   relative-interior support, found by maximizing variables one at a time).
@@ -693,25 +694,30 @@ class _Simplex:
 
 def smith_normal_form(m_rows: list[list[int]]):
     """Diagonalize an integer matrix: returns (U, D, V) with U*M*V = D,
-    U and V unimodular, and the diagonal entries in a divisibility chain.
+    U and V unimodular, and the diagonal entries nonnegative and in a
+    divisibility chain.
 
-    Pivots are chosen by minimal absolute value to contain growth.
+    One pivot rule.  Every pass over position t swaps the nonzero entry of
+    least absolute value in rows >= t and columns >= t (the first in
+    row-major order on ties) to (t, t), then reduces the rest of column t
+    and row t by floor quotients.  Termination: a pass that leaves a
+    remainder leaves a nonzero entry smaller in absolute value than the
+    pivot, so the next pass picks a strictly smaller pivot.  A pass that
+    clears column t and row t but finds an entry of the remaining
+    submatrix not divisible by the pivot adds that entry's row to row t;
+    the next pass keeps the pivot at (t, t), first in row-major order, or
+    takes a smaller one, and in the first case reducing row t leaves a
+    remainder.  So the absolute value of the pivot, a positive integer,
+    falls at least every second pass until position t is settled: column
+    t and row t clear, and the pivot dividing every entry left below and
+    to its right, which keeps the diagonal a divisibility chain.  The
+    settled pivot is made positive.
     """
     r = len(m_rows)
     n = len(m_rows[0]) if r else 0
     M = [list(map(int, row)) for row in m_rows]
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(a, b):
-        M[a], M[b] = M[b], M[a]
-        U[a], U[b] = U[b], U[a]
-
-    def swap_cols(a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
 
     def addmul_row(dst, src, f):
         Md, Ms = M[dst], M[src]
@@ -729,87 +735,58 @@ def smith_normal_form(m_rows: list[list[int]]):
 
     t = 0
     while t < min(r, n):
-        # locate the minimal-absolute-value nonzero in the working submatrix
         best = None
         for i in range(t, r):
             for j in range(t, n):
-                v = M[i][j]
-                if v:
-                    if best is None or abs(v) < best[0]:
-                        best = (abs(v), i, j)
-                        if best[0] == 1:
-                            break
+                v = abs(M[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
             if best is not None and best[0] == 1:
                 break
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            p = M[t][t]
-            dirty = False
-            for i in range(t + 1, r):
-                if M[i][t]:
-                    q = M[i][t] // p
-                    if q:
-                        addmul_row(i, t, -q)
-                    if M[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-                        p = M[t][t]
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // p
-                    if q:
-                        addmul_col(j, t, -q)
-                    if M[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        p = M[t][t]
-            if dirty:
-                continue
-            # enforce divisibility of the remaining submatrix
-            p = M[t][t]
-            viol = None
-            for i in range(t + 1, r):
-                row = M[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
+        M[t], M[bi] = M[bi], M[t]
+        U[t], U[bi] = U[bi], U[t]
+        for row in itertools.chain(M, V):
+            row[t], row[bj] = row[bj], row[t]
+        p = M[t][t]
+        for i in range(t + 1, r):
+            q = M[i][t] // p
+            if q:
+                addmul_row(i, t, -q)
+        for j in range(t + 1, n):
+            q = M[t][j] // p
+            if q:
+                addmul_col(j, t, -q)
+        if any(M[i][t] for i in range(t + 1, r)) or any(M[t][j] for j in range(t + 1, n)):
+            continue
+        viol = next(
+            (i for i in range(t + 1, r) if any(M[i][j] % p for j in range(t + 1, n))), None
+        )
+        if viol is not None:
             addmul_row(t, viol, 1)
-        if M[t][t] < 0:
-            for j in range(n):
-                M[t][j] = -M[t][j]
-            for j in range(r):
-                U[t][j] = -U[t][j]
+            continue
+        if p < 0:
+            M[t] = [-c for c in M[t]]
+            U[t] = [-c for c in U[t]]
         t += 1
     return U, M, V
 
 
 def _independent_integer_rows(eqs, variables):
-    """Rational row reduction: detect inconsistency, return an equivalent
-    integer system with independent rows (same affine solution set, hence
-    the same integer points)."""
-    rows, _pivots, inconsistent = _rref(eqs, variables)
-    if inconsistent:
-        return None
-    # scale each row to coprime integers
-    out = []
-    for row in rows:
-        lcm = 1
-        for c in row:
-            d = int(c.denominator)
-            lcm = lcm * d // math.gcd(lcm, d)
-        out.append([int(c * lcm) for c in row])
-    return out
+    """Lay sparse integer rows (coefficient-dict, rhs) out as a dense
+    integer matrix over the columns of ``variables`` and its rhs vector.
+    The rows are passed on as they are: dependent or inconsistent rows are
+    left for the Smith normal form to expose."""
+    col = {v: j for j, v in enumerate(variables)}
+    mat = []
+    for coeffs, _rhs in eqs:
+        row = [0] * len(variables)
+        for v, c in coeffs.items():
+            row[col[v]] = c
+        mat.append(row)
+    return mat, [rhs for _coeffs, rhs in eqs]
 
 
 def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
@@ -826,11 +803,7 @@ def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
     live = sorted(red.live)
     assignment: dict = {}
     if red.eqs:
-        indep = _independent_integer_rows(red.eqs, live)
-        if indep is None:
-            return None
-        mat = [row[:-1] for row in indep]
-        rhs = [row[-1] for row in indep]
+        mat, rhs = _independent_integer_rows(red.eqs, live)
         U, D, V = smith_normal_form(mat)
         r, n = len(mat), len(live)
         c = [sum(U[i][j] * rhs[j] for j in range(r)) for i in range(r)]

@@ -162,16 +162,17 @@ def realise(sys: ShadowSystem) -> IntTensor:
     ok, quad = is_realistic(sys, witness=True)
     if not ok:
         raise NotRealistic(quad)
-    return _realise(sys.p, sys.shape, sys.shadows)
+    return _realise(sys)
 
 
-def _realise(p: int, shape: Shape, shadows: Mapping[Index, IntTensor]) -> IntTensor:
+def _realise(sys: ShadowSystem) -> IntTensor:
     """Realise a realistic (p, shape)-system by the inclusion-exclusion sum
     of the module docstring.  Each pi_T is projected from one pi of the
     next size up; there is no recursion, so the depth is 1 at any width.
     The result is checked against every shadow before it is returned
     (AssertionError on a mismatch).
     """
+    p, shape, shadows = sys.p, sys.shape, sys.shadows
     q = len(shape)
     if p == q:
         return shadows[tuple(range(1, q + 1))]
@@ -197,7 +198,7 @@ def _realise(p: int, shape: Shape, shadows: Mapping[Index, IntTensor]) -> IntTen
             else:
                 del out[key]
     c = IntTensor._raw(tuple(shape), out)
-    if not verify_realisation(c, ShadowSystem(p, shape, shadows)):
+    if not verify_realisation(c, sys):
         raise AssertionError("realisation does not reproduce its shadows")
     return c
 

@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from crystalforge.cli import run
 from crystalforge.digraph_lab import Digraph, clique, digraph_from_json, digraph_to_json
 from crystalforge.shadow_realiser import increasing_tuples, ShadowSystem, system_to_json
-from crystalforge.tensor_core import IntTensor, loads_st, project, read_st, write_st
+from crystalforge.tensor_core import IntTensor, dumps_st, loads_st, project, read_st, write_st
 
 
 def invoke(capsys, *argv):
@@ -236,6 +237,57 @@ def test_cert_verify_non_string_payload_is_a_format_error(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
     assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+def k4_certificate_doc(tmp_path, capsys):
+    cst = tmp_path / "c.st"
+    invoke(capsys, "crystal", "mine", "--k", "2", "-o", str(cst))
+    lifted = tmp_path / "c4.st"
+    invoke(capsys, "crystal", "crystalise", "--q", "4", str(cst), "-o", str(lifted))
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    cert = tmp_path / "cert.json"
+    invoke(capsys, "cert", "from-crystal", "--k", "2", str(lifted), k4, "-o", str(cert))
+    return json.loads(cert.read_text())
+
+
+def test_cert_verify_negative_level_is_a_format_error(tmp_path, capsys):
+    doc = k4_certificate_doc(tmp_path, capsys)
+    doc["k"] = -1
+    cert = tmp_path / "neg.json"
+    cert.write_text(json.dumps(doc))
+    code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+def test_cert_verify_short_zeta_is_refused_before_listing_tuples(tmp_path, capsys):
+    # 3^13 vertex tuples: listing them all took seconds and hundreds of MB
+    doc = {
+        "k": 13,
+        "instance": json.loads(digraph_to_json(clique(3))),
+        "template": {"clique": 3},
+        "zeta": [],
+    }
+    cert = tmp_path / "empty.json"
+    cert.write_text(json.dumps(doc))
+    t0 = time.monotonic()
+    code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
+    assert time.monotonic() - t0 < 0.5
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+def test_cert_verify_duplicate_tuple_is_a_format_error(tmp_path, capsys):
+    doc = k4_certificate_doc(tmp_path, capsys)
+    # a second, tampered image for the same x: neither order may be read
+    blob = doc["zeta"][3]
+    t = loads_st(blob["tensor"])
+    entries = dict(t.entries)
+    entries[sorted(entries)[0]] += 1
+    twin = {"x": blob["x"], "tensor": dumps_st(IntTensor(t.shape, entries))}
+    for zeta in (doc["zeta"] + [twin], [twin] + doc["zeta"]):
+        cert = tmp_path / "dup.json"
+        cert.write_text(json.dumps(dict(doc, zeta=zeta)))
+        code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
+        assert code == 2 and stdout == "" and "duplicate" in err
 
 
 # -- fool -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,15 @@ def test_smith_normal_form_examples():
     check_snf([[1, 0], [0, 1]])
     check_snf([[0, 0], [0, 0]])
     check_snf([[6, 10], [15, 4], [2, 2]])
+    # what a rational RREF and lcm scaling made of a 6x7 system with
+    # coefficients of at most 6; a pivot rule that swaps in each nonzero
+    # remainder grew its entries past 31,000 bits without finishing
+    m = [[22675, 0, 0, 0, 18388], [0, 22675, 0, 0, -10839], [0, 0, 22675, 0, 1689]]
+    t0 = time.monotonic()
+    _, D, _ = smith_normal_form([row[:] for row in m])
+    assert time.monotonic() - t0 < 2
+    assert [D[i][i] for i in range(3)] == [1, 22675, 22675]
+    check_snf(m)
 
 
 def test_smith_normal_form_randomized():
@@ -88,8 +98,8 @@ def test_smith_normal_form_randomized():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
-        lambda r: st.integers(1, 4).flatmap(
+    st.integers(1, 5).flatmap(
+        lambda r: st.integers(1, 6).flatmap(
             lambda n: st.lists(
                 st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=r, max_size=r
             )
@@ -101,7 +111,9 @@ def test_smith_normal_form_matches_sympy(m):
     from sympy.matrices.normalforms import invariant_factors
 
     check_snf(m)  # U*M*V = D, U and V unimodular, divisibility chain
+    t0 = time.monotonic()
     _, D, _ = smith_normal_form([row[:] for row in m])
+    assert time.monotonic() - t0 < 1
     diag = [abs(D[i][i]) for i in range(min(len(m), len(m[0])))]
     assert diag == [abs(int(d)) for d in invariant_factors(Matrix(m), domain=ZZ)]
 
@@ -131,17 +143,35 @@ def test_integer_feasible_unconstrained_default_zero():
 def test_integer_feasible_randomized_consistency():
     # plant an integer solution, add redundant combinations, always feasible
     rng = random.Random(42)
-    for _ in range(30):
-        n = rng.randint(2, 5)
-        xs = V[:n]
-        planted = {v: rng.randint(-4, 4) for v in xs}
+    t0 = time.monotonic()
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        planted = {v: rng.randint(-4, 4) for v in range(n)}
         eqs = []
-        for _ in range(rng.randint(1, 5)):
-            items = tuple((v, rng.randint(-3, 3)) for v in xs if rng.random() < 0.7)
+        for _ in range(rng.randint(1, 10)):
+            items = tuple((v, rng.randint(-3, 3)) for v in range(n) if rng.random() < 0.7)
             rhs = sum(c * planted[v] for v, c in items)
             eqs.append((items, rhs))
         sol = integer_feasible(eqs)
         assert sol is not None and sat_int(eqs, sol)
+    assert time.monotonic() - t0 < 10
+
+
+def test_integer_feasible_pinned_growth_case():
+    # a feasible 6x7 system that a rational RREF, lcm scaling and a
+    # swap-in-the-remainder pivot rule did not finish within a minute
+    eqs = [
+        (((0, 2), (1, -1), (2, -1), (4, -2), (5, 6), (6, 3)), 4),
+        (((1, 3), (2, -2), (3, -1), (4, 2), (6, 4)), -5),
+        (((0, 4), (1, -4), (3, -4), (4, 4), (5, 3), (6, 2)), 1),
+        (((0, 2), (1, -2), (2, -3), (3, 4), (4, -2), (5, -4), (6, -3)), -1),
+        (((0, -1), (1, -2), (2, 6), (4, 3), (5, 4), (6, -3)), 1),
+        (((0, 1), (1, 2), (2, 6), (3, 2), (5, 4)), -1),
+    ]
+    t0 = time.monotonic()
+    sol = integer_feasible(eqs)
+    assert time.monotonic() - t0 < 2
+    assert sol is not None and sat_int(eqs, sol)
 
 
 # -- LP ---------------------------------------------------------------------
