@@ -32,7 +32,14 @@ from .tensor_core import (
     total,
 )
 from .crystal_mill import BadDimension, NotACrystal, is_crystal
-from .digraph_lab import Digraph, check_homomorphism, clique, line_digraph
+from .digraph_lab import (
+    Digraph,
+    check_homomorphism,
+    clique,
+    digraph_from_json,
+    digraph_to_json,
+    line_digraph,
+)
 from .relaxation_engine import _lambda_generators, refines
 
 
@@ -344,8 +351,6 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
 
 
 def certificate_to_json(cert: ZaffCertificate) -> str:
-    from .digraph_lab import digraph_to_json
-
     if cert.template_clique is not None:
         template_doc = {"clique": cert.template_clique}
     else:
@@ -363,8 +368,6 @@ def certificate_to_json(cert: ZaffCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> ZaffCertificate:
-    from .digraph_lab import digraph_from_json
-
     try:
         doc = json.loads(text)
         k = int(doc["k"])

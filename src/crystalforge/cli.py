@@ -70,8 +70,10 @@ def _cmd_crystal_mine(args) -> int:
 def _cmd_crystal_verify(args) -> int:
     """Check the miner's contract: a hollow affine (k-1)-crystal of
     dimension k and width (k^2+k)/2."""
-    c = _load_tensor(args.tensor)
     k = args.k
+    if k < 1:
+        raise _CliError(f"--k must be >= 1, got {k}")
+    c = _load_tensor(args.tensor)
     if not c.is_cubical() or c.dim != k:
         print("NO")
         print(f"expected a cubical tensor of dimension {k}, got shape {c.shape}", file=sys.stderr)

@@ -111,41 +111,48 @@ def homomorphism_exists(x: Digraph, a: Digraph) -> Optional[dict[int, int]]:
             domains[u] &= {c for c in a_verts if (c, c) in a_edges}
     assignment: dict[int, int] = {}
 
-    def place(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for c in sorted(domains[v]):
-            trimmed: list[tuple[int, set[int]]] = []
-            ok = True
-            for neighbours, lookup, forward in ((succ[v], out_ok, True), (pred[v], in_ok, False)):
-                for w in neighbours:
-                    if w in assignment:
-                        e = (c, assignment[w]) if forward else (assignment[w], c)
-                        if e not in a_edges:
-                            ok = False
-                            break
-                    elif rank[w] > pos:
-                        allowed = domains[w] & set(lookup[c])
-                        if not allowed:
-                            ok = False
-                            break
-                        if allowed != domains[w]:
-                            trimmed.append((w, domains[w]))
-                            domains[w] = allowed
-                if not ok:
-                    break
-            if ok:
-                assignment[v] = c
-                if place(pos + 1):
-                    return True
-                del assignment[v]
-            for w, old in reversed(trimmed):
-                domains[w] = old
-        return False
+    def undo(trimmed: list[tuple[int, set[int]]]) -> None:
+        while trimmed:
+            w, old = trimmed.pop()
+            domains[w] = old
 
-    if place(0):
-        return dict(assignment)
+    def admit(pos: int, v: int, c: int, trimmed: list) -> bool:
+        """Forward-check c as the image of v, recording in ``trimmed`` the
+        domains it narrows; on failure those are restored."""
+        for neighbours, lookup, forward in ((succ[v], out_ok, True), (pred[v], in_ok, False)):
+            for w in neighbours:
+                if w in assignment:
+                    e = (c, assignment[w]) if forward else (assignment[w], c)
+                    if e not in a_edges:
+                        undo(trimmed)
+                        return False
+                elif rank[w] > pos:
+                    allowed = domains[w] & set(lookup[c])
+                    if not allowed:
+                        undo(trimmed)
+                        return False
+                    if allowed != domains[w]:
+                        trimmed.append((w, domains[w]))
+                        domains[w] = allowed
+        return True
+
+    # one frame per placed vertex: its remaining candidates and the domains
+    # its current candidate trimmed; no recursion, however long the order
+    stack = [(iter(sorted(domains[order[0]])), [])]
+    while stack:
+        pos = len(stack) - 1
+        v = order[pos]
+        candidates, trimmed = stack[-1]
+        assignment.pop(v, None)
+        undo(trimmed)
+        c = next((c for c in candidates if admit(pos, v, c, trimmed)), None)
+        if c is None:
+            stack.pop()
+            continue
+        assignment[v] = c
+        if pos + 1 == n:
+            return dict(assignment)
+        stack.append((iter(sorted(domains[order[pos + 1]])), []))
     return None
 
 

@@ -21,7 +21,8 @@ the certificate edge systems all hand it their rows as they are.
 Three deciders share the infrastructure:
 
 * BLP: nonnegative rational feasibility (exact-rational simplex, phase 1,
-  Bland's anti-cycling rule);
+  Bland's anti-cycling rule; the tableau's own pivot brings the presolved
+  rows to reduced row-echelon form, the one Gauss-Jordan routine);
 * AIP: integer feasibility (integer presolve, then a Smith normal form
   taken straight on the presolved integer rows, pivoting on the least
   nonzero entry; no rational row reduction);
@@ -220,28 +221,15 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
             ]
         return compat[bl]
 
-    marg: dict[tuple, list[tuple[int, dict[int, int]]]] = {}
+    marg: dict[tuple, list[tuple[int, int]]] = {}
 
-    def marginal(bl_x: tuple, nb_x: int, i: tuple) -> list[tuple[int, dict[int, int]]]:
-        """(rank(a), {rank(ahat): multiplicity}) for each a compatible with
-        the pattern of x.i: the lambda terms of L_i(x, a) on the x-slice."""
+    def marginal(bl_x: tuple, nb_x: int, i: tuple) -> list[tuple[int, int]]:
+        """(rank(ahat.i), rank(ahat)) for each ahat compatible with the
+        pattern of x: the lambda terms of L_i(x, .) on the x-slice."""
         key = (bl_x, i)
         if key not in marg:
-            rows = []
-            for a, ra in compatible(*_blocks(tuple(bl_x[p] for p in i))):
-                # pins: value of each x-block touched by a position of i
-                pin: dict[int, int] = {}
-                for pos, val in zip(i, a):
-                    pin[bl_x[pos]] = val
-                free = [b for b in range(nb_x) if b not in pin]
-                terms: dict[int, int] = {}
-                for vals in itertools.product(range(1, m + 1), repeat=len(free)):
-                    assign = dict(pin)
-                    assign.update(zip(free, vals))
-                    r = _rank(tuple(assign[b] for b in bl_x), m)
-                    terms[r] = terms.get(r, 0) + 1
-                rows.append((ra, terms))
-            marg[key] = rows
+            marg[key] = [(_rank(tuple(a[p] for p in i), m), ra)
+                         for a, ra in compatible(bl_x, nb_x)]
         return marg[key]
 
     forced: set[int] = set()
@@ -263,8 +251,13 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
         # i reproduces the slice of the projected vertex tuple
         for i in _lambda_generators(k):
             bxi = _rank(tuple(x[p] for p in i), n) * mk
-            for ra, terms in marginal(bl_x, nb_x, i):
-                coeffs = {bx + r: c for r, c in terms.items()}
+            # every a compatible with the pattern of x.i is ahat.i for some
+            # ahat compatible with that of x, so grouping the terms by
+            # rank(ahat.i) gives every row of L_i(x, .)
+            rows: dict[int, dict[int, int]] = {}
+            for ra, rahat in marginal(bl_x, nb_x, i):
+                rows.setdefault(ra, {})[bx + rahat] = 1
+            for ra, coeffs in rows.items():
                 rcol = bxi + ra
                 coeffs[rcol] = coeffs.get(rcol, 0) - 1
                 emit({j: c for j, c in coeffs.items() if c}, 0)
@@ -502,95 +495,69 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
 # ---------------------------------------------------------------------------
 
 
-def _rref(eqs, variables):
-    """Reduced row-echelon form of a sparse rational system.
-
-    ``eqs`` is a sequence of (coefficient-dict, rhs).  Returns
-    ``(rows, pivots, inconsistent)``: dense rows over the columns of
-    ``variables`` followed by the rhs, each with a unit entry in its pivot
-    column and zeros in every other pivot column; ``pivots[r]`` is the
-    pivot column of ``rows[r]``.  Dependent rows are dropped.  When the
-    rows are rationally inconsistent the result is ``([], [], True)``.
-    """
-    col = {v: j for j, v in enumerate(variables)}
-    n = len(variables)
-    rows: list[list] = []
-    pivot_row: dict[int, int] = {}  # col -> row index in rows
-    for coeffs, rhs in eqs:
-        row = [_Q(0)] * (n + 1)
-        for v, c in coeffs.items():
-            row[col[v]] = _Q(c)
-        row[n] = _Q(rhs)
-        for j, ri in pivot_row.items():
-            if row[j]:
-                f = row[j]
-                pr = rows[ri]
-                for jj in range(n + 1):
-                    if pr[jj]:
-                        row[jj] -= f * pr[jj]
-        lead = next((j for j in range(n) if row[j]), None)
-        if lead is None:
-            if row[n]:
-                return [], [], True
-            continue
-        f = row[lead]
-        if f != 1:
-            for jj in range(n + 1):
-                if row[jj]:
-                    row[jj] /= f
-        for r2 in rows:
-            if r2[lead]:
-                f = r2[lead]
-                for jj in range(n + 1):
-                    if row[jj]:
-                        r2[jj] -= f * row[jj]
-        pivot_row[lead] = len(rows)
-        rows.append(row)
-    pivots = [None] * len(rows)
-    for j, ri in pivot_row.items():
-        pivots[ri] = j
-    return rows, pivots, False
-
-
 class _Simplex:
-    """Equality-form simplex over exact rationals.
+    """Equality-form simplex over exact rationals, on one dense tableau.
 
-    Rows are first brought to reduced row-echelon form by ``_rref``
-    (dropping dependent rows, detecting rational inconsistency), then
-    phase 1 drives artificial variables out.  After ``feasible()``
-    succeeds, ``maximize`` can be called repeatedly with different
-    objective columns (warm starts from the current feasible basis).
+    ``__init__`` lays the rows out once (the columns of ``variables``, then
+    the rhs) and row-reduces them with ``_pivot`` itself, one row at a
+    time: each row has already been reduced by every earlier pivot and
+    pivots on its first nonzero column; a row left all zero is dropped,
+    and a zero row with a nonzero rhs marks the system inconsistent.  The
+    kept rows stay in input order with their pivot columns as the basis.
+    The reduced row-echelon form of a set of rows is unique, so this is the
+    tableau any separate Gauss-Jordan pass over the rows would build, and
+    the phase-1 and support pivots, optima and witnesses that follow are
+    those of such a pass.  ``feasible()`` adds the phase-1 artificial
+    columns to that same tableau and drives them out.  After it succeeds,
+    ``maximize`` can be called repeatedly with different objective columns
+    (warm starts from the current feasible basis).
     """
 
     def __init__(self, eqs, variables):
         self.vars = list(variables)
-        self.n = len(self.vars)
+        self.n = n = len(self.vars)
         self.col = {v: j for j, v in enumerate(self.vars)}
-        self.rows, self.basis, self.inconsistent = _rref(eqs, self.vars)
+        self.inconsistent = False
+        self._tab = tab = []
+        for coeffs, rhs in eqs:
+            row = [_Q(0)] * (n + 1)
+            for v, c in coeffs.items():
+                row[self.col[v]] = _Q(c)
+            row[n] = _Q(rhs)
+            tab.append(row)
+        self._basis = [None] * len(tab)
+        i = 0
+        while i < len(tab):
+            lead = next((j for j in range(n) if tab[i][j]), None)
+            if lead is not None:
+                self._pivot(i, lead)
+                i += 1
+            elif tab[i][n]:
+                self.inconsistent = True
+                tab.clear()
+                self._basis.clear()
+            else:
+                del tab[i]
+                del self._basis[i]
 
     def feasible(self) -> bool:
         if self.inconsistent:
             return False
-        m = len(self.rows)
+        tab, basis, n = self._tab, self._basis, self.n
+        m = len(tab)
         # phase 1: one artificial column per row with negative rhs
-        ncols = self.n + m
-        tab = []
-        basis = []
+        self._ncols = ncols = n + m
         art = set()
-        for i, r in enumerate(self.rows):
-            row = list(r[: self.n])
+        for i, row in enumerate(tab):
+            rhs = row.pop()
             extra = [_Q(0)] * m
-            if r[self.n] < 0:
-                row = [-c for c in row]
-                rhs = -r[self.n]
+            if rhs < 0:
+                row[:] = [-c for c in row]
+                rhs = -rhs
                 extra[i] = _Q(1)
-                basis.append(self.n + i)
-                art.add(self.n + i)
-            else:
-                rhs = r[self.n]
-                basis.append(self.basis[i])
-            tab.append(row + extra + [rhs])
-        self._tab, self._basis, self._ncols = tab, basis, ncols
+                basis[i] = n + i
+                art.add(n + i)
+            row += extra + [rhs]
         if art:
             cost = [_Q(0)] * ncols
             for j in art:
@@ -601,15 +568,15 @@ class _Simplex:
         # drive leftover artificials out of the basis
         for i in range(len(tab) - 1, -1, -1):
             if basis[i] in art:
-                piv = next((j for j in range(self.n) if tab[i][j]), None)
+                piv = next((j for j in range(n) if tab[i][j]), None)
                 if piv is None:
                     del tab[i]
                     del basis[i]
                 else:
                     self._pivot(i, piv)
         for row in tab:
-            del row[self.n : self.n + m]
-        self._ncols = self.n
+            del row[n : n + m]
+        self._ncols = n
         return True
 
     def _pivot(self, i, j):
@@ -682,7 +649,7 @@ class _Simplex:
     def solution(self) -> dict:
         out = {}
         for i, b in enumerate(self._basis):
-            if b is not None and b < self.n:
+            if b < self.n:
                 out[self.vars[b]] = self._tab[i][-1]
         return out
 

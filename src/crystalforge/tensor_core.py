@@ -83,10 +83,6 @@ class IntTensor:
             return NotImplemented
         return self.shape == other.shape and self.entries == other.entries
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.shape, frozenset(self.entries.items())))
 

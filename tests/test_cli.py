@@ -40,6 +40,14 @@ def test_crystal_verify_rejects_wrong_k(tmp_path, capsys):
     assert code == 1 and stdout == "NO\n" and err
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_crystal_verify_level_below_one_is_a_usage_error(tmp_path, capsys, k):
+    point = tmp_path / "p.st"  # a 0-dimensional tensor
+    point.write_text("st 1\ndims 0\nwidths\nentries 1\n1\n")
+    code, stdout, err = invoke(capsys, "crystal", "verify", "--k", k, str(point))
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
 def test_crystal_shadow_and_crystalise(tmp_path, capsys):
     mined = tmp_path / "u.st"
     invoke(capsys, "crystal", "mine", "--k", "2", "-o", str(mined))

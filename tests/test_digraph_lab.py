@@ -127,6 +127,14 @@ def test_hom_agrees_with_brute_force():
             assert check_homomorphism(x, a, got)
 
 
+def test_hom_on_a_long_path_within_default_recursion_limit(recursion_limit_1000):
+    # one frame per instance vertex would need 1,500 of them
+    n = 1500
+    path = Digraph(n, frozenset((i, i + 1) for i in range(1, n)))
+    f = homomorphism_exists(path, clique(2))
+    assert f is not None and check_homomorphism(path, clique(2), f)
+
+
 def test_check_homomorphism_partial_map():
     assert not check_homomorphism(clique(2), clique(2), {1: 1})
 

@@ -5,16 +5,16 @@ replaced: the same elimination rules carried out in ``Fraction``s.  The
 integer presolve must make the same decisions and produce the same rows up
 to positive scaling, so the tableau and the witnesses do not change.  The
 simplex (phase 1, sparse pivots) is checked against sympy's exact
-``linprog``.  Witnesses are resolved through substitution chains longer
-than the recursion limit.
+``linprog``.  ``reference_rref`` is the separate Gauss-Jordan routine that
+built the reduced row-echelon form before the tableau's own pivot did; the
+tableau ``_Simplex`` lays out must be its result.  Witnesses are resolved
+through substitution chains longer than the recursion limit.
 """
 
 import itertools
 from fractions import Fraction
-from sys import getrecursionlimit, setrecursionlimit
 from unittest import mock
 
-import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from keyed_systems import keyed_system
@@ -312,15 +312,102 @@ def test_lp_feasible_agrees_with_sympy_linprog(sys):
             assert sum(c * witness[sys.variables[j]] for j, c in items) == rhs
 
 
+# -- the tableau's own row reduction ------------------------------------------
+
+
+def reference_rref(eqs, variables):
+    """Reduced row-echelon form of a sparse rational system, by the routine
+    ``_Simplex`` used before its own pivot did the work.
+
+    Returns ``(rows, pivots, inconsistent)``: dense rows over the columns of
+    ``variables`` followed by the rhs, each with a unit entry in its pivot
+    column and zeros in every other pivot column; ``pivots[r]`` is the
+    pivot column of ``rows[r]``.  Dependent rows are dropped.  When the
+    rows are rationally inconsistent the result is ``([], [], True)``.
+    """
+    col = {v: j for j, v in enumerate(variables)}
+    n = len(variables)
+    rows = []
+    pivot_row = {}  # col -> row index in rows
+    for coeffs, rhs in eqs:
+        row = [Fraction(0)] * (n + 1)
+        for v, c in coeffs.items():
+            row[col[v]] = Fraction(c)
+        row[n] = Fraction(rhs)
+        for j, ri in pivot_row.items():
+            if row[j]:
+                f = row[j]
+                pr = rows[ri]
+                for jj in range(n + 1):
+                    if pr[jj]:
+                        row[jj] -= f * pr[jj]
+        lead = next((j for j in range(n) if row[j]), None)
+        if lead is None:
+            if row[n]:
+                return [], [], True
+            continue
+        f = row[lead]
+        if f != 1:
+            for jj in range(n + 1):
+                if row[jj]:
+                    row[jj] /= f
+        for r2 in rows:
+            if r2[lead]:
+                f = r2[lead]
+                for jj in range(n + 1):
+                    if row[jj]:
+                        r2[jj] -= f * row[jj]
+        pivot_row[lead] = len(rows)
+        rows.append(row)
+    pivots = [None] * len(rows)
+    for j, ri in pivot_row.items():
+        pivots[ri] = j
+    return rows, pivots, False
+
+
+@st.composite
+def redundant_systems(draw):
+    """Rows over at most 6 columns with coefficients in [-3, 3]: each row
+    after the first is random, a duplicate of an earlier row, an integer
+    combination of the earlier rows (dependent), or such a combination with
+    its rhs shifted (inconsistent, or 0 = c when the combination is 0)."""
+    n = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kinds = ("random", "duplicate", "dependent", "inconsistent") if rows else ("random",)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            row = ([draw(small) for _ in range(n)], draw(small))
+        elif kind == "duplicate":
+            row = draw(st.sampled_from(rows))
+        else:
+            fs = [draw(small) for _ in rows]
+            coeffs = [sum(f * r[0][j] for f, r in zip(fs, rows)) for j in range(n)]
+            rhs = sum(f * r[1] for f, r in zip(fs, rows))
+            if kind == "inconsistent":
+                rhs += draw(st.sampled_from((-2, -1, 1, 2)))
+            row = (coeffs, rhs)
+        rows.append(row)
+    return [({j: c for j, c in enumerate(coeffs) if c}, rhs) for coeffs, rhs in rows], list(range(n))
+
+
+@st.composite
+def presolved_level_k_rows(draw):
+    """The rows the nonnegative presolve leaves of a small level-k system."""
+    red = rx._reduce(draw(level_k_systems()).equations, nonneg=True)
+    return red.eqs, sorted(red.live)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(redundant_systems(), presolved_level_k_rows()))
+def test_simplex_tableau_is_the_reference_rref(case):
+    eqs, variables = case
+    sx = rx._Simplex(eqs, variables)
+    assert (sx._tab, sx._basis, sx.inconsistent) == reference_rref(eqs, variables)
+
+
 # -- no recursion in presolve resolution -------------------------------------
-
-
-@pytest.fixture
-def recursion_limit_1000():
-    old = getrecursionlimit()
-    setrecursionlimit(1000)
-    yield
-    setrecursionlimit(old)
 
 
 def test_integer_feasible_resolves_a_long_difference_chain(recursion_limit_1000):
