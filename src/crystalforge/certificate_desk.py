@@ -301,9 +301,7 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
     The new images regroup the old index 2k-tuples into k consecutive
     pairs, each read as a template edge.  Requires the support condition:
     for every vertex tuple of dX, the corresponding old image is supported
-    on tuples whose consecutive pairs are all template edges.  Off that
-    support, pairs map to a default template edge: the first end of the
-    lexicographically least edge of dA.  It never receives mass.
+    on tuples whose consecutive pairs are all template edges.
     """
     if cert.k % 2 != 0 or cert.k < 2:
         raise BadDimension("certificate level must be even and >= 2")
@@ -316,32 +314,28 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
         raise EmptyLineTemplate("the template's line digraph has no edges")
     if not x_graph.edges:
         raise EmptyLineTemplate("the instance's line digraph has no labelled vertices")
-    default_edge = min((a_labels[u - 1], a_labels[v - 1]) for u, v in da.edges)[0]
 
     a_pos = {e: i + 1 for i, e in enumerate(a_labels)}
     a_edges = a_graph.edges
     m = da.vertex_count
 
     def beta(idx: Index) -> Index:
+        # gam: the old vertex tuple whose image the loop below pushes forward
         out = []
         for ell in range(k):
             pair = (idx[2 * ell], idx[2 * ell + 1])
-            out.append(a_pos[pair if pair in a_edges else default_edge])
+            if pair not in a_edges:
+                raise SupportConditionViolated(
+                    f"image of {gam} has mass at {idx}, whose pair {pair} is not a template edge"
+                )
+            out.append(a_pos[pair])
         return tuple(out)
 
     nx = dx.vertex_count
     zeta: dict[Index, IntTensor] = {}
     for xbar in itertools.product(range(1, nx + 1), repeat=k):
         gam = tuple(c for v in xbar for c in x_labels[v - 1])
-        old = cert.zeta[gam]
-        for idx in old.entries:
-            for ell in range(k):
-                if (idx[2 * ell], idx[2 * ell + 1]) not in a_edges:
-                    raise SupportConditionViolated(
-                        f"image of {gam} has mass at {idx}, whose pair "
-                        f"{(idx[2 * ell], idx[2 * ell + 1])} is not a template edge"
-                    )
-        zeta[xbar] = pushforward(old, beta, (m,) * k)
+        zeta[xbar] = pushforward(cert.zeta[gam], beta, (m,) * k)
     return ZaffCertificate(k, dx, da, zeta, template_clique=None)
 
 

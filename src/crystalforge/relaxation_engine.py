@@ -508,9 +508,14 @@ class _Simplex:
     tableau any separate Gauss-Jordan pass over the rows would build, and
     the phase-1 and support pivots, optima and witnesses that follow are
     those of such a pass.  ``feasible()`` adds the phase-1 artificial
-    columns to that same tableau and drives them out.  After it succeeds,
-    ``maximize`` can be called repeatedly with different objective columns
-    (warm starts from the current feasible basis).
+    columns to that same tableau and drives them out: a row whose basic
+    column is still artificial (at value 0) pivots on its first nonzero
+    real column.  One always exists: the RREF rows are independent over
+    the real columns, and negating rows and pivoting are invertible row
+    operations, so the real part of the tableau keeps full row rank and no
+    row is zero there.  After it succeeds, ``maximize`` can be called
+    repeatedly with different objective columns (warm starts from the
+    current feasible basis).
     """
 
     def __init__(self, eqs, variables):
@@ -568,12 +573,7 @@ class _Simplex:
         # drive leftover artificials out of the basis
         for i in range(len(tab) - 1, -1, -1):
             if basis[i] in art:
-                piv = next((j for j in range(n) if tab[i][j]), None)
-                if piv is None:
-                    del tab[i]
-                    del basis[i]
-                else:
-                    self._pivot(i, piv)
+                self._pivot(i, next(j for j in range(n) if tab[i][j]))
         for row in tab:
             del row[n : n + m]
         self._ncols = n

@@ -229,6 +229,8 @@ def system_from_json(text: str, base_dir: str | None = None) -> ShadowSystem:
         shadows = {}
         for blob in doc["shadows"]:
             axes = tuple(int(a) for a in blob["axes"])
+            if axes in shadows:
+                raise ValueError(f"duplicate shadow for axes {axes}")
             payload = blob["tensor"]
             if "\n" in payload:
                 shadows[axes] = loads_st(payload)
@@ -236,6 +238,6 @@ def system_from_json(text: str, base_dir: str | None = None) -> ShadowSystem:
                 path = payload if base_dir is None else os.path.join(base_dir, payload)
                 with open(path, "r", encoding="utf-8") as fh:
                     shadows[axes] = loads_st(fh.read())
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise TensorError(f"bad shadow-system JSON: {exc}") from exc
     return ShadowSystem(p, shape, shadows)

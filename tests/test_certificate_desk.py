@@ -111,6 +111,20 @@ def test_verify_rejects_tie_support():
     assert not ok
 
 
+
+def test_verify_rejects_support_that_does_not_refine():
+    # constant images pass affinity, tensoriality and (no instance edges)
+    # the edge step; only the refinement check can see the tie at x=(1, 2)
+    x_graph = Digraph(2, frozenset())
+    img = IntTensor((3, 3), {(1, 1): 1})
+    cert = ZaffCertificate(
+        2, x_graph, clique(3), {x: img for x in itertools.product((1, 2), repeat=2)}
+    )
+    assert verify_clique_certificate(cert, x_graph, 3) == (
+        False,
+        "nonzero entry at a=(1, 1) although a does not refine x=(1, 2)",
+    )
+
 def test_verify_rejects_instance_mismatch():
     cert = k4_cert()
     ok, why = verify_clique_certificate(cert, clique(3), 3)

@@ -114,6 +114,31 @@ def test_shadows_check_non_string_payload_is_a_format_error(tmp_path, capsys):
     assert code == 2 and stdout == "" and err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("verb", ["check", "realise"])
+@pytest.mark.parametrize("name", ["missing.st", "sub"], ids=["missing", "directory"])
+def test_shadows_unreadable_tensor_file_is_a_format_error(tmp_path, capsys, verb, name):
+    (tmp_path / "sub").mkdir()
+    doc = {"p": 1, "widths": [2], "shadows": [{"axes": [1], "tensor": name}]}
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(doc))
+    code, stdout, err = invoke(capsys, "shadows", verb, str(f))
+    assert code == 2 and stdout == "" and err.startswith("error: bad shadow-system JSON:")
+    assert str(tmp_path / name) in err
+
+
+@pytest.mark.parametrize("verb", ["check", "realise"])
+def test_shadows_repeated_axes_is_a_format_error(tmp_path, capsys, verb):
+    blob = {"axes": [1], "tensor": "st 1\ndims 1\nwidths 2\nentries 1\n1 1\n"}
+    doc = {"p": 1, "widths": [2], "shadows": [blob, dict(blob, tensor=blob["tensor"][:-4] + "2 1\n")]}
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(doc))
+    assert invoke(capsys, "shadows", verb, str(f)) == (
+        2,
+        "",
+        "error: bad shadow-system JSON: duplicate shadow for axes (1,)\n",
+    )
+
 # -- digraph / hom ----------------------------------------------------------
 
 
@@ -338,3 +363,108 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 def test_jobs_flag_is_a_usage_error(capsys):
     code, stdout, _ = invoke(capsys, "--jobs", "2", "fool", "params", "--c", "4", "--d", "4", "--k", "2")
     assert code == 2 and stdout == ""
+
+
+# -- surface ----------------------------------------------------------------
+
+USAGE = {
+    ("crystal", "mine"): "[-h] --k K [-o PATH]",
+    ("crystal", "verify"): "[-h] --k K tensor",
+    ("crystal", "shadow"): "[-h] --k K [-o PATH] tensor",
+    ("crystal", "crystalise"): "[-h] --q Q [-o PATH] tensor",
+    ("shadows", "check"): "[-h] system",
+    ("shadows", "realise"): "[-h] [-o PATH] system",
+    ("digraph", "clique"): "[-h] --q Q [-o PATH]",
+    ("digraph", "linegraph"): "[-h] [-o PATH] digraph",
+    ("digraph", "shift"): "[-h] --q Q --i I [-o PATH]",
+    ("hom",): "[-h] instance template",
+    ("relax", "blp"): "[-h] --k K instance template",
+    ("relax", "aip"): "[-h] --k K instance template",
+    ("relax", "ba"): "[-h] --k K instance template",
+    ("cert", "from-crystal"): "[-h] --k K [-o PATH] crystal instance",
+    ("cert", "verify"): "[-h] certificate",
+    ("cert", "push-hom"): "[-h] [-o PATH] certificate map target",
+    ("cert", "linegraph"): "[-h] [-o PATH] certificate",
+    ("fool", "params"): "[-h] --c C --d D --k K [-o PATH]",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(USAGE), ids=" ".join)
+def test_verb_usage_line(monkeypatch, capsys, verb):
+    monkeypatch.setenv("COLUMNS", "200")  # keep argparse from wrapping
+    code, stdout, err = invoke(capsys, *verb, "--help")
+    assert code == 0 and err == ""
+    assert stdout.splitlines()[0] == f"usage: crystalforge {' '.join(verb)} {USAGE[verb]}"
+
+
+@pytest.mark.parametrize(
+    "k, tensor, reason",
+    [
+        (2, IntTensor((4, 4), {(1, 2): 1}), "expected width 3, got 4"),
+        (2, IntTensor((3, 3), {(1, 2): 2}), "entries sum to 2, not 1"),
+        (2, IntTensor((3, 3), {(1, 2): 1}), "not a 1-crystal; projections differ at ((1,), (2,))"),
+        (3, IntTensor((6, 6, 6), {(1, 1, 1): 1}), "the 2-shadow has a tie"),
+    ],
+    ids=["width", "total", "crystal", "hollow"],
+)
+def test_crystal_verify_no_reasons(tmp_path, capsys, k, tensor, reason):
+    path = tmp_path / "t.st"
+    write_st(tensor, path)
+    code, stdout, err = invoke(capsys, "crystal", "verify", "--k", str(k), str(path))
+    assert (code, stdout, err) == (1, "NO\n", reason + "\n")
+
+
+def cycle_certificate(tmp_path, capsys):
+    """A level-4 certificate for the directed 3-cycle into K10, written by the CLI."""
+    c4 = tmp_path / "c4.st"
+    invoke(capsys, "crystal", "mine", "--k", "4", "-o", str(c4))
+    lifted = tmp_path / "c4q5.st"
+    invoke(capsys, "crystal", "crystalise", "--q", "5", str(c4), "-o", str(lifted))
+    cyc = write_graph(tmp_path / "cyc3.json", Digraph(3, frozenset({(1, 2), (2, 3), (3, 1)})))
+    cert = tmp_path / "cert4.json"
+    code, _, _ = invoke(capsys, "cert", "from-crystal", "--k", "4", str(lifted), cyc, "-o", str(cert))
+    assert code == 0
+    return cert
+
+
+def test_cert_linegraph_writes_the_lowered_certificate(tmp_path, capsys):
+    from crystalforge.certificate_desk import (
+        certificate_from_json,
+        certificate_to_json,
+        transform_certificate_line_digraph,
+    )
+
+    cert = cycle_certificate(tmp_path, capsys)
+    want = certificate_to_json(transform_certificate_line_digraph(certificate_from_json(cert.read_text())))
+    assert invoke(capsys, "cert", "linegraph", str(cert)) == (0, want, "")
+
+
+def test_cert_verify_general_template(tmp_path, capsys):
+    cert = cycle_certificate(tmp_path, capsys)
+    lowered = tmp_path / "cert2.json"
+    assert invoke(capsys, "cert", "linegraph", str(cert), "-o", str(lowered)) == (0, "", "")
+    assert '"clique"' not in lowered.read_text()
+    assert invoke(capsys, "cert", "verify", str(lowered)) == (0, "YES\n", "")
+
+
+def test_cert_push_hom_bad_map_is_a_format_error(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(k4_certificate_doc(tmp_path, capsys)))
+    fmap = tmp_path / "f.json"
+    fmap.write_text("[1, 2]")
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    assert invoke(capsys, "cert", "push-hom", str(cert), str(fmap), k4) == (
+        2,
+        "",
+        "error: bad homomorphism JSON (want an object of vertex pairs): "
+        "'list' object has no attribute 'items'\n",
+    )
+
+
+def test_output_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "k3.json"
+    assert invoke(capsys, "digraph", "clique", "--q", "3", "-o", str(target)) == (
+        2,
+        "",
+        f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n",
+    )

@@ -407,6 +407,32 @@ def test_simplex_tableau_is_the_reference_rref(case):
     assert (sx._tab, sx._basis, sx.inconsistent) == reference_rref(eqs, variables)
 
 
+
+def test_phase_one_drives_a_leftover_artificial_out():
+    # phase 1 ends at 0 with artificial column 7 still basic (at value 0);
+    # the drive-out must pivot it onto a real column
+    eqs = [
+        ({0: -1, 1: 1, 2: -1, 4: 1, 5: -1}, -3),
+        ({0: -1, 1: -2, 3: -2, 4: -2, 5: -1}, 0),
+    ]
+    n = 6
+    sx = rx._Simplex(eqs, range(n))
+    run, after_phase_one = sx._run, []
+
+    def spy(cost):
+        opt = run(cost)
+        after_phase_one.append(list(sx._basis))
+        return opt
+
+    sx._run = spy
+    assert sx.feasible() is True
+    assert after_phase_one == [[2, 7]]
+    assert all(b < n for b in sx._basis)
+    x = sx.solution()
+    assert all(v >= 0 for v in x.values())
+    for coeffs, rhs in eqs:
+        assert sum(c * x.get(j, 0) for j, c in coeffs.items()) == rhs
+
 # -- no recursion in presolve resolution -------------------------------------
 
 

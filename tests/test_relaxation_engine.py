@@ -134,6 +134,32 @@ def test_integer_feasible_basic():
     assert sol == {x: -7}
 
 
+
+@pytest.mark.parametrize(
+    "eqs, diagonal",
+    [
+        # invariant factor 3 does not divide its entry of U*rhs
+        ([({0: 2, 1: 4}, 2), ({0: 4, 1: 2}, 2)], [1, 3]),
+        # a zero invariant factor meets a nonzero entry of U*rhs
+        ([({0: 2, 1: 3}, 1), ({0: 4, 1: 6}, 4)], [1, 0]),
+    ],
+    ids=["divisibility", "zero-factor"],
+)
+def test_integer_feasible_rejects_in_the_smith_form(monkeypatch, eqs, diagonal):
+    import crystalforge.relaxation_engine as rx
+
+    seen = []
+
+    def spy(m):
+        U, D, V = smith_normal_form(m)
+        seen.append([D[i][i] for i in range(len(D))])
+        return U, D, V
+
+    monkeypatch.setattr(rx, "smith_normal_form", spy)
+    rows = [(tuple(sorted(c.items())), r) for c, r in eqs]
+    assert integer_feasible(rows) is None
+    assert seen == [diagonal]
+
 def test_integer_feasible_unconstrained_default_zero():
     x, y = V[0], V[1]
     sol = integer_feasible([(((x, 1),), 3)])

@@ -358,3 +358,27 @@ def test_json_external_st_files(tmp_path):
 def test_json_malformed():
     with pytest.raises(TensorError):
         system_from_json("{\"p\": 1}")
+
+
+@pytest.mark.parametrize("name", ["missing.st", "."], ids=["missing", "directory"])
+def test_json_unreadable_tensor_file_is_a_format_error(tmp_path, name):
+    import json
+
+    doc = {"p": 1, "widths": [2], "shadows": [{"axes": [1], "tensor": name}]}
+    with pytest.raises(TensorError, match="bad shadow-system JSON"):
+        system_from_json(json.dumps(doc), base_dir=str(tmp_path))
+
+
+def test_json_repeated_axes_is_a_format_error():
+    import json
+
+    doc = {
+        "p": 1,
+        "widths": [2],
+        "shadows": [
+            {"axes": [1], "tensor": "st 1\ndims 1\nwidths 2\nentries 1\n1 1\n"},
+            {"axes": [1], "tensor": "st 1\ndims 1\nwidths 2\nentries 1\n2 1\n"},
+        ],
+    }
+    with pytest.raises(TensorError, match=r"duplicate shadow for axes \(1,\)"):
+        system_from_json(json.dumps(doc))
