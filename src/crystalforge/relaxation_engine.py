@@ -20,9 +20,10 @@ the certificate edge systems all hand it their rows as they are.
 
 Three deciders share the infrastructure:
 
-* BLP: nonnegative rational feasibility (exact-rational simplex, phase 1,
-  Bland's anti-cycling rule; the tableau's own pivot brings the presolved
-  rows to reduced row-echelon form, the one Gauss-Jordan routine);
+* BLP: nonnegative rational feasibility (exact simplex, phase 1, Bland's
+  anti-cycling rule, on int rows over one positive denominator each; the
+  tableau's own pivot brings the presolved rows to reduced row-echelon
+  form, the one Gauss-Jordan routine);
 * AIP: integer feasibility (integer presolve, then a Smith normal form
   taken straight on the presolved integer rows, pivoting on the least
   nonzero entry; no rational row reduction);
@@ -31,7 +32,7 @@ Three deciders share the infrastructure:
   relative-interior support, found by maximizing variables one at a time).
 
 Everything is exact: the only number types are arbitrary-precision
-integers and rationals.
+integers and, for witness values and optima only, ``Fraction``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-try:  # gmpy2 is markedly faster; fall back to the stdlib when unavailable
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+_Q = Fraction  # the rational type of witnesses and optima
 
 from .digraph_lab import Digraph
 
@@ -496,7 +494,21 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
 
 
 class _Simplex:
-    """Equality-form simplex over exact rationals, on one dense tableau.
+    """Equality-form simplex over exact rationals, on one dense tableau of
+    Python ints.
+
+    The rows come in as int rows (the nonnegative presolve keeps its rows
+    integral), and row i stands for ``tab[i] / den[i]``, with one
+    denominator per row.  After every ``_pivot`` three invariants hold:
+    ``den[i] > 0``, ``gcd(den[i], *tab[i]) == 1``, and the entry of row i
+    in its basic column equals ``den[i]``.  So each row is the rational
+    tableau's row in lowest terms over a positive denominator, and every
+    test the pivot rules make has the outcome it has in rational
+    arithmetic: the sign of an entry or reduced cost is the sign of its
+    numerator, and the ratio test compares rhs_i / a_ik by
+    cross-multiplying (the row denominator cancels).  The pivots, optima
+    and witnesses are therefore those of the same simplex on ``Fraction``
+    entries; ``solution()`` and the optima come back as ``_Q`` values.
 
     ``__init__`` lays the rows out once (the columns of ``variables``, then
     the rhs) and row-reduces them with ``_pivot`` itself, one row at a
@@ -525,11 +537,12 @@ class _Simplex:
         self.inconsistent = False
         self._tab = tab = []
         for coeffs, rhs in eqs:
-            row = [_Q(0)] * (n + 1)
+            row = [0] * (n + 1)
             for v, c in coeffs.items():
-                row[self.col[v]] = _Q(c)
-            row[n] = _Q(rhs)
+                row[self.col[v]] = c
+            row[n] = rhs
             tab.append(row)
+        self._den = den = [1] * len(tab)
         self._basis = [None] * len(tab)
         i = 0
         while i < len(tab):
@@ -540,33 +553,35 @@ class _Simplex:
             elif tab[i][n]:
                 self.inconsistent = True
                 tab.clear()
+                den.clear()
                 self._basis.clear()
             else:
                 del tab[i]
+                del den[i]
                 del self._basis[i]
 
     def feasible(self) -> bool:
         if self.inconsistent:
             return False
-        tab, basis, n = self._tab, self._basis, self.n
+        tab, den, basis, n = self._tab, self._den, self._basis, self.n
         m = len(tab)
         # phase 1: one artificial column per row with negative rhs
         self._ncols = ncols = n + m
         art = set()
         for i, row in enumerate(tab):
             rhs = row.pop()
-            extra = [_Q(0)] * m
+            extra = [0] * m
             if rhs < 0:
                 row[:] = [-c for c in row]
                 rhs = -rhs
-                extra[i] = _Q(1)
+                extra[i] = den[i]
                 basis[i] = n + i
                 art.add(n + i)
             row += extra + [rhs]
         if art:
-            cost = [_Q(0)] * ncols
+            cost = [0] * ncols
             for j in art:
-                cost[j] = _Q(-1)
+                cost[j] = -1
             opt = self._run(cost)
             if opt is None or opt < 0:
                 return False
@@ -574,60 +589,80 @@ class _Simplex:
         for i in range(len(tab) - 1, -1, -1):
             if basis[i] in art:
                 self._pivot(i, next(j for j in range(n) if tab[i][j]))
-        for row in tab:
+        for i, row in enumerate(tab):
             del row[n : n + m]
+            den[i] = _lowest_terms(row, den[i])
         self._ncols = n
         return True
 
     def _pivot(self, i, j):
-        tab = self._tab
+        """Make row i's entry in column j its denominator and clear column j
+        from every other row: a row r with f = r[j] != 0 becomes
+        p*r - f*row_i over den*p, in lowest terms, where p is the new pivot
+        entry.  Rows with a zero in column j are not touched."""
+        tab, den = self._tab, self._den
         row = tab[i]
+        g = math.gcd(*row)
+        if row[j] < 0:
+            g = -g
+        if g != 1:
+            row[:] = [c // g for c in row]
+        p = den[i] = row[j]
         nz = [jj for jj, c in enumerate(row) if c]
-        p = row[j]
-        if p != 1:
-            inv = 1 / p
-            for jj in nz:
-                row[jj] *= inv
         for ii, r2 in enumerate(tab):
-            if ii != i and r2[j]:
-                f = r2[j]
+            f = r2[j]
+            if f and ii != i:
+                if p != 1:
+                    r2[:] = [p * c for c in r2]
                 for jj in nz:
                     r2[jj] -= f * row[jj]
+                d = den[ii] * p
+                if d != 1:
+                    den[ii] = _lowest_terms(r2, d, nz)
         self._basis[i] = j
 
     def _run(self, cost) -> Optional[object]:
         """Maximize cost^T x from the current feasible basis (Bland's rule).
 
         Returns the optimum, or None when unbounded.  The reduced costs
-        cost[j] - sum_i cost[basis[i]] * tab[i][j] are computed once, with
-        the negated objective value in the rhs slot, and the row rides at
-        the bottom of the tableau while the loop runs, so ``_pivot`` keeps
-        it current.
+        cost[j] - sum_i cost[basis[i]] * tab[i][j] / den[i] are computed
+        once, over the lcm of the denominators they use, with the negated
+        objective value in the rhs slot.  The row rides at the bottom of the
+        tableau, with its denominator at the bottom of ``den``, while the
+        loop runs, so ``_pivot`` keeps it current.
         """
-        tab, basis, ncols = self._tab, self._basis, self._ncols
-        obj = list(cost) + [_Q(0)]
-        for i, b in enumerate(basis):
-            cb = cost[b]
-            if cb:
-                for jj, c in enumerate(tab[i]):
-                    if c:
-                        obj[jj] -= cb * c
+        tab, den, basis, ncols = self._tab, self._den, self._basis, self._ncols
+        used = [(cost[b], i) for i, b in enumerate(basis) if cost[b]]
+        d = math.lcm(*(den[i] for _, i in used))
+        obj = [d * c for c in cost] + [0]
+        for cb, i in used:
+            f = cb * (d // den[i])
+            for jj, c in enumerate(tab[i]):
+                if c:
+                    obj[jj] -= f * c
         in_basis = set(basis)
         m = len(tab)
         tab.append(obj)
+        den.append(_lowest_terms(obj, d))
         try:
             while True:
                 enter = next((j for j in range(ncols) if obj[j] > 0 and j not in in_basis), None)
                 if enter is None:
-                    return -obj[-1]
+                    return _Q(-obj[-1], den[m])
+                # min ratio rhs_i / a_i over a_i > 0, ties to the least
+                # basic column; with both a positive, the sign of
+                # rhs_i / a_i - rhs_l / a_l is that of rhs_i * a_l - rhs_l * a_i
                 leave = None
-                best = None
                 for i in range(m):
                     a = tab[i][enter]
                     if a > 0:
-                        ratio = tab[i][-1] / a
-                        if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                            best, leave = ratio, i
+                        rhs = tab[i][-1]
+                        if leave is None:
+                            leave, best_a, best_rhs = i, a, rhs
+                            continue
+                        diff = rhs * best_a - best_rhs * a
+                        if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                            leave, best_a, best_rhs = i, a, rhs
                 if leave is None:
                     return None  # unbounded
                 in_basis.discard(basis[leave])
@@ -635,6 +670,7 @@ class _Simplex:
                 self._pivot(leave, enter)
         finally:
             tab.pop()
+            den.pop()
 
     def maximize(self, var) -> Optional[object]:
         """Maximize a single variable from the current feasible state.
@@ -642,16 +678,32 @@ class _Simplex:
         Must be called after ``feasible()`` returned True.  Returns None
         when unbounded above.
         """
-        cost = [_Q(0)] * self._ncols
-        cost[self.col[var]] = _Q(1)
+        cost = [0] * self._ncols
+        cost[self.col[var]] = 1
         return self._run(cost)
 
     def solution(self) -> dict:
         out = {}
         for i, b in enumerate(self._basis):
             if b < self.n:
-                out[self.vars[b]] = self._tab[i][-1]
+                out[self.vars[b]] = _Q(self._tab[i][-1], self._den[i])
         return out
+
+
+def _lowest_terms(row: list, d: int, first=()) -> int:
+    """Divide the int row over denominator d > 0 by gcd(d, *row), in place;
+    return the new denominator.  The entries at the indices ``first`` are
+    tried first: the gcd is usually 1 after a few of them, and then the
+    rest of the row is not read."""
+    g = d
+    for jj in first:
+        g = math.gcd(g, row[jj])
+        if g == 1:
+            return d
+    g = math.gcd(g, *row)
+    if g != 1:
+        row[:] = [c // g for c in row]
+    return d // g
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +852,6 @@ def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _fraction(val) -> Fraction:
-    """An ``int``, ``Fraction`` or gmpy2 ``mpq`` as a ``Fraction``."""
-    return Fraction(int(val.numerator), int(val.denominator))
-
-
 def _lp_pass(sys: LinearSystem):
     """Nonnegative presolve and simplex phase 1, with a checked witness.
 
@@ -823,8 +870,8 @@ def _lp_pass(sys: LinearSystem):
         return None
     full = red.resolve(sx.solution())
     out = {j: full.get(j, 0) for j in sys.live_columns()}
-    den = math.lcm(*(int(val.denominator) for val in out.values()))
-    num = {j: int(val.numerator) * (den // int(val.denominator)) for j, val in out.items()}
+    den = math.lcm(*(val.denominator for val in out.values()))
+    num = {j: val.numerator * (den // val.denominator) for j, val in out.items()}
     for items, rhs in sys.equations:
         if sum(c * num[j] for j, c in items) != rhs * den:
             raise AssertionError("rational witness failed re-substitution")
@@ -839,7 +886,7 @@ def lp_feasible(sys: LinearSystem) -> Optional[dict]:
     lp = _lp_pass(sys)
     if lp is None:
         return None
-    return {sys.variables[j]: _fraction(val) for j, val in lp[0].items()}
+    return {sys.variables[j]: _Q(val) for j, val in lp[0].items()}
 
 
 def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:

@@ -109,26 +109,31 @@ def keyed_ip_system(x_graph: Digraph, a_graph: Digraph, k: int):
 
 
 def reference_run(self, cost):
-    """``_Simplex._run`` recomputing every reduced cost on every iteration."""
-    tab, basis, ncols = self._tab, self._basis, self._ncols
+    """``_Simplex._run`` recomputing every reduced cost on every iteration,
+    reading tableau entry (i, j) as the rational ``tab[i][j] / den[i]``."""
+    tab, den, basis, ncols = self._tab, self._den, self._basis, self._ncols
+
+    def entry(i, j):
+        return Fraction(tab[i][j], den[i])
+
     while True:
         cb = [cost[b] for b in basis]
         enter = None
         for j in range(ncols):
             if j in basis:
                 continue
-            red = cost[j] - sum(cb[i] * tab[i][j] for i in range(len(tab)) if tab[i][j])
+            red = cost[j] - sum(cb[i] * entry(i, j) for i in range(len(tab)) if tab[i][j])
             if red > 0:
                 enter = j
                 break
         if enter is None:
-            return sum(cb[i] * tab[i][-1] for i in range(len(tab)))
+            return sum(cb[i] * entry(i, -1) for i in range(len(tab)))
         leave = None
         best = None
         for i in range(len(tab)):
-            a = tab[i][enter]
+            a = entry(i, enter)
             if a > 0:
-                ratio = tab[i][-1] / a
+                ratio = entry(i, -1) / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
         if leave is None:

@@ -7,11 +7,13 @@ to positive scaling, so the tableau and the witnesses do not change.  The
 simplex (phase 1, sparse pivots) is checked against sympy's exact
 ``linprog``.  ``reference_rref`` is the separate Gauss-Jordan routine that
 built the reduced row-echelon form before the tableau's own pivot did; the
-tableau ``_Simplex`` lays out must be its result.  Witnesses are resolved
-through substitution chains longer than the recursion limit.
+tableau ``_Simplex`` lays out, read row by row as ``tab[i] / den[i]``, must
+be its result.  Witnesses are resolved through substitution chains longer
+than the recursion limit.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -174,11 +176,25 @@ def reference_reduce(equations) -> ReferenceReduced:
     return red
 
 
+def cleared(row):
+    """A rational row (coefficient dict, rhs) times the lcm of its
+    denominators: the positive integer multiple the simplex reads."""
+    coeffs, rhs = row
+    d = math.lcm(*(Fraction(c).denominator for c in (rhs, *coeffs.values())))
+    return {v: int(c * d) for v, c in coeffs.items()}, int(rhs * d)
+
+
 def with_reference_presolve(fn, sys):
+    """fn(sys) with ``reference_reduce`` as the nonnegative presolve; its
+    rows reach the simplex cleared of denominators."""
     real = rx._reduce
 
     def patched(equations, nonneg):
-        return reference_reduce(equations) if nonneg else real(equations, nonneg)
+        if not nonneg:
+            return real(equations, nonneg)
+        ref = reference_reduce(equations)
+        ref.eqs = [cleared(row) for row in ref.eqs]
+        return ref
 
     with mock.patch.object(rx, "_reduce", patched):
         return fn(sys)
@@ -404,7 +420,8 @@ def presolved_level_k_rows(draw):
 def test_simplex_tableau_is_the_reference_rref(case):
     eqs, variables = case
     sx = rx._Simplex(eqs, variables)
-    assert (sx._tab, sx._basis, sx.inconsistent) == reference_rref(eqs, variables)
+    rows = [[Fraction(c, d) for c in row] for row, d in zip(sx._tab, sx._den)]
+    assert (rows, sx._basis, sx.inconsistent) == reference_rref(eqs, variables)
 
 
 
