@@ -78,24 +78,11 @@ def _load_certificate(path: str) -> cd.ZaffCertificate:
 
 
 def _cmd_crystal_verify(args):
-    """Check the miner's contract: a hollow affine (k-1)-crystal of
-    dimension k and width (k^2+k)/2."""
-    k = args.k
-    if k < 1:
-        raise _CliError(f"--k must be >= 1, got {k}")
-    c = _load_tensor(args.tensor)
-    if not c.is_cubical() or c.dim != k:
-        return False, f"expected a cubical tensor of dimension {k}, got shape {c.shape}"
-    if c.shape[0] != (k * k + k) // 2:
-        return False, f"expected width {(k * k + k) // 2}, got {c.shape[0]}"
-    if not tc.is_affine(c):
-        return False, f"entries sum to {tc.total(c)}, not 1"
-    rep = cm.is_crystal(c, k - 1)
-    if not rep.is_crystal:
-        return False, f"not a {k - 1}-crystal; projections differ at {rep.failing_pair}"
-    if not tc.is_hollow(rep.shadow):
-        return False, f"the {k - 1}-shadow has a tie"
-    return True, None
+    """Check the miner's contract (``crystal_mill.hollow_crystal_fault``)."""
+    if args.k < 1:
+        raise _CliError(f"--k must be >= 1, got {args.k}")
+    fault = cm.hollow_crystal_fault(_load_tensor(args.tensor), args.k)
+    return fault is None, fault
 
 
 def _cmd_shadows_check(args):

@@ -165,11 +165,22 @@ def check_homomorphism(x: Digraph, a: Digraph, f: dict[int, int]) -> bool:
     )
 
 
+# beyond this exponent the next a-iterate is too large to even materialize
+_MAX_EXP = 10 ** 7
+
+
 def iterate_a(p: int, i: int) -> int:
-    """i-fold iteration of a(p) = 2^p (i = 0 returns p)."""
+    """i-fold iteration of a(p) = 2^p (i = 0 returns p).
+
+    Refuses (InvalidParams) before an exponent above 10^7 is raised."""
     if p < 1 or i < 0:
         raise InvalidParams("need p >= 1 and i >= 0")
+    start = p
     for _ in range(i):
+        if p > _MAX_EXP:
+            raise InvalidParams(
+                f"a^({i})({start}) exceeds representable size (tower of height {i})"
+            )
         p = 2 ** p
     return p
 
@@ -190,10 +201,6 @@ class ChromaticParams:
     q: Optional[int]  # exact value when it fits in 64 bits, else None
     b_iterates: tuple[int, ...]
     thresholds: tuple[int, ...]
-
-
-# beyond this exponent the next a-iterate is too large to even materialize
-_MAX_EXP = 10 ** 7
 
 
 def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
@@ -217,17 +224,7 @@ def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
         thresholds.append(k * k * 4 ** i)
         if b_val >= thresholds[-1]:
             break
-    a_val: Optional[int] = d
-    for _ in range(i):
-        if a_val is None or a_val > _MAX_EXP:
-            a_val = None
-        else:
-            a_val = 2 ** a_val
-    if a_val is None:
-        raise InvalidParams(
-            f"q = a^({i})({d}) + 1 exceeds representable size (tower of height {i})"
-        )
-    q = a_val + 1
+    q = iterate_a(d, i) + 1
     return ChromaticParams(
         i=i,
         q_bits=q.bit_length(),

@@ -65,6 +65,15 @@ def test_crystal_mine_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("k", ["10", "1000"])
+def test_crystal_mine_over_the_size_budget_is_a_usage_error(capsys, k):
+    start = time.perf_counter()
+    code, stdout, err = invoke(capsys, "crystal", "mine", "--k", k)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: k = {k} is over the size budget k <= 9")
+    assert time.perf_counter() - start < 0.5
+
+
 # -- shadows ----------------------------------------------------------------
 
 
@@ -332,6 +341,13 @@ def test_fool_params(capsys):
     assert stdout == (
         "i 3\nq_bits 65537\nq -\nb_iterates 6 20 184756\nthresholds 16 64 256\n"
     )
+
+
+def test_fool_params_tower_too_tall_is_a_usage_error(capsys):
+    # k = 215 forces i = 4, and a^(4)(4) = 2^(2^65536) cannot be built
+    code, stdout, err = invoke(capsys, "fool", "params", "--c", "4", "--d", "4", "--k", "215")
+    assert (code, stdout) == (2, "")
+    assert err == "error: a^(4)(4) exceeds representable size (tower of height 4)\n"
 
 
 # -- plumbing ---------------------------------------------------------------

@@ -1,12 +1,16 @@
+import functools
 import itertools
+import math
 import random
 import sys
+import time
 
 import pytest
 
 from crystalforge.tensor_core import (
     IntTensor,
     add,
+    dumps_st,
     is_affine,
     is_hollow,
     project,
@@ -168,6 +172,61 @@ def test_pad_keeps_entries():
 # -- the miner --------------------------------------------------------------
 
 
+def recursive_miner(k):
+    """The recursive construction the closed form replaced, kept as the
+    oracle: crystallise H_{k-1} one dimension up, pad with k zero layers,
+    then subtract one quartz per support cell, anchored at the fresh
+    coordinates (n̂+1, ..., n), to relocate every tie into the padding."""
+    if k < 1:
+        raise BadDimension("k must be >= 1")
+    if k == 1:
+        return IntTensor._raw((1,), {(1,): 1})
+    u = recursive_miner(k - 1)
+    v = crystalise(u, k)
+    n_hat = (k * k - k) // 2
+    n = (k * k + k) // 2
+    w = pad(v, k)
+    y = tuple(range(n_hat + 1, n + 1))
+    acc = dict(w.entries)
+    for d, coeff in w.entries.items():
+        # valid since d lives in [n̂]^k and y in (n̂, n]^k
+        for idx, sgn in quartz(n, d, y).entries.items():
+            s = acc.get(idx, 0) - coeff * sgn
+            if s:
+                acc[idx] = s
+            else:
+                acc.pop(idx, None)
+    return IntTensor._raw((n,) * k, acc)
+
+
+@functools.lru_cache(maxsize=None)
+def mined(k):
+    return mine_hollow_crystal(k)
+
+
+def ordered_bell(k):
+    """a(k), the number of ordered set partitions of [k]."""
+    a = [1]
+    for m in range(1, k + 1):
+        a.append(sum(math.comb(m, i) * a[m - i] for i in range(1, m + 1)))
+    return a[k]
+
+
+def level(v):
+    """The level c of coordinate v: c(c-1)/2 < v <= c(c+1)/2."""
+    c = 1
+    while c * (c + 1) // 2 < v:
+        c += 1
+    return c
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_mine_matches_the_recursive_oracle(k):
+    # compared as lines: a failure then names the first differing line
+    # instead of diffing two long strings
+    assert dumps_st(mined(k)).splitlines() == dumps_st(recursive_miner(k)).splitlines()
+
+
 def test_mine_base_case():
     c = mine_hollow_crystal(1)
     assert c.shape == (1,) and c.entries == {(1,): 1}
@@ -191,9 +250,65 @@ def test_mine_invariants():
         assert is_hollow(rep.shadow)
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_mine_support_is_the_ordered_bell_number_with_one_more_plus(k):
+    h = mined(k)
+    assert len(h.entries) == ordered_bell(k)
+    assert sum(1 for v in h.entries.values() if v == 1) == (ordered_bell(k) + 1) // 2
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_mine_sign_counts_the_levels_of_the_index(k):
+    for idx, v in mined(k).entries.items():
+        assert v == (-1) ** (k - len({level(x) for x in idx}))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_increasing_projection_is_the_smaller_hollow_crystal(k):
+    n = (k * k + k) // 2
+    for j in range(k):
+        want = pad(mined(j), n - (j * j + j) // 2) if j else IntTensor((), {(): 1})
+        for sel in increasing_tuples(k, j):
+            assert project(mined(k), sel) == want, (k, sel)
+
+
 def test_mine_rejects_bad_k():
     with pytest.raises(BadDimension):
         mine_hollow_crystal(0)
+
+
+@pytest.mark.parametrize("k", [10, 1000])
+def test_mine_refuses_k_above_9_before_any_work(k):
+    start = time.perf_counter()
+    with pytest.raises(BadDimension, match="102,247,563"):
+        mine_hollow_crystal(k)
+    assert time.perf_counter() - start < 0.5
+
+
+def deepest_stack(f, *args):
+    """The most Python frames ``f(*args)`` has active at once."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+def test_mine_stack_depth_does_not_grow_with_k():
+    assert deepest_stack(mine_hollow_crystal, 6) == deepest_stack(mine_hollow_crystal, 2)
+    # the measure tells: the recursive oracle goes deeper as k grows
+    assert deepest_stack(recursive_miner, 4) > deepest_stack(recursive_miner, 2)
 
 
 def test_shadowed_miner():
