@@ -67,11 +67,9 @@ def test_crystal_mine_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("k", ["10", "1000"])
 def test_crystal_mine_over_the_size_budget_is_a_usage_error(capsys, k):
-    start = time.perf_counter()
     code, stdout, err = invoke(capsys, "crystal", "mine", "--k", k)
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: k = {k} is over the size budget k <= 9")
-    assert time.perf_counter() - start < 0.5
 
 
 # -- shadows ----------------------------------------------------------------

@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import sys
-import time
 
 import pytest
 
@@ -18,8 +17,10 @@ from crystalforge.tensor_core import (
     support,
     total,
 )
+import crystalforge.crystal_mill as cm
 from crystalforge.crystal_mill import (
     BadDimension,
+    CrystalReport,
     CoordinateClash,
     NotACrystal,
     NotCubical,
@@ -32,6 +33,7 @@ from crystalforge.crystal_mill import (
     shadow,
 )
 from crystalforge.shadow_realiser import increasing_tuples
+from recursive_miner import recursive_miner
 
 
 def dense(shape, rows):
@@ -172,33 +174,6 @@ def test_pad_keeps_entries():
 # -- the miner --------------------------------------------------------------
 
 
-def recursive_miner(k):
-    """The recursive construction the closed form replaced, kept as the
-    oracle: crystallise H_{k-1} one dimension up, pad with k zero layers,
-    then subtract one quartz per support cell, anchored at the fresh
-    coordinates (n̂+1, ..., n), to relocate every tie into the padding."""
-    if k < 1:
-        raise BadDimension("k must be >= 1")
-    if k == 1:
-        return IntTensor._raw((1,), {(1,): 1})
-    u = recursive_miner(k - 1)
-    v = crystalise(u, k)
-    n_hat = (k * k - k) // 2
-    n = (k * k + k) // 2
-    w = pad(v, k)
-    y = tuple(range(n_hat + 1, n + 1))
-    acc = dict(w.entries)
-    for d, coeff in w.entries.items():
-        # valid since d lives in [n̂]^k and y in (n̂, n]^k
-        for idx, sgn in quartz(n, d, y).entries.items():
-            s = acc.get(idx, 0) - coeff * sgn
-            if s:
-                acc[idx] = s
-            else:
-                acc.pop(idx, None)
-    return IntTensor._raw((n,) * k, acc)
-
-
 @functools.lru_cache(maxsize=None)
 def mined(k):
     return mine_hollow_crystal(k)
@@ -278,11 +253,24 @@ def test_mine_rejects_bad_k():
 
 
 @pytest.mark.parametrize("k", [10, 1000])
-def test_mine_refuses_k_above_9_before_any_work(k):
-    start = time.perf_counter()
+def test_mine_refuses_k_above_9(k):
     with pytest.raises(BadDimension, match="102,247,563"):
         mine_hollow_crystal(k)
-    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "name, fake, reason",
+    [
+        ("total", lambda c: 2, "entries sum to 2, not 1"),
+        ("is_crystal", lambda c, k: CrystalReport(False, k, None, ((1,), (2,))), "not a 2-crystal"),
+        ("is_hollow", lambda t: False, "the 2-shadow has a tie"),
+    ],
+    ids=["total", "is_crystal", "is_hollow"],
+)
+def test_mine_checks_its_result_before_returning_it(monkeypatch, name, fake, reason):
+    monkeypatch.setattr(cm, name, fake)
+    with pytest.raises(AssertionError, match=reason):
+        mine_hollow_crystal(3)
 
 
 def deepest_stack(f, *args):

@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 
@@ -165,10 +164,8 @@ def test_iterates():
 def test_iterate_a_refuses_a_tower_it_cannot_build():
     # a^(3)(4) = 2^65536 is the last iterate; the next exponent is too large
     assert iterate_a(4, 3) == 2 ** 65536
-    start = time.perf_counter()
     with pytest.raises(InvalidParams, match="tower of height 4"):
         iterate_a(4, 4)
-    assert time.perf_counter() - start < 0.5
 
 
 def test_fooling_parameters_known_instance():

@@ -20,6 +20,7 @@ from crystalforge.shadow_realiser import (
     system_to_json,
     verify_realisation,
 )
+from recursive_miner import recursive_miner
 
 
 def system_of(c, p):
@@ -297,9 +298,19 @@ def test_closed_form_realises_every_p(data):
 
 
 def test_miner_output_is_the_same_under_either_realiser(monkeypatch):
+    # the recursive construction realises constant systems through
+    # crystalise; with the reference realiser in its place it must still
+    # give the closed form byte for byte
     closed = [dumps_st(cm.mine_hollow_crystal(k)) for k in range(1, 6)]
-    monkeypatch.setattr(cm, "_realise", lambda sys: reference_realise(sys.p, sys.shape, sys.shadows))
-    assert [dumps_st(cm.mine_hollow_crystal(k)) for k in range(1, 6)] == closed
+    calls = []
+
+    def reference(sys):
+        calls.append(sys.p)
+        return reference_realise(sys.p, sys.shape, sys.shadows)
+
+    monkeypatch.setattr(cm, "_realise", reference)
+    assert [dumps_st(recursive_miner(k)) for k in range(1, 6)] == closed
+    assert sorted(set(calls)) == [1, 2, 3, 4]
 
 
 def test_certificate_zeta_is_the_same_from_either_realisation():
