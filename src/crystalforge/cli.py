@@ -86,7 +86,7 @@ def _cmd_crystal_verify(args):
 
 
 def _cmd_shadows_check(args):
-    ok, quad = sr.is_realistic(_load_system(args.system), witness=True)
+    ok, quad = sr.is_realistic(_load_system(args.system))
     return ok, f"compatibility fails at (i, j, r, s) = {quad}"
 
 

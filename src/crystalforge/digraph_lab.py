@@ -86,7 +86,9 @@ def homomorphism_exists(x: Digraph, a: Digraph) -> Optional[dict[int, int]]:
     """Backtracking edge-preserving map search; None when exhausted.
 
     Vertices are assigned in order of decreasing out-degree; forward
-    checking prunes candidate sets of the unassigned vertices.
+    checking prunes candidate sets of the unassigned vertices, so a
+    frame's candidates, read once every earlier vertex is assigned, all
+    fit its assigned neighbours (and its loop, by the initial domains).
     """
     n = x.vertex_count
     out_deg = [0] * (n + 1)
@@ -119,14 +121,9 @@ def homomorphism_exists(x: Digraph, a: Digraph) -> Optional[dict[int, int]]:
     def admit(pos: int, v: int, c: int, trimmed: list) -> bool:
         """Forward-check c as the image of v, recording in ``trimmed`` the
         domains it narrows; on failure those are restored."""
-        for neighbours, lookup, forward in ((succ[v], out_ok, True), (pred[v], in_ok, False)):
+        for neighbours, lookup in ((succ[v], out_ok), (pred[v], in_ok)):
             for w in neighbours:
-                if w in assignment:
-                    e = (c, assignment[w]) if forward else (assignment[w], c)
-                    if e not in a_edges:
-                        undo(trimmed)
-                        return False
-                elif rank[w] > pos:
+                if rank[w] > pos:
                     allowed = domains[w] & set(lookup[c])
                     if not allowed:
                         undo(trimmed)
@@ -137,13 +134,13 @@ def homomorphism_exists(x: Digraph, a: Digraph) -> Optional[dict[int, int]]:
         return True
 
     # one frame per placed vertex: its remaining candidates and the domains
-    # its current candidate trimmed; no recursion, however long the order
+    # its current candidate trimmed; no recursion, however long the order.
+    # A stale ``assignment`` entry is overwritten before it is returned.
     stack = [(iter(sorted(domains[order[0]])), [])]
     while stack:
         pos = len(stack) - 1
         v = order[pos]
         candidates, trimmed = stack[-1]
-        assignment.pop(v, None)
         undo(trimmed)
         c = next((c for c in candidates if admit(pos, v, c, trimmed)), None)
         if c is None:
@@ -185,11 +182,23 @@ def iterate_a(p: int, i: int) -> int:
     return p
 
 
+# b(p) < 2^p, so b of an argument up to this bound has at most 4,215
+# decimal digits, under the 4,300 that Python converts to a string
+_MAX_B_ARG = 14_000
+
+
 def iterate_b(p: int, i: int) -> int:
-    """i-fold iteration of b(p) = binom(p, floor(p/2)) (i = 0 returns p)."""
+    """i-fold iteration of b(p) = binom(p, floor(p/2)) (i = 0 returns p).
+
+    Refuses (InvalidParams) before b is taken of an argument above 14,000."""
     if p < 1 or i < 0:
         raise InvalidParams("need p >= 1 and i >= 0")
+    start = p
     for _ in range(i):
+        if p > _MAX_B_ARG:
+            raise InvalidParams(
+                f"b^({i})({start}) exceeds representable size (b of {p} > {_MAX_B_ARG})"
+            )
         p = math.comb(p, p // 2)
     return p
 
@@ -216,15 +225,13 @@ def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
     b_iterates = []
     thresholds = []
     b_val = c
-    i = 0
-    while True:
-        i += 1
-        b_val = math.comb(b_val, b_val // 2)
+    while not thresholds or b_val < thresholds[-1]:
+        i = len(thresholds) + 1
+        # the tower a^(i)(d) is refused before the i-th b-iterate is built
+        q = iterate_a(d, i) + 1
+        b_val = iterate_b(b_val, 1)
         b_iterates.append(b_val)
         thresholds.append(k * k * 4 ** i)
-        if b_val >= thresholds[-1]:
-            break
-    q = iterate_a(d, i) + 1
     return ChromaticParams(
         i=i,
         q_bits=q.bit_length(),

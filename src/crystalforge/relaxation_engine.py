@@ -116,9 +116,9 @@ def _rank(t: tuple, base: int) -> int:
 
 
 def _canon(coeffs: dict, rhs: int):
+    """Sort a row and make its lead positive.  The row is never empty:
+    ``emit`` drops 0 = 0, and with m >= 1 every normalization row has a term."""
     items = tuple(sorted(coeffs.items()))
-    if not items:
-        return (items, rhs)
     if items[0][1] < 0:
         items = tuple((v, -c) for v, c in items)
         rhs = -rhs
@@ -297,6 +297,14 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
 # from them and the witnesses are those of rational elimination.  In nonneg
 # mode a row is divided by the gcd of its coefficients and rhs after each
 # elimination; in integer mode c is a unit and rows never grow.
+#
+# The loop relies on these without checking them: a live row's id is in
+# ``occ[v]`` exactly when v is in the row (each coefficient set or cleared
+# updates ``occ``); rows are deleted only right after being popped and only
+# live rows are queued; a changed row is queued again, so every row left
+# has >= 2 columns.  Nonneg mode needs no one-column rule: its sign rules
+# refute c*v = rhs with rhs*c < 0, zero v at rhs = 0, and otherwise
+# substitute (c, rhs, {}).
 # ---------------------------------------------------------------------------
 
 
@@ -309,6 +317,7 @@ class _Reduced:
     (neither; read as 0).  So one pass over ``subs`` in reverse elimination
     order reads only settled columns, and neither ``resolve`` nor
     ``support_status`` recurses, however long a substitution chain is.
+    Every row in ``eqs`` has at least two columns.
     """
 
     __slots__ = ("infeasible", "eqs", "subs", "live")
@@ -366,9 +375,7 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
             if eid not in eqs:
                 continue
             coeffs, erhs = eqs[eid]
-            d = coeffs.pop(v, None)
-            if d is None:
-                continue
+            d = coeffs.pop(v)
             if c < 0:
                 d = -d
             if scale != 1:
@@ -398,8 +405,6 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
     while work:
         eid = work.pop()
         in_work.discard(eid)
-        if eid not in eqs:
-            continue
         coeffs, rhs = eqs[eid]
         if not coeffs:
             if rhs != 0:
@@ -407,16 +412,13 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
                 return red
             del eqs[eid]
             continue
-        if len(coeffs) == 1:
+        if len(coeffs) == 1 and not nonneg:
             (v, c), = coeffs.items()
-            if (rhs * c < 0) if nonneg else (rhs % c):
+            if rhs % c:
                 red.infeasible = True
                 return red
             del eqs[eid]
-            if nonneg:
-                substitute(v, c, rhs, {})
-            else:
-                substitute(v, 1, rhs // c, {})
+            substitute(v, 1, rhs // c, {})
             continue
         if nonneg:
             npos = sum(1 for c in coeffs.values() if c > 0)
@@ -459,11 +461,6 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
     seen = set()
     final = []
     for coeffs, rhs in eqs.values():
-        if not coeffs:
-            if rhs != 0:
-                red.infeasible = True
-                return red
-            continue
         g = math.gcd(*coeffs.values())
         if not nonneg:
             if rhs % g:
@@ -527,7 +524,11 @@ class _Simplex:
     operations, so the real part of the tableau keeps full row rank and no
     row is zero there.  After it succeeds, ``maximize`` can be called
     repeatedly with different objective columns (warm starts from the
-    current feasible basis).
+    current feasible basis).  Every basic column has a reduced cost of
+    exactly 0 (its row holds the row denominator there, every other row
+    0), so ``_run`` never enters one; phase 1 maximizes minus the sum of
+    the artificials, at most 0, so it is never unbounded; and after
+    ``feasible()`` no artificial column is basic.
     """
 
     def __init__(self, eqs, variables):
@@ -582,8 +583,7 @@ class _Simplex:
             cost = [0] * ncols
             for j in art:
                 cost[j] = -1
-            opt = self._run(cost)
-            if opt is None or opt < 0:
+            if self._run(cost) < 0:
                 return False
         # drive leftover artificials out of the basis
         for i in range(len(tab) - 1, -1, -1):
@@ -629,7 +629,7 @@ class _Simplex:
         once, over the lcm of the denominators they use, with the negated
         objective value in the rhs slot.  The row rides at the bottom of the
         tableau, with its denominator at the bottom of ``den``, while the
-        loop runs, so ``_pivot`` keeps it current.
+        loop runs, so ``_pivot`` keeps it current, 0 in every basic column.
         """
         tab, den, basis, ncols = self._tab, self._den, self._basis, self._ncols
         used = [(cost[b], i) for i, b in enumerate(basis) if cost[b]]
@@ -640,13 +640,12 @@ class _Simplex:
             for jj, c in enumerate(tab[i]):
                 if c:
                     obj[jj] -= f * c
-        in_basis = set(basis)
         m = len(tab)
         tab.append(obj)
         den.append(_lowest_terms(obj, d))
         try:
             while True:
-                enter = next((j for j in range(ncols) if obj[j] > 0 and j not in in_basis), None)
+                enter = next((j for j in range(ncols) if obj[j] > 0), None)
                 if enter is None:
                     return _Q(-obj[-1], den[m])
                 # min ratio rhs_i / a_i over a_i > 0, ties to the least
@@ -665,8 +664,6 @@ class _Simplex:
                             leave, best_a, best_rhs = i, a, rhs
                 if leave is None:
                     return None  # unbounded
-                in_basis.discard(basis[leave])
-                in_basis.add(enter)
                 self._pivot(leave, enter)
         finally:
             tab.pop()
@@ -685,8 +682,7 @@ class _Simplex:
     def solution(self) -> dict:
         out = {}
         for i, b in enumerate(self._basis):
-            if b < self.n:
-                out[self.vars[b]] = _Q(self._tab[i][-1], self._den[i])
+            out[self.vars[b]] = _Q(self._tab[i][-1], self._den[i])
         return out
 
 

@@ -41,7 +41,7 @@ import json
 import os
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .tensor_core import (
     Index,
@@ -113,7 +113,7 @@ def constant_system(s: IntTensor, q: int) -> ShadowSystem:
     return ShadowSystem(p, (width,) * q, {i: s for i in increasing_tuples(q, p)})
 
 
-def is_realistic(sys: ShadowSystem, witness: bool = False):
+def is_realistic(sys: ShadowSystem) -> tuple[bool, Optional[tuple]]:
     """Check all pairwise compatibility equations.
 
     Shadows i and j must agree on every common (p-1)-tuple of modes:
@@ -122,9 +122,8 @@ def is_realistic(sys: ShadowSystem, witness: bool = False):
     by their tuple of modes and each bucket is compared against its first
     member.
 
-    Returns True/False; with ``witness=True`` returns (ok, quadruple) where
-    the quadruple (i, j, r, s) is the first violation in lexicographic order
-    (None when realistic).
+    Returns (ok, quadruple), where the quadruple (i, j, r, s) is the first
+    violation in lexicographic order (None when realistic).
     """
     subsel = increasing_tuples(sys.p, sys.p - 1)
     buckets: dict[Index, list[tuple[Index, Index, IntTensor]]] = {}
@@ -142,8 +141,7 @@ def is_realistic(sys: ShadowSystem, witness: bool = False):
                 if first is None or (i, j, r, s) < first:
                     first = (i, j, r, s)
                 break
-    ok = first is None
-    return (ok, first) if witness else ok
+    return first is None, first
 
 
 def verify_realisation(c: IntTensor, sys: ShadowSystem) -> bool:
@@ -159,7 +157,7 @@ def realise(sys: ShadowSystem) -> IntTensor:
     fails the compatibility check.  The tensor is the closed-form sum of
     the module docstring, a function of the shadows alone.
     """
-    ok, quad = is_realistic(sys, witness=True)
+    ok, quad = is_realistic(sys)
     if not ok:
         raise NotRealistic(quad)
     return _realise(sys)

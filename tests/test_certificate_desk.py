@@ -69,6 +69,15 @@ def test_from_crystal_rejects_level_below_two():
             certificate_from_crystal(c, clique(4), k)
 
 
+def test_from_crystal_rejects_a_non_crystal_and_a_tied_shadow():
+    # one entry at (1, 2, 3): affine, but its 2-projections differ
+    with pytest.raises(cd.NotACrystal):
+        certificate_from_crystal(IntTensor((3, 3, 3), {(1, 2, 3): 1}), clique(3), 2)
+    # one entry at (1, 1, 1): a 2-crystal whose shadow is tied at (1, 1)
+    with pytest.raises(cd.NotHollowShadow):
+        certificate_from_crystal(IntTensor((1, 1, 1), {(1, 1, 1): 1}), clique(3), 2)
+
+
 def test_certificate_totality_enforced():
     cert = k4_cert()
     zeta = dict(cert.zeta)
@@ -84,6 +93,31 @@ def tamper(cert, x, tensor):
     zeta = dict(cert.zeta)
     zeta[x] = tensor
     return ZaffCertificate(cert.k, cert.instance, cert.template, zeta, cert.template_clique)
+
+
+def test_certificate_image_shape_enforced():
+    cert = k4_cert()
+    with pytest.raises(DimensionMismatch, match=r"image at \(1, 2\) has shape \(2, 2\)"):
+        tamper(cert, (1, 2), IntTensor((2, 2), {(1, 2): 1}))
+
+
+def test_verifiers_refuse_a_level_out_of_range():
+    # a well-formed level-1 certificate K2 -> K2 (the identity map)
+    zeta = {(v,): IntTensor((2,), {(v,): 1}) for v in (1, 2)}
+    cert = ZaffCertificate(1, clique(2), clique(2), zeta, template_clique=2)
+    assert verify_clique_certificate(cert, clique(2), 2) == (
+        False, "need 2 <= k <= n, got k=1, n=2")
+    assert verify_zaff_certificate_general(cert, clique(2), clique(2)) == (
+        False, "need k >= 2, got k=1")
+    # k above the clique size
+    assert verify_clique_certificate(k4_cert(), clique(4), 1) == (
+        False, "need 2 <= k <= n, got k=2, n=1")
+
+
+def test_clique_verifier_refuses_a_looped_instance():
+    looped = Digraph(4, clique(4).edges | {(1, 1)})
+    assert verify_clique_certificate(k4_cert(), looped, 3) == (
+        False, "instance digraph must be loopless")
 
 
 def test_verify_rejects_non_affine_image():
@@ -129,6 +163,9 @@ def test_verify_rejects_instance_mismatch():
     cert = k4_cert()
     ok, why = verify_clique_certificate(cert, clique(3), 3)
     assert not ok and "mismatch" in why
+    for x, a in ((clique(3), clique(3)), (clique(4), clique(4))):
+        assert verify_zaff_certificate_general(cert, x, a) == (
+            False, "certificate instance/template mismatch")
 
 
 def test_verify_general_needs_edges():
@@ -156,6 +193,13 @@ def test_uniform_qconv_map_masses():
     assert sum(img.values()) == 1
 
 
+def test_uniform_qconv_map_refusals():
+    with pytest.raises(BadDimension, match="need k <= n, got k=3, n=2"):
+        uniform_qconv_map(clique(4), 2, 3)
+    with pytest.raises(NotAHomomorphism):
+        uniform_qconv_map(Digraph(2, frozenset({(1, 1), (1, 2)})), 3, 2)
+
+
 def test_check_refinement():
     cert = k4_cert()
     xi = uniform_qconv_map(clique(4), 3, 2)
@@ -163,6 +207,9 @@ def test_check_refinement():
     # shrink one image's support below the certificate's
     xi.xi[(1, 2)].pop(next(iter(cert.zeta[(1, 2)].entries)))
     assert not check_refinement(cert, xi)
+    for n, k in ((4, 2), (3, 3)):
+        with pytest.raises(DimensionMismatch):
+            check_refinement(cert, uniform_qconv_map(clique(4), n, k))
 
 
 # -- transports -------------------------------------------------------------

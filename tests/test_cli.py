@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -346,6 +347,24 @@ def test_fool_params_tower_too_tall_is_a_usage_error(capsys):
     code, stdout, err = invoke(capsys, "fool", "params", "--c", "4", "--d", "4", "--k", "215")
     assert (code, stdout) == (2, "")
     assert err == "error: a^(4)(4) exceeds representable size (tower of height 4)\n"
+
+
+@pytest.mark.parametrize("c", ["15000", "10000000"])
+def test_fool_params_b_iterate_too_large_is_a_usage_error(capsys, c):
+    # b(15000) has 4,514 decimal digits, past the 4,300 Python prints;
+    # b(10^7) is far larger
+    code, stdout, err = invoke(capsys, "fool", "params", "--c", c, "--d", c, "--k", "2")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: b^(1)({c}) exceeds representable size (b of {c} > 14000)\n"
+
+
+def test_fool_params_prints_the_largest_b_iterate_it_takes(capsys):
+    code, stdout, err = invoke(capsys, "fool", "params", "--c", "14000", "--d", "14000", "--k", "2")
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [
+        "i 1", "q_bits 14001", "q -",
+        f"b_iterates {math.comb(14000, 7000)}", "thresholds 16",
+    ]
 
 
 # -- plumbing ---------------------------------------------------------------

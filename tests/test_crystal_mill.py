@@ -8,6 +8,7 @@ import pytest
 
 from crystalforge.tensor_core import (
     IntTensor,
+    TensorError,
     add,
     dumps_st,
     is_affine,
@@ -69,6 +70,13 @@ def test_is_crystal_rejects_non_cubical():
         is_crystal(IntTensor((2, 3), {}), 1)
 
 
+def test_is_crystal_rejects_k_out_of_range():
+    t = IntTensor((2, 2), {(1, 2): 3})
+    for k in (-1, 3):
+        with pytest.raises(BadDimension, match=f"got {k}"):
+            is_crystal(t, k)
+
+
 def test_shadow_raises_on_non_crystal():
     with pytest.raises(NotACrystal):
         shadow(IntTensor((2, 2), {(1, 2): 1}), 1)
@@ -105,6 +113,11 @@ def test_crystalise_requires_crystal_input():
         crystalise(bad, 3)
 
 
+def test_crystalise_rejects_non_cubical():
+    with pytest.raises(NotCubical):
+        crystalise(IntTensor((2, 3), {(1, 1): 1}), 3)
+
+
 def test_crystalise_q_bounds():
     s = IntTensor((2, 2), {(1, 2): 1, (2, 1): 1, (1, 1): -1})
     with pytest.raises(BadDimension):
@@ -122,6 +135,16 @@ def test_quartz_2d_explicit():
 def test_quartz_coordinate_clash():
     with pytest.raises(CoordinateClash):
         quartz(3, (1, 2), (1, 3))
+
+
+def test_quartz_rejects_bad_corners():
+    with pytest.raises(TensorError, match="differ in length"):
+        quartz(3, (1, 2), (3,))
+    with pytest.raises(BadDimension):
+        quartz(3, (), ())
+    for a, b in (((1, 4), (2, 3)), ((0, 1), (2, 3))):
+        with pytest.raises(TensorError, match=r"out of \[1,3\]"):
+            quartz(3, a, b)
 
 
 def quartz_laws_hold(n, a, b):
@@ -169,6 +192,10 @@ def test_pad_keeps_entries():
     assert pad(t, 0) == t
     with pytest.raises(BadDimension):
         pad(t, -1)
+    with pytest.raises(NotCubical):
+        pad(IntTensor((2, 3), {}), 1)
+    s = IntTensor((), {(): 5})  # a scalar has no mode to grow
+    assert pad(s, 3) is s
 
 
 # -- the miner --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -42,6 +43,8 @@ def test_digraph_validation():
         Digraph(0, frozenset())
     with pytest.raises(DigraphError):
         Digraph(2, frozenset({(1, 3)}))
+    with pytest.raises(DigraphError):
+        clique(0)
 
 
 def test_clique_edge_count():
@@ -166,6 +169,29 @@ def test_iterate_a_refuses_a_tower_it_cannot_build():
     assert iterate_a(4, 3) == 2 ** 65536
     with pytest.raises(InvalidParams, match="tower of height 4"):
         iterate_a(4, 4)
+
+
+def test_iterate_b_refuses_before_taking_b_of_a_large_argument(monkeypatch):
+    # b(14000) has 4,213 decimal digits, under the 4,300 Python prints
+    assert len(str(iterate_b(14000, 1))) == 4213
+    real_comb = math.comb
+
+    def comb(n, k):
+        assert n <= 14_000, f"math.comb({n}, {k}) was called"
+        return real_comb(n, k)
+
+    monkeypatch.setattr(math, "comb", comb)
+    for p in (14_001, 15_000, 10 ** 7):
+        with pytest.raises(InvalidParams, match=rf"b\^\(1\)\({p}\) exceeds representable size"):
+            iterate_b(p, 1)
+    # the fourth step would take b(184756)
+    with pytest.raises(InvalidParams, match=r"b\^\(4\)\(4\) .*\(b of 184756 > 14000\)"):
+        iterate_b(4, 4)
+    with pytest.raises(InvalidParams, match=r"b\^\(1\)\(15000\)"):
+        fooling_parameters(15_000, 15_000, 2)
+    # the tower a^(4)(4) is refused before b(184756) is taken
+    with pytest.raises(InvalidParams, match=r"a\^\(4\)\(4\) .*\(tower of height 4\)"):
+        fooling_parameters(4, 4, 215)
 
 
 def test_fooling_parameters_known_instance():

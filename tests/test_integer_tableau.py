@@ -321,7 +321,9 @@ def assert_objective_row(sx, cost):
 
 class CheckedSimplex(rx._Simplex):
     """``_Simplex`` checking the row invariants after every pivot and, while
-    ``_run`` carries its objective row, that row too."""
+    ``_run`` carries its objective row, that row too.  Every basic column
+    must have a reduced cost of exactly 0: ``_run`` enters the first
+    column with a positive one without asking whether it is basic."""
 
     cost = None
 
@@ -329,6 +331,8 @@ class CheckedSimplex(rx._Simplex):
         super()._pivot(i, j)
         assert_invariants(self)
         if self.cost is not None:
+            obj = self._tab[-1]
+            assert all(obj[b] == 0 for b in self._basis)
             assert_objective_row(self, self.cost)
 
     def _run(self, cost):

@@ -278,6 +278,17 @@ def test_presolve_matches_reference_on_integer_systems(sys):
     assert_matches_reference(sys)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(level_k_systems(), integer_systems()))
+def test_presolve_leaves_no_row_of_fewer_than_two_columns(sys):
+    # the final dedup reads a lead from every row left, and neither mode
+    # keeps a one-column row: it fixes its column or refutes the system
+    for nonneg in (True, False):
+        red = rx._reduce(sys.equations, nonneg)
+        if not red.infeasible:
+            assert all(len(coeffs) >= 2 for coeffs, _rhs in red.eqs)
+
+
 def test_presolve_scales_by_non_unit_pivots():
     # x, y, z >= 0:  2x - 3y = 1 eliminates x = (1 + 3y)/2; the row
     # 3x + 3y - 6z = 3 becomes 2*row - 3*(2x - 3y = 1) = 15y - 12z = 3, is

@@ -271,6 +271,11 @@ def test_build_ip_system_shapes():
     assert ("l", (1, 2), (1, 1)) not in forced
 
 
+def test_build_ip_system_needs_level_at_least_one():
+    with pytest.raises(ValueError, match="level k must be >= 1"):
+        build_ip_system(clique(2), clique(2), 0)
+
+
 def test_forced_zero_variables_never_occur():
     sys = build_ip_system(clique(3), clique(2), 2)
     for items, _rhs in sys.equations:

@@ -69,7 +69,7 @@ def test_projection_systems_are_realistic():
         shape = tuple(rng.randint(1, 3) for _ in range(q))
         p = rng.randint(1, q)
         c = random_tensor(rng, shape)
-        assert is_realistic(system_of(c, p))
+        assert is_realistic(system_of(c, p)) == (True, None)
 
 
 def test_unrealistic_system_reports_first_violation():
@@ -77,7 +77,7 @@ def test_unrealistic_system_reports_first_violation():
     s1 = IntTensor((2,), {(1,): 1})
     s2 = IntTensor((2,), {(1,): 2})
     sys = ShadowSystem(1, (2, 2), {(1,): s1, (2,): s2})
-    ok, quad = is_realistic(sys, witness=True)
+    ok, quad = is_realistic(sys)
     assert not ok
     assert quad == ((1,), (2,), (), ())
     with pytest.raises(NotRealistic) as exc:
@@ -124,8 +124,7 @@ def test_is_realistic_matches_reference_sweep(data):
         shadows[i] = add(shadows[i], IntTensor(sh, {idx: delta}))
     sys = ShadowSystem(p, shape, shadows)
     want = reference_is_realistic(sys)
-    assert is_realistic(sys, witness=True) == want
-    assert is_realistic(sys) == want[0]
+    assert is_realistic(sys) == want
 
 
 def test_realise_round_trip_randomized():
@@ -140,6 +139,13 @@ def test_realise_round_trip_randomized():
         sys = system_of(c, p)
         w = realise(sys)
         assert verify_realisation(w, sys)
+
+
+def test_verify_realisation_refuses_a_tensor_of_another_shape():
+    c = IntTensor((2, 2, 2), {(1, 2, 1): 3})
+    sys = system_of(c, 2)
+    assert verify_realisation(c, sys)
+    assert not verify_realisation(IntTensor((2, 2, 3), {(1, 2, 1): 3}), sys)
 
 
 def test_realise_full_system_returns_the_tensor():

@@ -69,6 +69,17 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != T((2, 3), {(1, 2): 5})
     assert a != T((3, 2), {(1, 2): 4})
+    assert a.__eq__(4) is NotImplemented
+    assert a != 4 and a != {(1, 2): 4}
+
+
+def test_repr_lists_at_most_eight_entries():
+    assert repr(T((2,), {(2,): -1})) == "IntTensor(shape=(2,), {(2,): -1})"
+    t = T((9,), {(i,): i for i in range(1, 10)})
+    assert repr(t) == (
+        "IntTensor(shape=(9,), {(1,): 1, (2,): 2, (3,): 3, (4,): 4, "
+        "(5,): 5, (6,): 6, (7,): 7, (8,): 8...})"
+    )
 
 
 def test_immutability():
@@ -147,6 +158,14 @@ def test_contract_over_zero_is_outer_product():
     a = T((2,), {(1,): 2})
     b = T((3,), {(3,): -1})
     assert contract(a, b, 0) == T((2, 3), {(1, 3): -2})
+
+
+def test_contract_drops_entries_that_cancel():
+    # [[1, 1], [0, 2]] @ [[1], [-1]] = [[0], [-2]]: entry (1, 1) cancels
+    a = T((2, 2), {(1, 1): 1, (1, 2): 1, (2, 2): 2})
+    b = T((2, 1), {(1, 1): 1, (2, 1): -1})
+    c = contract(a, b, 1)
+    assert c.entries == {(2, 1): -2}
 
 
 def test_contract_shape_mismatch():
@@ -300,6 +319,14 @@ def test_file_round_trip(tmp_path):
         "st 1\ndims 1\nwidths 2\nentries 2\n1 1\n1 2\n",  # duplicate
         "st 1\ndims 1\nwidths 0\nentries 0\n",
         "st 1\ndims 1\nwidths 2\nentries 1\nx 1\n",
+        "st 1\ndims\nwidths\nentries 0\n",  # dims line without a count
+        "st 1\ndims x\nwidths\nentries 0\n",
+        "st 1\ndims -1\nwidths\nentries 0\n",
+        "st 1\ndims 1\nwidths x\nentries 0\n",
+        "st 1\ndims 1\nwidths 2\nentry 0\n",
+        "st 1\ndims 1\nwidths 2\nentries x\n",
+        "st 1\ndims 1\nwidths 2\nentries -1\n",
+        "st 1\ndims 2\nwidths 2 2\nentries 1\n1 1\n",  # short entry line
     ],
 )
 def test_malformed_st_rejected(text):
