@@ -2,21 +2,27 @@
 
 ``build_ip_system`` materializes the equation system with one lambda
 variable per (vertex-tuple, value-tuple) pair and one mu variable per
-(instance edge, template edge) pair: normalization, lambda marginality for
-a generating set of position maps (a transposition, a k-cycle and a
-rank-(k-1) collapse), mu marginality for one map that uses both edge ends,
-and the pattern-vanishing equations (realized as forced-zero variables).
-The generator equations span the same row space as marginality for all
-k^k maps; ``build_ip_system`` gives the argument.
+(instance edge, template edge) pair.  Marginality for a generating set of
+position maps (a transposition, a k-cycle and a rank-(k-1) collapse) spans
+marginality for all k^k maps, and the transposition and k-cycle rows say
+that every solution is constant on the orbits of position permutations.
+So the system is built on those orbits: one representative column per
+orbit, the others recorded as its aliases, and the rows are normalization,
+collapse marginality and mu marginality (for one map that uses both edge
+ends) over the representatives; pattern vanishing is realized as
+forced-zero variables.  ``build_ip_system`` gives the argument that this
+is exact for BLP, AIP, BA and the relative-interior support.  Systems over
+a fixed size budget are refused before they are built.
 
 Variables are numbered columns: the equations, the presolve, the simplex
 and the witness checks work on int column indices, and ``variables[j]``
 names column j.  Results cross back to VarKeys only at the public
 boundary (``lp_feasible``, ``diophantine_feasible``,
-``relative_interior_support``).  ``integer_feasible``, the one integer
-solver, reads rows in the shape of ``LinearSystem.equations`` together
-with a set of columns fixed to 0; BA, AIP, ``diophantine_feasible`` and
-the certificate edge systems all hand it their rows as they are.
+``relative_interior_support``), where an alias takes its representative's
+value.  ``integer_feasible``, the one integer solver, reads rows in the
+shape of ``LinearSystem.equations`` together with a set of columns fixed
+to 0; BA, AIP, ``diophantine_feasible`` and the certificate edge systems
+all hand it their rows as they are.
 
 Three deciders share the infrastructure:
 
@@ -39,19 +45,32 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 _Q = Fraction  # the rational type of witnesses and optima
 
-from .digraph_lab import Digraph
+from .digraph_lab import Digraph, DigraphError
 
 VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
+
+# the most columns ``build_ip_system`` lists: the 248,904 of K4 -> K3 at
+# k = 5 build in 0.3 s at 63 MB peak RSS, and the benchmark's largest
+# system has 20,808
+_MAX_COLUMNS = 10**6
+# the highest level it takes: past it (n*m)^k > 2^64 unless n = m = 1,
+# and then the one lambda column is still a pair of k-tuples
+_MAX_LEVEL = 64
 
 
 class Infeasible(ValueError):
     pass
+
+
+class SystemTooLarge(DigraphError):
+    """The level-k system of two digraphs is over the size budget
+    (``_MAX_COLUMNS``, ``_MAX_LEVEL``); refused before anything is built."""
 
 
 @dataclass(frozen=True)
@@ -66,11 +85,18 @@ class LinearSystem:
     ``lp_feasible`` and ``diophantine_feasible``, the set returned by
     ``relative_interior_support`` and the ``forced_zero=`` argument of
     ``diophantine_feasible`` are VarKeys.
+
+    ``alias`` maps a column that is equal to another in every solution,
+    and appears in no equation, to that column, its representative
+    (``build_ip_system`` gives each orbit of position permutations one).
+    The deciders read an alias's value, support and zeroing through its
+    representative.  It is empty at k = 1 and in a hand-built system.
     """
 
     variables: tuple[VarKey, ...]
     equations: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
     forced_zero: frozenset[int]
+    alias: dict[int, int] = field(default_factory=dict, hash=False)
 
     def live_columns(self) -> list[int]:
         return [j for j in range(len(self.variables)) if j not in self.forced_zero]
@@ -89,11 +115,6 @@ def refines(s: tuple, t: tuple) -> bool:
         else:
             seen[sv] = tv
     return True
-
-
-def var_key_str(v: VarKey) -> str:
-    kind, x, a = v
-    return f"{kind}:{','.join(map(str, x))}:{','.join(map(str, a))}"
 
 
 def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
@@ -145,59 +166,92 @@ def _mu_generators(k: int) -> list[tuple[int, ...]]:
 
 
 def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
-    """The level-k equation system for instance X against template A.
+    """The level-k system for instance X against template A, on the orbits
+    of position permutations.
 
     With n = |V(X)|, m = |V(A)| and tuples ranked in ``itertools.product``
     order, lambda (x, a) is column rank(x)*m^k + rank(a) and mu (y, b) is
     column n^k*m^k + idx(y)*|E(A)| + idx(b), where idx is the position in
     the sorted edge list.  Column order is the sorted order of the VarKeys,
     so the sorted equations and everything computed from them are those of
-    a system keyed by VarKeys.
+    a system keyed by VarKeys.  A system of more than ``_MAX_COLUMNS``
+    columns, n^k*m^k + |E(X)|*|E(A)|, or a level above ``_MAX_LEVEL`` is
+    refused with ``SystemTooLarge`` before anything is listed.
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
     up front: they are declared but never appear in an equation.
 
-    Marginality is emitted for a generating set of maps only.  For a tuple t
-    and a map i: [k] -> [k] write t.i = (t[i(0)], ..., t[i(k-1)]), so that
-    t.(i o j) = (t.i).j.  The lambda equation of i at (x, a) is
+    The full system.  For a tuple t and a map i: [k] -> [k] write
+    t.i = (t[i(0)], ..., t[i(k-1)]), so that t.(i o j) = (t.i).j.  It has
+    normalization (each x-slice of lambda sums to 1), the lambda equation
+    of every i at every (x, a),
 
         L_i(x, a):  sum over ahat with ahat.i = a of l(x, ahat) = l(x.i, a),
 
-    and the mu equation of i in {0,1}^k at an edge y is
+    and the mu equation of every i in {0,1}^k at every edge y,
 
         M_i(y, a):  sum over template edges b with b.i = a of m(y, b) = l(y.i, a).
 
-    Composition:  L_{i o j}(x, a) = L_j(x.i, a) + sum over b with b.j = a
+    Generators.  L_{i o j}(x, a) = L_j(x.i, a) + sum over b with b.j = a
     of L_i(x, b), because both sides expand to the same sums of l(x, .)
     and l(x.i, .) terms.  By induction on the length of a word in the
     generators, every L_i is a sum of generator equations (the identity,
     the empty word, gives 0 = 0).  The transposition (1 0 2 ... k-1) and
-    the k-cycle (1 2 ... k-1 0) generate the symmetric group on [k], and
-    with the collapse (0 0 2 ... k-1), a map of rank k-1, they generate
-    the full transformation monoid.  For k >= 2 every i in {0,1}^k
-    factors as i = i0 o j with i0 = (0 1 ... 1) and j = i read as a map
-    [k] -> [k] (i0 fixes 0 and 1), and
-    M_i(y, a) = L_j(y.i0, a) + sum over c with c.j = a of M_i0(y, c).
-    At k = 1 both maps in {0,1}^1 are kept.
+    the k-cycle (1 2 ... k-1 0) generate the symmetric group S_k on [k],
+    and with the collapse c = (0 0 2 ... k-1), a map of rank k-1, they
+    generate the full transformation monoid.  For k >= 2 every i in
+    {0,1}^k factors as i = i0 o j with i0 = (0 1 ... 1) and j = i read as
+    a map [k] -> [k] (i0 fixes 0 and 1), and
+    M_i(y, a) = L_j(y.i0, a) + sum over c' with c'.j = a of M_i0(y, c').
+    At k = 1 both maps in {0,1}^1 are kept.  So the rows of the
+    transposition, the k-cycle and c at every x, normalization and M_i0
+    span the full system's rows over the integers.
+
+    Orbits.  For a permutation p the sum in L_p(x, a) has the one term
+    ahat = a.p^-1, so L_p says l(x, b) = l(x.p, b.p): every solution,
+    rational or integer, is constant on the orbits of S_k acting on the
+    live lambda columns by (x, b) -> (x.p, b.p), and the transposition and
+    k-cycle rows say exactly that.  Each orbit has one representative, its
+    largest column: x sorted non-increasing, b permuted alike.  Positions
+    with equal x carry equal b in a live column, so the representative is
+    unique.  ``alias`` maps every other live lambda column to it.
+    Substituting l(x, b) := l(rep(x, b)) is a bijection from the solutions
+    of the rows below onto those of the full system: it inverts
+    restriction to the representatives and mu, it keeps nonnegativity and
+    integrality, and a column is positive somewhere exactly when its
+    representative is.  So BLP, AIP, BA and the relative-interior support,
+    read through ``alias``, give the full system's answers.  The rows,
+    each lambda column replaced by its representative, are:
+
+    * normalization once per representative x (the slices of x and of x.p
+      map onto each other);
+    * no transposition or k-cycle rows (they become 0 = 0);
+    * L_c at every x: modulo the orbit equalities L_c(x.p, .) is
+      L_{p o c}(x, .), a different map, so no x can be skipped;
+    * M_i0 at every edge.
 
     Forced-zero variables do not break these identities: every emitted
-    row is the corresponding full row with the forced-zero columns deleted
-    (a row whose a is incompatible with the pattern of x.i or y.i becomes
-    0 = 0), and deleting columns commutes with adding rows.  The generator
-    rows are a subset of the full family and every full row is an integer
-    combination of them, so both have the same rational row space and the
-    same integer row lattice.  Their nonnegative rational and integer
-    solution sets coincide, and BLP, AIP, BA and the relative-interior
-    support give the same answers on either.
+    row is a full row with the forced-zero columns deleted (a row whose a
+    is incompatible with the pattern of x.i or y.i becomes 0 = 0), and
+    deleting columns commutes with adding rows; the forced-zero set is a
+    union of orbits, because refinement is kept by permuting positions.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
     n, m = x_graph.vertex_count, a_graph.vertex_count
-    xs = list(itertools.product(range(1, n + 1), repeat=k))
-    avals = list(itertools.product(range(1, m + 1), repeat=k))
     x_edges = x_graph.sorted_edges()
     a_edges = a_graph.sorted_edges()
+    if k > _MAX_LEVEL:
+        raise SystemTooLarge(f"level {k} is over the budget of {_MAX_LEVEL}")
+    columns = (n * m) ** k + len(x_edges) * len(a_edges)
+    if columns > _MAX_COLUMNS:
+        raise SystemTooLarge(
+            f"the level-{k} system has {n}^{k}*{m}^{k} + {len(x_edges)}*{len(a_edges)} = "
+            f"{columns} columns, over the budget of {_MAX_COLUMNS}"
+        )
+    xs = list(itertools.product(range(1, n + 1), repeat=k))
+    avals = list(itertools.product(range(1, m + 1), repeat=k))
     mk = len(avals)
     mu0 = len(xs) * mk
     variables = tuple(
@@ -205,8 +259,9 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
         + [("m", y, b) for y in x_edges for b in a_edges]
     )
 
-    # Everything below depends on x only through its equality pattern and
-    # its rank, so the value-tuple work is done once per pattern.
+    # Everything below depends on x only through its equality pattern, its
+    # rank and the order of its values, so the value-tuple work is done
+    # once per pattern and position map.
     compat: dict[tuple, list[tuple[tuple, int]]] = {}
 
     def compatible(bl: tuple, nb: int) -> list[tuple[tuple, int]]:
@@ -231,6 +286,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
         return marg[key]
 
     forced: set[int] = set()
+    alias: dict[int, int] = {}
     equations: dict = {}
 
     def emit(coeffs: dict, rhs: int):
@@ -238,27 +294,43 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
             return
         equations.setdefault(_canon(coeffs, rhs), None)
 
+    identity = tuple(range(k))
     for rank_x, x in enumerate(xs):
         bx = rank_x * mk
         bl_x, nb_x = _blocks(x)
         live = {ra for _a, ra in compatible(bl_x, nb_x)}
         forced.update(bx + ra for ra in range(mk) if ra not in live)
-        # normalization: each lambda slice sums to one
-        emit({bx + ra: 1 for ra in live}, 1)
-        # lambda marginality: projecting the x-slice along a generating map
-        # i reproduces the slice of the projected vertex tuple
-        for i in _lambda_generators(k):
-            bxi = _rank(tuple(x[p] for p in i), n) * mk
-            # every a compatible with the pattern of x.i is ahat.i for some
+        # the positions in the order that makes x non-increasing (stable)
+        p = tuple(sorted(identity, key=lambda q: -x[q]))
+        if p == identity:
+            # normalization: each lambda slice sums to one
+            emit({bx + ra: 1 for ra in live}, 1)
+        else:
+            brep = _rank(tuple(x[q] for q in p), n) * mk
+            for rb, ra in marginal(bl_x, nb_x, p):
+                alias[bx + ra] = brep + rb
+
+    # lambda marginality for the collapse: projecting the x-slice along c
+    # reproduces the slice of x.c
+    if k >= 2:
+        c = (0, 0) + identity[2:]
+        for rank_x, x in enumerate(xs):
+            bx = rank_x * mk
+            bl_x, nb_x = _blocks(x)
+            bxc = _rank(tuple(x[q] for q in c), n) * mk
+            # every a compatible with the pattern of x.c is ahat.c for some
             # ahat compatible with that of x, so grouping the terms by
-            # rank(ahat.i) gives every row of L_i(x, .)
+            # rank(ahat.c) gives every row of L_c(x, .); the representatives
+            # of one x-slice are distinct
             rows: dict[int, dict[int, int]] = {}
-            for ra, rahat in marginal(bl_x, nb_x, i):
-                rows.setdefault(ra, {})[bx + rahat] = 1
+            for ra, rahat in marginal(bl_x, nb_x, c):
+                j = bx + rahat
+                rows.setdefault(ra, {})[alias.get(j, j)] = 1
             for ra, coeffs in rows.items():
-                rcol = bxi + ra
+                j = bxc + ra
+                rcol = alias.get(j, j)
                 coeffs[rcol] = coeffs.get(rcol, 0) - 1
-                emit({j: c for j, c in coeffs.items() if c}, 0)
+                emit({v: cf for v, cf in coeffs.items() if cf}, 0)
 
     # mu marginality: the i-projection of an edge's mu slice reproduces
     # the lambda slice of the projected vertex tuple
@@ -274,12 +346,13 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
                 by_a.setdefault(_rank(tuple(b[p] for p in i), m), {})[by0 + ib] = 1
             for ra in range(mk):
                 coeffs = dict(by_a.get(ra, {}))
-                if byi + ra not in forced:
-                    coeffs[byi + ra] = -1
+                j = byi + ra
+                if j not in forced:
+                    coeffs[alias.get(j, j)] = -1
                 emit(coeffs, 0)
 
     eq_tuple = tuple(sorted(equations))
-    return LinearSystem(variables, eq_tuple, frozenset(forced))
+    return LinearSystem(variables, eq_tuple, frozenset(forced), alias)
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +926,11 @@ def _lp_pass(sys: LinearSystem):
 
     Returns ``(witness, reduced, simplex)``, or None when the system has no
     nonnegative rational solution.  The witness maps every live column to
-    its value.  Before it is returned it is checked in integers: with D
-    the lcm of its denominators and N_j = D * value_j, every equation must
-    give sum(c * N_j) = rhs * D and every N_j must be nonnegative.  The
-    simplex is left on that feasible basis for ``maximize``.
+    its value, an alias to its representative's.  Before it is returned it
+    is checked in integers: with D the lcm of its denominators and
+    N_j = D * value_j, every equation must give sum(c * N_j) = rhs * D and
+    every N_j must be nonnegative.  The simplex is left on that feasible
+    basis for ``maximize``.
     """
     red = _reduce(sys.equations, nonneg=True)
     if red.infeasible:
@@ -865,7 +939,8 @@ def _lp_pass(sys: LinearSystem):
     if not sx.feasible():
         return None
     full = red.resolve(sx.solution())
-    out = {j: full.get(j, 0) for j in sys.live_columns()}
+    alias = sys.alias
+    out = {j: full.get(alias.get(j, j), 0) for j in sys.live_columns()}
     den = math.lcm(*(val.denominator for val in out.values()))
     num = {j: val.numerator * (den // val.denominator) for j, val in out.items()}
     for items, rhs in sys.equations:
@@ -886,27 +961,29 @@ def lp_feasible(sys: LinearSystem) -> Optional[dict]:
 
 
 def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:
-    """An integer solution keyed by VarKey, with the given variables zeroed."""
+    """An integer solution keyed by VarKey, with the given variables zeroed.
+
+    An alias equals its representative in every solution, so zeroing
+    either zeroes both."""
+    alias = sys.alias
     zero = frozenset(forced_zero)
     if zero:
         col = {v: j for j, v in enumerate(sys.variables)}
-        zero = frozenset(col[v] for v in zero)
+        zero = frozenset(alias.get(col[v], col[v]) for v in zero)
     sol = integer_feasible(sys.equations, zero)
     if sol is None:
         return None
-    out = dict.fromkeys(sys.variables, 0)
-    for j, val in sol.items():
-        out[sys.variables[j]] = val
-    return out
+    return {v: sol.get(alias.get(j, j), 0) for j, v in enumerate(sys.variables)}
 
 
-def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
-    """Variables positive somewhere on the feasible polytope.
+def _support_columns(sys: LinearSystem) -> set[int]:
+    """The live columns positive somewhere on the feasible polytope.
 
-    Found by maximizing the variables one at a time (warm-started on a
-    shared tableau); a variable unbounded above is trivially positive
+    Found by maximizing the columns one at a time (warm-started on a
+    shared tableau); a column unbounded above is trivially positive
     somewhere, and every witness encountered marks all its positive
-    variables, so most variables never need their own run.
+    columns, so most columns never need their own run.  Raises
+    ``Infeasible`` when the polytope is empty.
     """
     lp = _lp_pass(sys)
     if lp is None:
@@ -922,11 +999,19 @@ def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
             positive.update(w for w, val in sx.solution().items() if val > 0)
     support = red.support_status(positive)
     # columns outside every equation are unconstrained, hence positive
-    # somewhere; forced-zero columns are not
+    # somewhere; forced-zero columns are not; an alias is positive where
+    # its representative is
+    alias = sys.alias
     return {
-        sys.variables[j] for j in sys.live_columns()
-        if j in support or (j not in red.live and j not in red.subs)
+        j for j in sys.live_columns()
+        if (r := alias.get(j, j)) in support or (r not in red.live and r not in red.subs)
     }
+
+
+def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
+    """Variables positive somewhere on the feasible polytope (raises
+    ``Infeasible`` when it is empty)."""
+    return {sys.variables[j] for j in _support_columns(sys)}
 
 
 def decide_blp(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
@@ -940,13 +1025,13 @@ def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
 def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     """BA^k: rational feasibility, then integer feasibility with every
     variable outside the relative-interior support zeroed.  One presolve
-    and one phase 1 serve both steps: ``relative_interior_support`` runs
-    them (with the checks of the rational witness) before its support loop
-    and raises ``Infeasible`` when BLP rejects."""
+    and one phase 1 serve both steps: ``_support_columns`` runs them (with
+    the checks of the rational witness) before its support loop and raises
+    ``Infeasible`` when BLP rejects."""
     sys = build_ip_system(x_graph, a_graph, k)
     try:
-        support = relative_interior_support(sys)
+        support = _support_columns(sys)
     except Infeasible:
         return False
-    dead = frozenset(j for j in sys.live_columns() if sys.variables[j] not in support)
+    dead = frozenset(j for j in sys.live_columns() if j not in support)
     return integer_feasible(sys.equations, dead) is not None

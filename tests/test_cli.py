@@ -1,6 +1,9 @@
 import json
 import math
+import runpy
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -203,6 +206,22 @@ def test_relax_level_below_one_is_a_usage_error(tmp_path, capsys):
             assert code == 2 and stdout == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("which", ["blp", "aip", "ba"])
+def test_relax_over_the_size_budget_is_a_usage_error(tmp_path, capsys, which):
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    k3 = write_graph(tmp_path / "k3.json", clique(3))
+    code, stdout, err = invoke(capsys, "relax", which, "--k", "12", k4, k3)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "error: the level-12 system has 4^12*3^12 + 12*6 = 8916100448328 columns, "
+        "over the budget of 1000000\n"
+    )
+    point = write_graph(tmp_path / "k1.json", clique(1))
+    k = "10" * 20
+    code, stdout, err = invoke(capsys, "relax", which, "--k", k, point, point)
+    assert (code, stdout, err) == (2, "", f"error: level {k} is over the budget of 64\n")
+
+
 # -- cert -------------------------------------------------------------------
 
 
@@ -391,6 +410,30 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     code, stdout, err = invoke(capsys, "fool", "params", "--c", "4", "--d", "4", "--k", "2")
     assert code == 3 and stdout == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("entry", ["main", "module"])
+def test_entry_points_exit_with_the_code_of_run(monkeypatch, capsys, entry):
+    import crystalforge.cli as cli
+
+    def call():
+        if entry == "main":
+            cli.main()
+        else:
+            # the module is imported already, which runpy warns about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                runpy.run_module("crystalforge.cli", run_name="__main__")
+
+    for argv, code, out in (
+        (["digraph", "clique", "--q", "2"], 0, digraph_to_json(clique(2))),
+        (["nonsense"], 2, ""),
+    ):
+        monkeypatch.setattr(sys, "argv", ["crystalforge", *argv])
+        with pytest.raises(SystemExit) as exc:
+            call()
+        assert exc.value.code == code
+        assert capsys.readouterr().out == out
 
 
 def test_jobs_flag_is_a_usage_error(capsys):

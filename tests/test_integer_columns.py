@@ -3,7 +3,8 @@ against the keyed code they replaced.
 
 ``keyed_ip_system`` is the builder that keyed every variable by its
 VarKey; ``build_ip_system`` must give the same equations, in the same
-order, once its columns are renamed through ``variables``.
+order, once its columns are renamed through ``variables`` and the keyed
+rows are mapped through the orbit map (``through_orbits``).
 ``reference_run`` is the simplex loop that recomputed every reduced cost
 on every iteration; ``_Simplex._run`` must make the same pivots and reach
 the same optima and witnesses.
@@ -15,7 +16,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from keyed_systems import keyed_system
+from keyed_systems import keyed_system, orbit_max
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, clique
@@ -38,7 +39,8 @@ from crystalforge.relaxation_engine import (
 
 def keyed_ip_system(x_graph: Digraph, a_graph: Digraph, k: int):
     """(variables, equations, forced_zero) of the level-k system, keyed by
-    VarKey: the generator equations of ``build_ip_system``."""
+    VarKey: the generator equations (transposition, k-cycle and collapse)
+    at every x, before the orbit map."""
     xv = list(range(1, x_graph.vertex_count + 1))
     av = list(range(1, a_graph.vertex_count + 1))
     x_edges = x_graph.sorted_edges()
@@ -160,12 +162,29 @@ def renamed(sys):
     return eqs, frozenset(sys.variables[j] for j in sys.forced_zero)
 
 
+def through_orbits(equations) -> tuple:
+    """The keyed rows with every lambda key replaced by the largest key in
+    its orbit under position permutations: coefficients merged, zero terms
+    and 0 = 0 rows dropped, each row canonical, the rows sorted and
+    without repeats."""
+    out: dict = {}
+    for items, rhs in equations:
+        coeffs: dict = {}
+        for v, c in items:
+            r = orbit_max(v)
+            coeffs[r] = coeffs.get(r, 0) + c
+        coeffs = {v: c for v, c in coeffs.items() if c}
+        if coeffs or rhs:
+            out.setdefault(_canon(coeffs, rhs), None)
+    return tuple(sorted(out))
+
+
 def assert_matches_keyed(x, a, k):
     sys = build_ip_system(x, a, k)
     variables, equations, forced = keyed_ip_system(x, a, k)
     assert sys.variables == variables
     assert list(variables) == sorted(variables)  # column order is key order
-    assert renamed(sys) == (equations, forced)
+    assert renamed(sys) == (through_orbits(equations), forced)
     assert all(
         all(j1 < j2 for (j1, _), (j2, _) in zip(items, items[1:])) for items, _ in sys.equations
     )

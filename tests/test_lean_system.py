@@ -2,15 +2,19 @@
 
 ``full_ip_system`` emits lambda marginality for all k^k position maps and
 mu marginality for all of {0,1}^k; ``build_ip_system`` emits it for a
-generating set of maps only.  The tests check that both systems have the
-same rational row space and that the deciders' answers and supports agree.
+generating set of maps only, on one representative column per orbit of
+position permutations.  The tests check that the lean rows together with
+the orbit equalities have the full system's rational row space, that the
+orbits and their representatives are the ones claimed, and that the
+deciders' answers, supports and expanded witnesses agree with the full
+system.
 """
 
 import itertools
 
 import sympy
-from hypothesis import given, settings, strategies as st
-from keyed_systems import keyed_system
+from hypothesis import assume, given, settings, strategies as st
+from keyed_systems import keyed_system, orbit, orbit_max
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, clique
@@ -124,6 +128,32 @@ def augmented_rows(sys: LinearSystem, columns: dict) -> list[list[int]]:
     return rows
 
 
+def orbit_rows(sys: LinearSystem, columns: dict) -> list[list[int]]:
+    """l(v) - l(orbit_max(v)) = 0 for every live lambda key v, computed
+    from the keys, not from ``sys.alias``."""
+    col = {v: j for j, v in enumerate(sys.variables)}
+    rows = []
+    for j in sys.live_columns():
+        r = col[orbit_max(sys.variables[j])]
+        if r != j:
+            row = [0] * (len(columns) + 1)
+            row[columns[j]], row[columns[r]] = 1, -1
+            rows.append(row)
+    return rows
+
+
+def rank(rows) -> int:
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+def satisfies(sys: LinearSystem, values: dict) -> bool:
+    """Every row of ``sys`` holds at ``values`` (VarKey -> number)."""
+    return all(
+        sum(c * values[sys.variables[j]] for j, c in items) == rhs
+        for items, rhs in sys.equations
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_lean_and_full_systems_have_the_same_row_space(case):
@@ -131,12 +161,68 @@ def test_lean_and_full_systems_have_the_same_row_space(case):
     lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
     assert lean.variables == full.variables
     assert lean.forced_zero == full.forced_zero
-    assert set(lean.equations) <= set(full.equations)
+    # span(lean rows and orbit equalities) = span(full rows)
     columns = {j: c for c, j in enumerate(lean.live_columns())}
-    lean_rows = augmented_rows(lean, columns)
+    lean_rows = augmented_rows(lean, columns) + orbit_rows(lean, columns)
     full_rows = augmented_rows(full, columns)
-    rank = sympy.Matrix(lean_rows).rank() if lean_rows else 0
-    assert sympy.Matrix(lean_rows + full_rows).rank() == rank
+    assert rank(full_rows) == rank(lean_rows) == rank(lean_rows + full_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_each_orbit_has_its_largest_column_as_representative(case):
+    x, a, k = case
+    sys = build_ip_system(x, a, k)
+    col = {v: j for j, v in enumerate(sys.variables)}
+    used = {j for items, _ in sys.equations for j, _ in items}
+    for j, v in enumerate(sys.variables):
+        if v[0] == "m":
+            assert j not in sys.alias
+            continue
+        members = {col[w] for w in orbit(v)}
+        if j in sys.forced_zero:
+            assert members <= sys.forced_zero  # the forced-zero set is orbit-closed
+            assert j not in sys.alias
+            continue
+        rep = max(members)
+        assert sys.alias.get(j, j) == rep
+        assert rep not in sys.alias  # one representative per orbit
+        if j != rep:
+            assert j not in used
+    if k == 1:
+        assert sys.alias == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_expanded_witnesses_satisfy_every_full_row(case):
+    x, a, k = case
+    lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
+    witness = lp_feasible(lean)
+    if witness is not None:
+        assert list(witness) == full.live_variables()
+        assert all(val >= 0 for val in witness.values())
+        assert satisfies(full, witness)  # forced-zero columns are in no row
+    solution = diophantine_feasible(lean)
+    if solution is not None:
+        assert list(solution) == list(full.variables)
+        assert satisfies(full, solution)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_zeroing_a_set_that_is_not_orbit_closed_matches_the_full_system(case, data):
+    x, a, k = case
+    lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
+    live = [v for v in lean.live_variables() if v[0] == "l" and len(orbit(v)) > 1]
+    assume(live)
+    zero = data.draw(st.sets(st.sampled_from(live), min_size=1))
+    assume(any(not orbit(v) <= zero for v in zero))
+    got, want = diophantine_feasible(lean, zero), diophantine_feasible(full, zero)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert satisfies(full, got)
+        assert all(got[w] == 0 for v in zero for w in orbit(v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -158,9 +244,10 @@ def test_lean_and_full_systems_give_the_same_answers(case):
 
 def test_anchor_system_sizes():
     sys = build_ip_system(clique(4), clique(3), 4)
-    assert len(sys.equations) == 12550
+    assert len(sys.equations) == 1367
     assert len(sys.variables) == 20808
     assert len(sys.forced_zero) == 14136
+    assert len(sys.alias) == 6021
 
 
 def test_ba_runs_one_presolve_of_each_kind(monkeypatch):

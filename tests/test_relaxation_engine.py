@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from keyed_systems import keyed_system
 
+from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, clique
 from crystalforge.relaxation_engine import (
     Infeasible,
+    SystemTooLarge,
     build_ip_system,
     decide_aip,
     decide_ba,
@@ -19,7 +21,6 @@ from crystalforge.relaxation_engine import (
     refines,
     relative_interior_support,
     smith_normal_form,
-    var_key_str,
 )
 
 
@@ -40,11 +41,6 @@ def test_refines():
     assert refines((), ())
     # not symmetric
     assert refines((1, 2), (3, 3)) and not refines((3, 3), (1, 2))
-
-
-def test_var_key_str():
-    assert var_key_str(("l", (1, 2), (1, 3))) == "l:1,2:1,3"
-    assert var_key_str(("m", (2, 1), (3, 1))) == "m:2,1:3,1"
 
 
 # -- integer systems --------------------------------------------------------
@@ -274,6 +270,22 @@ def test_build_ip_system_shapes():
 def test_build_ip_system_needs_level_at_least_one():
     with pytest.raises(ValueError, match="level k must be >= 1"):
         build_ip_system(clique(2), clique(2), 0)
+
+
+def test_build_ip_system_refuses_over_the_column_budget(monkeypatch):
+    # K2 -> K2 at k = 2: 2^2*2^2 + 2*2 = 20 columns
+    monkeypatch.setattr(rx, "_MAX_COLUMNS", 20)
+    assert len(build_ip_system(clique(2), clique(2), 2).variables) == 20
+    monkeypatch.setattr(rx, "_MAX_COLUMNS", 19)
+    with pytest.raises(SystemTooLarge, match=r"2\^2\*2\^2 \+ 2\*2 = 20 columns, over the budget of 19$"):
+        build_ip_system(clique(2), clique(2), 2)
+
+
+def test_build_ip_system_refuses_a_level_over_the_budget():
+    point = Digraph(1, frozenset({(1, 1)}))
+    assert len(build_ip_system(point, point, 64).variables) == 2
+    with pytest.raises(SystemTooLarge, match="^level 65 is over the budget of 64$"):
+        build_ip_system(point, point, 65)
 
 
 def test_forced_zero_variables_never_occur():
