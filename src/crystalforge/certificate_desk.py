@@ -40,7 +40,7 @@ from .digraph_lab import (
     digraph_to_json,
     line_digraph,
 )
-from .relaxation_engine import _lambda_generators, refines
+from .relaxation_engine import refines
 
 
 class NotAffine(TensorError):
@@ -162,6 +162,18 @@ def _edge_vector_exists(cert: ZaffCertificate, y: tuple[int, int]) -> bool:
     k = cert.k
     ends = {(u,) + (v,) * (k - 1) for u, v in cert.template.sorted_edges()}
     return cert.zeta[(y[0],) + (y[1],) * (k - 1)].entries.keys() <= ends
+
+
+def _lambda_generators(k: int) -> list[tuple[int, ...]]:
+    """Position maps generating the full transformation monoid on [k]: a
+    transposition, a k-cycle and a rank-(k-1) collapse (for k = 2 the swap
+    and (0 0)).  At k = 1 the only map is the identity, and none is
+    listed."""
+    if k == 1:
+        return []
+    rest = tuple(range(2, k))
+    maps = [(1, 0) + rest, tuple(range(1, k)) + (0,), (0, 0) + rest]
+    return list(dict.fromkeys(maps))
 
 
 def _check_common(cert: ZaffCertificate) -> Optional[str]:

@@ -14,15 +14,17 @@ forced-zero variables.  ``build_ip_system`` gives the argument that this
 is exact for BLP, AIP, BA and the relative-interior support.  Systems over
 a fixed size budget are refused before they are built.
 
-Variables are numbered columns: the equations, the presolve, the simplex
-and the witness checks work on int column indices, and ``variables[j]``
-names column j.  Results cross back to VarKeys only at the public
-boundary (``lp_feasible``, ``diophantine_feasible``,
-``relative_interior_support``), where an alias takes its representative's
-value.  ``integer_feasible``, the one integer solver, reads rows in the
-shape of ``LinearSystem.equations`` together with a set of columns fixed
-to 0; BA, AIP, ``diophantine_feasible`` and the certificate edge systems
-all hand it their rows as they are.
+Variables are numbered columns, and ``variables[j]`` names column j.
+The solver core takes rows in the shape of ``LinearSystem.equations``:
+``_lp_pass`` (presolve and phase 1), ``_dead_columns`` (the columns 0 on
+the whole polytope) and ``integer_feasible`` (the one integer solver,
+with a set of columns fixed to 0).  One ``_check_witness`` checks every
+witness they return against the rows.  Only ``build_ip_system`` and the
+public boundary functions (``lp_feasible``, ``diophantine_feasible``,
+``relative_interior_support``) read ``variables``, ``forced_zero`` and
+``alias``; there results cross back to VarKeys, and an alias takes its
+representative's value.  The deciders and the certificate edge systems
+hand the core their rows as they are.
 
 Three deciders share the infrastructure:
 
@@ -33,9 +35,10 @@ Three deciders share the infrastructure:
 * AIP: integer feasibility (integer presolve, then a Smith normal form
   taken straight on the presolved integer rows, pivoting on the least
   nonzero entry; no rational row reduction);
-* BA: rational feasibility, then integer feasibility of the system refined
-  by zeroing every variable that vanishes on the whole polytope (the
-  relative-interior support, found by maximizing variables one at a time).
+* BA: rational feasibility, then integer feasibility of the rows with
+  every column that vanishes on the whole polytope zeroed (the dead set,
+  outside the relative-interior support, found by maximizing columns one
+  at a time).
 
 Everything is exact: the only number types are arbitrary-precision
 integers and, for witness values and optima only, ``Fraction``.
@@ -89,8 +92,10 @@ class LinearSystem:
     ``alias`` maps a column that is equal to another in every solution,
     and appears in no equation, to that column, its representative
     (``build_ip_system`` gives each orbit of position permutations one).
-    The deciders read an alias's value, support and zeroing through its
-    representative.  It is empty at k = 1 and in a hand-built system.
+    The boundary functions read an alias's value, support and zeroing
+    through its representative; the solver core, which sees only the
+    rows, never meets one.  It is empty at k = 1 and in a hand-built
+    system.
     """
 
     variables: tuple[VarKey, ...]
@@ -144,18 +149,6 @@ def _canon(coeffs: dict, rhs: int):
         items = tuple((v, -c) for v, c in items)
         rhs = -rhs
     return (items, rhs)
-
-
-def _lambda_generators(k: int) -> list[tuple[int, ...]]:
-    """Position maps generating the full transformation monoid on [k]: a
-    transposition, a k-cycle and a rank-(k-1) collapse (for k = 2 the swap
-    and (0 0)).  At k = 1 the only map is the identity, whose marginality
-    equations are trivial."""
-    if k == 1:
-        return []
-    rest = tuple(range(2, k))
-    maps = [(1, 0) + rest, tuple(range(1, k)) + (0,), (0, 0) + rest]
-    return list(dict.fromkeys(maps))
 
 
 def _mu_generators(k: int) -> list[tuple[int, ...]]:
@@ -877,6 +870,18 @@ def _independent_integer_rows(eqs, variables):
     return mat, [rhs for _coeffs, rhs in eqs]
 
 
+def _check_witness(rows, values: dict) -> None:
+    """Raise ``AssertionError`` unless ``values`` (ints or ``Fraction``s,
+    an absent column reading 0) satisfies every row.  The check is in
+    integers: with D the lcm of the denominators (1 for an int) and
+    N_j = D * value_j, each row must give sum(c * N_j) = rhs * D."""
+    den = math.lcm(*(val.denominator for val in values.values()))
+    num = {j: val.numerator * (den // val.denominator) for j, val in values.items()}
+    for items, rhs in rows:
+        if sum(c * num.get(j, 0) for j, c in items) != rhs * den:
+            raise AssertionError("witness failed re-substitution")
+
+
 def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
     """Solve a sparse integer equality system exactly.
 
@@ -910,9 +915,7 @@ def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
     # integer presolve substitutes through unit pivots, so the values are
     # ints; zeroed columns are absent and read as 0
     out = red.resolve(assignment)
-    for items, rhs in rows:
-        if sum(c * out.get(v, 0) for v, c in items) != rhs:
-            raise AssertionError("integer witness failed re-substitution")
+    _check_witness(rows, out)
     return out
 
 
@@ -921,43 +924,37 @@ def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _lp_pass(sys: LinearSystem):
+def _lp_pass(rows):
     """Nonnegative presolve and simplex phase 1, with a checked witness.
 
-    Returns ``(witness, reduced, simplex)``, or None when the system has no
-    nonnegative rational solution.  The witness maps every live column to
-    its value, an alias to its representative's.  Before it is returned it
-    is checked in integers: with D the lcm of its denominators and
-    N_j = D * value_j, every equation must give sum(c * N_j) = rhs * D and
-    every N_j must be nonnegative.  The simplex is left on that feasible
-    basis for ``maximize``.
+    Returns ``(witness, reduced, simplex)``, or None when the rows have no
+    nonnegative rational solution.  The witness maps every column of the
+    presolved rows and every eliminated column to its value; a column in
+    no row reads 0.  It is checked against every row (``_check_witness``)
+    and for nonnegativity before it is returned.  The simplex is left on
+    that feasible basis for ``maximize``.
     """
-    red = _reduce(sys.equations, nonneg=True)
+    red = _reduce(rows, nonneg=True)
     if red.infeasible:
         return None
     sx = _Simplex(red.eqs, sorted(red.live))
     if not sx.feasible():
         return None
-    full = red.resolve(sx.solution())
-    alias = sys.alias
-    out = {j: full.get(alias.get(j, j), 0) for j in sys.live_columns()}
-    den = math.lcm(*(val.denominator for val in out.values()))
-    num = {j: val.numerator * (den // val.denominator) for j, val in out.items()}
-    for items, rhs in sys.equations:
-        if sum(c * num[j] for j, c in items) != rhs * den:
-            raise AssertionError("rational witness failed re-substitution")
-    if any(v < 0 for v in num.values()):
+    witness = red.resolve(sx.solution())
+    _check_witness(rows, witness)
+    if any(val < 0 for val in witness.values()):
         raise AssertionError("rational witness not nonnegative")
-    return out, red, sx
+    return witness, red, sx
 
 
 def lp_feasible(sys: LinearSystem) -> Optional[dict]:
     """A nonnegative exact-rational solution keyed by VarKey, or None
-    (phase-1 optimum > 0)."""
-    lp = _lp_pass(sys)
+    (phase-1 optimum > 0).  An alias takes its representative's value."""
+    lp = _lp_pass(sys.equations)
     if lp is None:
         return None
-    return {sys.variables[j]: _Q(val) for j, val in lp[0].items()}
+    witness, alias = lp[0], sys.alias
+    return {sys.variables[j]: _Q(witness.get(alias.get(j, j), 0)) for j in sys.live_columns()}
 
 
 def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:
@@ -976,18 +973,20 @@ def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) 
     return {v: sol.get(alias.get(j, j), 0) for j, v in enumerate(sys.variables)}
 
 
-def _support_columns(sys: LinearSystem) -> set[int]:
-    """The live columns positive somewhere on the feasible polytope.
+def _dead_columns(rows) -> Optional[frozenset]:
+    """The columns of the rows that are 0 on the whole feasible polytope,
+    or None when it is empty.
 
-    Found by maximizing the columns one at a time (warm-started on a
-    shared tableau); a column unbounded above is trivially positive
-    somewhere, and every witness encountered marks all its positive
-    columns, so most columns never need their own run.  Raises
-    ``Infeasible`` when the polytope is empty.
+    The support is found by maximizing the columns one at a time
+    (warm-started on a shared tableau); a column unbounded above is
+    trivially positive somewhere, and every witness encountered marks all
+    its positive columns, so most columns never need their own run.  A
+    column the presolve left in no row and did not eliminate is free, so
+    positive somewhere, and is not dead.
     """
-    lp = _lp_pass(sys)
+    lp = _lp_pass(rows)
     if lp is None:
-        raise Infeasible("system has no nonnegative rational solution")
+        return None
     _witness, red, sx = lp
     positive = {j for j, val in sx.solution().items() if val > 0}
     for j in sx.vars:
@@ -997,25 +996,23 @@ def _support_columns(sys: LinearSystem) -> set[int]:
         if opt is None or opt > 0:
             positive.add(j)
             positive.update(w for w, val in sx.solution().items() if val > 0)
-    support = red.support_status(positive)
-    # columns outside every equation are unconstrained, hence positive
-    # somewhere; forced-zero columns are not; an alias is positive where
-    # its representative is
-    alias = sys.alias
-    return {
-        j for j in sys.live_columns()
-        if (r := alias.get(j, j)) in support or (r not in red.live and r not in red.subs)
-    }
+    return frozenset((red.live | red.subs.keys()) - red.support_status(positive))
 
 
 def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
     """Variables positive somewhere on the feasible polytope (raises
-    ``Infeasible`` when it is empty)."""
-    return {sys.variables[j] for j in _support_columns(sys)}
+    ``Infeasible`` when it is empty).  Columns in no row are unconstrained,
+    hence in the support; forced-zero columns are not; an alias is in it
+    when its representative is."""
+    dead = _dead_columns(sys.equations)
+    if dead is None:
+        raise Infeasible("system has no nonnegative rational solution")
+    alias = sys.alias
+    return {sys.variables[j] for j in sys.live_columns() if alias.get(j, j) not in dead}
 
 
 def decide_blp(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
-    return _lp_pass(build_ip_system(x_graph, a_graph, k)) is not None
+    return _lp_pass(build_ip_system(x_graph, a_graph, k).equations) is not None
 
 
 def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
@@ -1024,14 +1021,10 @@ def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
 
 def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     """BA^k: rational feasibility, then integer feasibility with every
-    variable outside the relative-interior support zeroed.  One presolve
-    and one phase 1 serve both steps: ``_support_columns`` runs them (with
-    the checks of the rational witness) before its support loop and raises
-    ``Infeasible`` when BLP rejects."""
-    sys = build_ip_system(x_graph, a_graph, k)
-    try:
-        support = _support_columns(sys)
-    except Infeasible:
-        return False
-    dead = frozenset(j for j in sys.live_columns() if j not in support)
-    return integer_feasible(sys.equations, dead) is not None
+    column that is 0 on the whole polytope zeroed.  One presolve and one
+    phase 1 serve both steps: ``_dead_columns`` runs them (with the checks
+    of the rational witness) before its support loop, and returns None
+    when BLP rejects."""
+    rows = build_ip_system(x_graph, a_graph, k).equations
+    dead = _dead_columns(rows)
+    return dead is not None and integer_feasible(rows, dead) is not None

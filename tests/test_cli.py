@@ -69,6 +69,15 @@ def test_crystal_mine_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_crystal_crystalise_over_the_read_budget_is_a_usage_error(tmp_path, capsys):
+    mined = tmp_path / "h3.st"
+    invoke(capsys, "crystal", "mine", "--k", "3", "-o", str(mined))
+    assert invoke(capsys, "crystal", "crystalise", "--q", "2000", str(mined)) == (
+        2, "", "error: lifting 13 entries of dimension 3 to q = 2000 takes "
+        "24851599083098676000 reads, over the budget of 2000000\n",
+    )
+
+
 @pytest.mark.parametrize("k", ["10", "1000"])
 def test_crystal_mine_over_the_size_budget_is_a_usage_error(capsys, k):
     code, stdout, err = invoke(capsys, "crystal", "mine", "--k", k)
@@ -181,6 +190,25 @@ def test_hom_no(tmp_path, capsys):
     a = write_graph(tmp_path / "k3.json", clique(3))
     code, stdout, _ = invoke(capsys, "hom", x, a)
     assert code == 1 and stdout == "NO\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("digraph", "clique", "--q", "100000"),
+     "K_100000 has 100000*99999 = 9999900000 edges, over the budget of 1000000"),
+    (("digraph", "shift", "--q", "4", "--i", "20"),
+     "S_{4,20} has 4*3^21 edges, over the budget of 1000000"),
+])
+def test_digraph_over_the_edge_budget_is_a_usage_error(capsys, argv, err):
+    assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_hom_over_the_domain_budget_is_a_usage_error(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"vertices": 1000000000, "edges": [[1, 2]]}')
+    assert invoke(capsys, "hom", str(big), str(big)) == (
+        2, "", "error: the search has 1000000000*1000000000 = 1000000000000000000 domain cells, "
+        "over the budget of 100000\n",
+    )
 
 
 # -- relax ------------------------------------------------------------------

@@ -124,6 +124,20 @@ def test_crystalise_q_bounds():
         crystalise(s, 1)
 
 
+def test_crystalise_refuses_over_the_read_budget(monkeypatch):
+    s = mine_hollow_crystal(2)  # 3 entries
+    # C(3,2) * (3+1) * (C(3,0) + C(3,1) + C(3,2)) = 3 * 4 * 7
+    monkeypatch.setattr(cm, "_MAX_REALISE_READS", 84)
+    assert is_crystal(crystalise(s, 3), 2).shadow == s
+    monkeypatch.setattr(cm, "_MAX_REALISE_READS", 83)
+    with pytest.raises(BadDimension, match="^lifting 3 entries of dimension 2 to q = 3 takes "
+                                           "84 reads, over the budget of 83$"):
+        crystalise(s, 3)
+    # at q = k the shadow comes back as it is, with no reads
+    monkeypatch.setattr(cm, "_MAX_REALISE_READS", 0)
+    assert crystalise(s, 2) == s
+
+
 # -- quartz -----------------------------------------------------------------
 
 

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import crystalforge.digraph_lab as dg
 from crystalforge.digraph_lab import (
     ChromaticParams,
     Digraph,
     DigraphError,
+    DigraphTooLarge,
     InvalidParams,
     check_homomorphism,
     clique,
@@ -91,6 +93,43 @@ def test_shift_digraph_vertex_counts():
     assert shift_digraph(4, 0) == clique(4)
     with pytest.raises(DigraphError):
         shift_digraph(0, 1)
+
+
+def test_clique_refuses_over_the_edge_budget(monkeypatch):
+    monkeypatch.setattr(dg, "_MAX_EDGES", 12)
+    assert len(clique(4).edges) == 12
+    monkeypatch.setattr(dg, "_MAX_EDGES", 11)
+    with pytest.raises(DigraphTooLarge, match=r"^K_4 has 4\*3 = 12 edges, over the budget of 11$"):
+        clique(4)
+
+
+def test_shift_digraph_refuses_over_the_edge_budget(monkeypatch):
+    # |E(S_{q,i})| = q (q-1)^(i+1)
+    for q, i in ((3, 0), (3, 2), (4, 1), (4, 2)):
+        assert len(shift_digraph(q, i).edges) == q * (q - 1) ** (i + 1)
+    monkeypatch.setattr(dg, "_MAX_EDGES", 12)
+    assert len(shift_digraph(3, 1).edges) == 12
+    monkeypatch.setattr(dg, "_MAX_EDGES", 11)
+    with pytest.raises(DigraphTooLarge, match=r"^S_\{3,1\} has 3\*2\^2 edges, over the budget of 11$"):
+        shift_digraph(3, 1)
+    monkeypatch.undo()
+    with pytest.raises(DigraphTooLarge, match=r"^S_\{3,10+\} has 3\*2\^10+1 edges"):
+        shift_digraph(3, 10**40)
+
+
+def test_small_cliques_are_their_own_line_digraphs():
+    for q in (1, 2):
+        assert line_digraph(clique(q))[0] == clique(q)
+        assert shift_digraph(q, 10**40) == clique(q)
+
+
+def test_hom_refuses_over_the_domain_budget(monkeypatch):
+    monkeypatch.setattr(dg, "_MAX_DOMAIN_CELLS", 12)
+    assert homomorphism_exists(clique(4), clique(3)) is None
+    monkeypatch.setattr(dg, "_MAX_DOMAIN_CELLS", 11)
+    with pytest.raises(DigraphTooLarge, match=r"^the search has 4\*3 = 12 domain cells, "
+                                              "over the budget of 11$"):
+        homomorphism_exists(clique(4), clique(3))
 
 
 # -- homomorphisms ----------------------------------------------------------

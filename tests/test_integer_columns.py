@@ -19,12 +19,12 @@ from hypothesis import given, settings, strategies as st
 from keyed_systems import keyed_system, orbit_max
 
 from crystalforge import relaxation_engine as rx
+from crystalforge.certificate_desk import _lambda_generators
 from crystalforge.digraph_lab import Digraph, clique
 from crystalforge.relaxation_engine import (
     Infeasible,
     _blocks,
     _canon,
-    _lambda_generators,
     _mu_generators,
     build_ip_system,
     decide_aip,

@@ -263,3 +263,41 @@ def test_ba_runs_one_presolve_of_each_kind(monkeypatch):
     # integer step, which rejects it
     assert decide_ba(clique(3), clique(2), 1) is False
     assert sorted(calls) == [False, True]
+
+
+def row_columns(rows):
+    return {j for items, _rhs in rows for j, _c in items}
+
+
+def test_ba_zeroes_only_columns_of_the_rows(monkeypatch):
+    zeros = []
+    real = rx.integer_feasible
+
+    def spying(rows, zero=frozenset()):
+        zeros.append((zero, row_columns(rows)))
+        return real(rows, zero)
+
+    monkeypatch.setattr(rx, "integer_feasible", spying)
+    assert decide_ba(clique(4), clique(3), 2) is True
+    (zero, columns), = zeros
+    # 18 columns of the rows are 0 on the whole polytope; their aliases
+    # and the forced-zero columns are in no row and are not named
+    assert len(zero) == 18 and zero <= columns
+
+
+def test_lp_pass_takes_rows_and_values_only_their_columns():
+    sys = build_ip_system(clique(4), clique(3), 3)
+    assert sys.alias and sys.forced_zero
+    witness, _red, _sx = rx._lp_pass(sys.equations)
+    assert witness.keys() <= row_columns(sys.equations)
+    assert all(val >= 0 for val in witness.values())
+    assert rx._lp_pass([(((0, 1), (1, 1)), -1)]) is None
+
+
+def test_dead_columns_are_columns_of_the_rows():
+    sys = build_ip_system(clique(4), clique(3), 3)
+    dead = rx._dead_columns(sys.equations)
+    assert dead <= row_columns(sys.equations)
+    support = relative_interior_support(sys)
+    assert {sys.variables[j] for j in dead}.isdisjoint(support)
+    assert rx._dead_columns([(((0, 1), (1, 1)), -1)]) is None
