@@ -16,6 +16,13 @@ writes output and picks the exit code.  A handler returns either
 ``shadow_realiser.NotRealistic`` is a verified NO without a token: its
 message goes to stderr, exit 1.  Usage and format errors exit 2, and any
 other exception exits 3.
+
+A process runs one verb, so the module imports only the standard library,
+and each handler imports the crystalforge modules it calls in its body:
+``fool params`` never loads the LP engine, and no ``cert`` verb does.
+``run`` maps an exception to its exit code without importing anything
+either: it looks each exception class up in ``sys.modules``, since a class
+whose module was never loaded cannot have been raised.
 """
 
 from __future__ import annotations
@@ -24,13 +31,6 @@ import argparse
 import json
 import os
 import sys
-
-from . import certificate_desk as cd
-from . import crystal_mill as cm
-from . import digraph_lab as dg
-from . import relaxation_engine as rx
-from . import shadow_realiser as sr
-from . import tensor_core as tc
 
 
 class _CliError(Exception):
@@ -56,41 +56,88 @@ def _emit(text: str, out_path):
             raise _CliError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _load_tensor(path: str) -> tc.IntTensor:
+def _load_tensor(path: str):
+    from . import tensor_core as tc
     return tc.loads_st(_read_text(path))
 
 
-def _load_digraph(path: str) -> dg.Digraph:
+def _load_digraph(path: str):
+    from . import digraph_lab as dg
     return dg.digraph_from_json(_read_text(path))
 
 
-def _load_system(path: str) -> sr.ShadowSystem:
+def _load_system(path: str):
+    from . import shadow_realiser as sr
     return sr.system_from_json(_read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _load_certificate(path: str) -> cd.ZaffCertificate:
+def _load_certificate(path: str):
+    from . import certificate_desk as cd
     return cd.certificate_from_json(_read_text(path))
 
 
+def _dumps_st(t) -> str:
+    from . import tensor_core as tc
+    return tc.dumps_st(t)
+
+
 # ---------------------------------------------------------------------------
-# verbs with logic of their own; the rest are one expression in the parser
+# verb handlers; each imports the crystalforge modules it calls
 # ---------------------------------------------------------------------------
+
+
+def _cmd_crystal_mine(args):
+    from . import crystal_mill as cm
+    return _dumps_st(cm.mine_hollow_crystal(args.k))
 
 
 def _cmd_crystal_verify(args):
     """Check the miner's contract (``crystal_mill.hollow_crystal_fault``)."""
     if args.k < 1:
         raise _CliError(f"--k must be >= 1, got {args.k}")
+    from . import crystal_mill as cm
     fault = cm.hollow_crystal_fault(_load_tensor(args.tensor), args.k)
     return fault is None, fault
 
 
+def _cmd_crystal_shadow(args):
+    from . import crystal_mill as cm
+    return _dumps_st(cm.shadow(_load_tensor(args.tensor), args.k))
+
+
+def _cmd_crystal_crystalise(args):
+    from . import crystal_mill as cm
+    return _dumps_st(cm.crystalise(_load_tensor(args.tensor), args.q))
+
+
 def _cmd_shadows_check(args):
+    from . import shadow_realiser as sr
     ok, quad = sr.is_realistic(_load_system(args.system))
     return ok, f"compatibility fails at (i, j, r, s) = {quad}"
 
 
+def _cmd_shadows_realise(args):
+    from . import shadow_realiser as sr
+    return _dumps_st(sr.realise(_load_system(args.system)))
+
+
+def _cmd_digraph_clique(args):
+    from . import digraph_lab as dg
+    return dg.digraph_to_json(dg.clique(args.q))
+
+
+def _cmd_digraph_linegraph(args):
+    from . import digraph_lab as dg
+    return dg.digraph_to_json(dg.line_digraph(_load_digraph(args.digraph))[0])
+
+
+def _cmd_digraph_shift(args):
+    from . import digraph_lab as dg
+    return dg.digraph_to_json(dg.shift_digraph(args.q, args.i))
+
+
 def _cmd_hom(args):
+    from . import digraph_lab as dg
     f = dg.homomorphism_exists(_load_digraph(args.instance), _load_digraph(args.template))
     if f is None:
         return False, None
@@ -100,13 +147,22 @@ def _cmd_hom(args):
 def _cmd_relax(args):
     if args.k < 1:
         raise _CliError(f"--k must be >= 1, got {args.k}")
+    from . import relaxation_engine as rx
     x = _load_digraph(args.instance)
     a = _load_digraph(args.template)
     decide = {"blp": rx.decide_blp, "aip": rx.decide_aip, "ba": rx.decide_ba}[args.which]
     return decide(x, a, args.k), None
 
 
+def _cmd_cert_from_crystal(args):
+    from . import certificate_desk as cd
+    cert = cd.certificate_from_crystal(
+        _load_tensor(args.crystal), _load_digraph(args.instance), args.k)
+    return cd.certificate_to_json(cert)
+
+
 def _cmd_cert_verify(args):
+    from . import certificate_desk as cd
     cert = _load_certificate(args.certificate)
     if cert.template_clique is not None:
         return cd.verify_clique_certificate(cert, cert.instance, cert.template_clique)
@@ -114,6 +170,7 @@ def _cmd_cert_verify(args):
 
 
 def _cmd_cert_push_hom(args):
+    from . import certificate_desk as cd
     cert = _load_certificate(args.certificate)
     try:
         raw = json.loads(_read_text(args.map))
@@ -124,7 +181,14 @@ def _cmd_cert_push_hom(args):
     return cd.certificate_to_json(cd.transform_certificate_homomorphism(cert, f, b))
 
 
+def _cmd_cert_linegraph(args):
+    from . import certificate_desk as cd
+    cert = _load_certificate(args.certificate)
+    return cd.certificate_to_json(cd.transform_certificate_line_digraph(cert))
+
+
 def _cmd_fool_params(args):
+    from . import digraph_lab as dg
     p = dg.fooling_parameters(args.c, args.d, args.k)
     lines = [
         f"i {p.i}",
@@ -163,26 +227,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     crystal = group("crystal")
-    verb(crystal, "mine", lambda a: tc.dumps_st(cm.mine_hollow_crystal(a.k)), "--k", output=True)
+    verb(crystal, "mine", _cmd_crystal_mine, "--k", output=True)
     verb(crystal, "verify", _cmd_crystal_verify, "--k", "tensor")
-    verb(crystal, "shadow", lambda a: tc.dumps_st(cm.shadow(_load_tensor(a.tensor), a.k)),
-         "--k", "tensor", output=True)
-    verb(crystal, "crystalise", lambda a: tc.dumps_st(cm.crystalise(_load_tensor(a.tensor), a.q)),
-         "--q", "tensor", output=True)
+    verb(crystal, "shadow", _cmd_crystal_shadow, "--k", "tensor", output=True)
+    verb(crystal, "crystalise", _cmd_crystal_crystalise, "--q", "tensor", output=True)
 
     shadows = group("shadows")
     verb(shadows, "check", _cmd_shadows_check, "system")
-    verb(shadows, "realise", lambda a: tc.dumps_st(sr.realise(_load_system(a.system))),
-         "system", output=True)
+    verb(shadows, "realise", _cmd_shadows_realise, "system", output=True)
 
     digraph = group("digraph")
-    verb(digraph, "clique", lambda a: dg.digraph_to_json(dg.clique(a.q)),
-         ("--q", "number of vertices"), output=True)
-    verb(digraph, "linegraph",
-         lambda a: dg.digraph_to_json(dg.line_digraph(_load_digraph(a.digraph))[0]),
-         "digraph", output=True)
-    verb(digraph, "shift", lambda a: dg.digraph_to_json(dg.shift_digraph(a.q, a.i)),
-         "--q", "--i", output=True)
+    verb(digraph, "clique", _cmd_digraph_clique, ("--q", "number of vertices"), output=True)
+    verb(digraph, "linegraph", _cmd_digraph_linegraph, "digraph", output=True)
+    verb(digraph, "shift", _cmd_digraph_shift, "--q", "--i", output=True)
 
     verb(sub, "hom", _cmd_hom, "instance", "template")
 
@@ -191,21 +248,23 @@ def _build_parser() -> argparse.ArgumentParser:
         verb(relax, which, _cmd_relax, "--k", "instance", "template")
 
     cert = group("cert")
-    verb(cert, "from-crystal",
-         lambda a: cd.certificate_to_json(
-             cd.certificate_from_crystal(_load_tensor(a.crystal), _load_digraph(a.instance), a.k)),
-         "--k", "crystal", "instance", output=True)
+    verb(cert, "from-crystal", _cmd_cert_from_crystal, "--k", "crystal", "instance", output=True)
     verb(cert, "verify", _cmd_cert_verify, "certificate")
     verb(cert, "push-hom", _cmd_cert_push_hom, "certificate",
          ("map", "JSON object mapping template vertices to target vertices"), "target", output=True)
-    verb(cert, "linegraph",
-         lambda a: cd.certificate_to_json(
-             cd.transform_certificate_line_digraph(_load_certificate(a.certificate))),
-         "certificate", output=True)
+    verb(cert, "linegraph", _cmd_cert_linegraph, "certificate", output=True)
 
     verb(group("fool"), "params", _cmd_fool_params, "--c", "--d", "--k", output=True)
 
     return top
+
+
+def _raised(exc: Exception, module: str, name: str) -> bool:
+    """Whether ``exc`` is a ``crystalforge.<module>.<name>``.  The class is
+    looked up in ``sys.modules``, never imported: if its module was not
+    loaded, nothing raised it."""
+    mod = sys.modules.get(f"crystalforge.{module}")
+    return mod is not None and isinstance(exc, getattr(mod, name))
 
 
 def run(argv=None) -> int:
@@ -225,13 +284,17 @@ def run(argv=None) -> int:
             print(reason, file=sys.stderr)
         print("YES" if ok else "NO")
         return 0 if ok else 1
-    except sr.NotRealistic as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except (_CliError, tc.TensorError, dg.DigraphError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a crash must not read as exit 1, "verified NO"
+    except Exception as exc:
+        # NotRealistic is a TensorError, so it is tested first
+        if _raised(exc, "shadow_realiser", "NotRealistic"):
+            print(str(exc), file=sys.stderr)
+            return 1
+        if (isinstance(exc, (_CliError, json.JSONDecodeError))
+                or _raised(exc, "tensor_core", "TensorError")
+                or _raised(exc, "digraph_lab", "DigraphError")):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # a crash must not read as exit 1, "verified NO"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

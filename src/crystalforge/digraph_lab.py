@@ -2,10 +2,12 @@
 
 Cliques, line digraphs and shift digraphs are the instance/template
 families used downstream; ``homomorphism_exists`` is a brute-force
-backtracking decider for the small sizes in scope; the a/b iteration
-functions and ``fooling_parameters`` compute the parameters of the
-fooling-instance argument (where only the iteration count and the bit
-length of the resulting clique size are reportable at desk scale).
+backtracking decider for the small sizes in scope; ``refines`` is the
+pattern order on tuples that the level-k systems and the clique
+certificates share; the a/b iteration functions and
+``fooling_parameters`` compute the parameters of the fooling-instance
+argument (where only the iteration count and the bit length of the
+resulting clique size are reportable at desk scale).
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ class DigraphTooLarge(DigraphError):
     listed."""
 
 
-# the most edges ``clique`` and ``shift_digraph`` list: K_1000 (999,000)
-# and S_{4,10} (708,588) are each listed and written as JSON in 6.5 s at
-# 257 and 285 MB peak RSS, and the line digraph of K_65 has 266,240
+# the most edges ``clique``, ``line_digraph`` and ``shift_digraph`` list:
+# K_1000 (999,000) and S_{4,10} (708,588) are each listed and written as
+# JSON in 6.5 s at 257 and 285 MB peak RSS, and the line digraph of K_65
+# has 266,240
 _MAX_EDGES = 10**6
 
 
@@ -75,13 +78,21 @@ def line_digraph(x: Digraph) -> tuple[Digraph, list[Edge]]:
 
     Vertices are the edges of ``x`` in lexicographic order (label list is
     1-based via position); (e, f) is an edge iff e = (u,v) and f = (v,w).
+    So each vertex v of ``x`` gives indeg(v)*outdeg(v) edges; over
+    ``_MAX_EDGES`` in total is refused with ``DigraphTooLarge`` before
+    anything is listed.
     """
     labels = x.sorted_edges()
-    pos = {e: i + 1 for i, e in enumerate(labels)}
-    edges = set()
     by_tail: dict[int, list[Edge]] = {}
     for f in labels:
         by_tail.setdefault(f[0], []).append(f)
+    count = sum(len(by_tail.get(e[1], ())) for e in labels)
+    if count > _MAX_EDGES:
+        raise DigraphTooLarge(
+            f"the line digraph has {count} edges, over the budget of {_MAX_EDGES}"
+        )
+    pos = {e: i + 1 for i, e in enumerate(labels)}
+    edges = set()
     for e in labels:
         for f in by_tail.get(e[1], ()):
             edges.add((pos[e], pos[f]))
@@ -207,6 +218,18 @@ def check_homomorphism(x: Digraph, a: Digraph, f: dict[int, int]) -> bool:
     return all(v in f and 1 <= f[v] <= n for v in range(1, x.vertex_count + 1)) and all(
         (f[u], f[v]) in a.edges for u, v in x.edges
     )
+
+
+def refines(s: tuple, t: tuple) -> bool:
+    """s < t in the pattern order: equal coordinates of s force equality in t."""
+    seen: dict = {}
+    for sv, tv in zip(s, t):
+        if sv in seen:
+            if seen[sv] != tv:
+                return False
+        else:
+            seen[sv] = tv
+    return True
 
 
 # beyond this exponent the next a-iterate is too large to even materialize

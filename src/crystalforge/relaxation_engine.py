@@ -54,7 +54,7 @@ from typing import Iterable, Optional
 
 _Q = Fraction  # the rational type of witnesses and optima
 
-from .digraph_lab import Digraph, DigraphError
+from .digraph_lab import Digraph, DigraphError, refines
 
 VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
 
@@ -108,18 +108,6 @@ class LinearSystem:
 
     def live_variables(self) -> list[VarKey]:
         return [self.variables[j] for j in self.live_columns()]
-
-
-def refines(s: tuple, t: tuple) -> bool:
-    """s < t in the pattern order: equal coordinates of s force equality in t."""
-    seen: dict = {}
-    for sv, tv in zip(s, t):
-        if sv in seen:
-            if seen[sv] != tv:
-                return False
-        else:
-            seen[sv] = tv
-    return True
 
 
 def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:

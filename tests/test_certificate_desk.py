@@ -20,13 +20,12 @@ from crystalforge.certificate_desk import (
     certificate_from_crystal,
     certificate_from_json,
     certificate_to_json,
-    check_refinement,
     transform_certificate_homomorphism,
     transform_certificate_line_digraph,
-    uniform_qconv_map,
     verify_clique_certificate,
     verify_zaff_certificate_general,
 )
+from qconv_map import check_refinement, uniform_qconv_map
 
 
 def cycle(n):

@@ -202,6 +202,18 @@ def test_digraph_over_the_edge_budget_is_a_usage_error(capsys, argv, err):
     assert invoke(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
+def test_linegraph_over_the_edge_budget_is_a_usage_error(tmp_path, capsys):
+    # 1,001 edges into vertex 1 and 1,001 out of it: 1,001^2 paths through it
+    hub = tmp_path / "hub.json"
+    hub.write_text(json.dumps({
+        "vertices": 2003,
+        "edges": [[v, 1] for v in range(2, 1003)] + [[1, v] for v in range(1003, 2004)],
+    }))
+    assert invoke(capsys, "digraph", "linegraph", str(hub)) == (
+        2, "", "error: the line digraph has 1002001 edges, over the budget of 1000000\n",
+    )
+
+
 def test_hom_over_the_domain_budget_is_a_usage_error(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text('{"vertices": 1000000000, "edges": [[1, 2]]}')
@@ -541,6 +553,16 @@ def test_cert_linegraph_writes_the_lowered_certificate(tmp_path, capsys):
     cert = cycle_certificate(tmp_path, capsys)
     want = certificate_to_json(transform_certificate_line_digraph(certificate_from_json(cert.read_text())))
     assert invoke(capsys, "cert", "linegraph", str(cert)) == (0, want, "")
+
+
+def test_cert_linegraph_over_the_edge_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import crystalforge.digraph_lab as dg
+
+    cert = cycle_certificate(tmp_path, capsys)
+    monkeypatch.setattr(dg, "_MAX_EDGES", 809)  # the line digraph of K10 has 10*9*9 = 810
+    assert invoke(capsys, "cert", "linegraph", str(cert)) == (
+        2, "", "error: the line digraph has 810 edges, over the budget of 809\n",
+    )
 
 
 def test_cert_verify_general_template(tmp_path, capsys):

@@ -117,6 +117,41 @@ def test_shift_digraph_refuses_over_the_edge_budget(monkeypatch):
         shift_digraph(3, 10**40)
 
 
+def hub(n_in, n_out, loop=False):
+    """Vertex 1 with n_in in-neighbours and n_out out-neighbours."""
+    edges = {(v, 1) for v in range(2, n_in + 2)}
+    edges |= {(1, v) for v in range(n_in + 2, n_in + n_out + 2)}
+    return Digraph(n_in + n_out + 1, frozenset(edges | ({(1, 1)} if loop else set())))
+
+
+def test_line_digraph_refuses_over_the_edge_budget(monkeypatch):
+    # one edge per path u -> v -> w: indeg(v)*outdeg(v) through each v
+    g = hub(3, 4, loop=True)
+    assert len(line_digraph(g)[0].edges) == 4 * 5
+    monkeypatch.setattr(dg, "_MAX_EDGES", 20)
+    assert len(line_digraph(g)[0].edges) == 20
+    monkeypatch.setattr(dg, "_MAX_EDGES", 19)
+    with pytest.raises(DigraphTooLarge,
+                       match=r"^the line digraph has 20 edges, over the budget of 19$"):
+        line_digraph(g)
+    monkeypatch.undo()
+    # 1,001 edges in and 1,001 out of one vertex: refused before listing
+    with pytest.raises(DigraphTooLarge, match=r"^the line digraph has 1002001 edges, "
+                                              r"over the budget of 1000000$"):
+        line_digraph(hub(1001, 1001))
+
+
+def test_line_digraph_edge_count_is_the_degree_product_sum():
+    rng = random.Random(16)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        g = Digraph(n, frozenset(e for e in itertools.product(range(1, n + 1), repeat=2)
+                                 if rng.random() < 0.4))
+        want = sum(sum(1 for e in g.edges if e[1] == v) * sum(1 for e in g.edges if e[0] == v)
+                   for v in range(1, n + 1))
+        assert len(line_digraph(g)[0].edges) == want
+
+
 def test_small_cliques_are_their_own_line_digraphs():
     for q in (1, 2):
         assert line_digraph(clique(q))[0] == clique(q)
