@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .tensor_core import (
+    BadDimension,
     Index,
     IntTensor,
+    NotACrystal,
     TensorError,
     dumps_st,
     is_affine,
@@ -29,7 +30,6 @@ from .tensor_core import (
     pushforward,
     total,
 )
-from .crystal_mill import BadDimension, NotACrystal, is_crystal
 from .digraph_lab import (
     Digraph,
     check_homomorphism,
@@ -69,35 +69,52 @@ class EmptyLineTemplate(TensorError):
     pass
 
 
-@dataclass(frozen=True)
 class ZaffCertificate:
-    k: int
-    instance: Digraph
-    template: Digraph
-    zeta: Mapping[Index, IntTensor]
-    template_clique: Optional[int] = None  # n when the template is K_n
+    """Immutable level-k certificate: ``zeta`` maps each k-tuple of
+    ``instance`` vertices to an integer tensor over ``template``'s vertices;
+    ``template_clique`` is n when the template is K_n."""
 
-    def __post_init__(self):
+    __slots__ = ("k", "instance", "template", "zeta", "template_clique")
+
+    def __init__(
+        self,
+        k: int,
+        instance: Digraph,
+        template: Digraph,
+        zeta: Mapping[Index, IntTensor],
+        template_clique: Optional[int] = None,
+    ):
         """Refuse a negative level and a zeta that is not total over the
         instance vertex k-tuples.  Distinct keys, |V(X)|^k of them, each a
         k-tuple of instance vertices, are all the tuples, so the tuples are
         never listed.  With two or more vertices |V(X)|^k > k, so a zeta
         with fewer than k keys is refused before the power is taken, and
         a short zeta is refused at once at any k."""
-        if self.k < 0:
-            raise DimensionMismatch(f"certificate level must be >= 0, got k={self.k}")
-        n = self.template.vertex_count
-        verts = range(1, self.instance.vertex_count + 1)
-        zeta = dict(self.zeta)
-        counted = (len(verts) < 2 or self.k <= len(zeta)) and len(zeta) == len(verts) ** self.k
-        if not counted or not all(len(x) == self.k and all(v in verts for v in x) for x in zeta):
+        if k < 0:
+            raise DimensionMismatch(f"certificate level must be >= 0, got k={k}")
+        n = template.vertex_count
+        verts = range(1, instance.vertex_count + 1)
+        zeta = dict(zeta)
+        counted = (len(verts) < 2 or k <= len(zeta)) and len(zeta) == len(verts) ** k
+        if not counted or not all(len(x) == k and all(v in verts for v in x) for x in zeta):
             raise DimensionMismatch("zeta must be total over instance vertex k-tuples")
         for x, t in zeta.items():
-            if t.shape != (n,) * self.k:
-                raise DimensionMismatch(
-                    f"image at {x} has shape {t.shape}, expected {(n,) * self.k}"
-                )
+            if t.shape != (n,) * k:
+                raise DimensionMismatch(f"image at {x} has shape {t.shape}, expected {(n,) * k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "template", template)
         object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "template_clique", template_clique)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZaffCertificate is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZaffCertificate):
+            return NotImplemented
+        return (self.k, self.instance, self.template, self.zeta, self.template_clique) == (
+            other.k, other.instance, other.template, other.zeta, other.template_clique)
 
 
 def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCertificate:
@@ -120,6 +137,9 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
         )
     if not is_affine(c):
         raise NotAffine("crystal entries must sum to 1")
+    # imported here so that the other ``cert`` verbs never load the miner
+    from .crystal_mill import is_crystal
+
     rep = is_crystal(c, k)
     if not rep.is_crystal:
         raise NotACrystal(f"not a {k}-crystal (mismatch at {rep.failing_pair})")

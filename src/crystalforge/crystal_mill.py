@@ -12,13 +12,14 @@ ordered set partition of the positions [k].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .tensor_core import (
+    BadDimension,
     Index,
     IntTensor,
+    NotACrystal,
     TensorError,
     is_hollow,
     project,
@@ -31,20 +32,11 @@ class NotCubical(TensorError):
     pass
 
 
-class BadDimension(TensorError):
-    pass
-
-
-class NotACrystal(TensorError):
-    pass
-
-
 class CoordinateClash(TensorError):
     pass
 
 
-@dataclass(frozen=True)
-class CrystalReport:
+class CrystalReport(NamedTuple):
     is_crystal: bool
     k: int
     shadow: Optional[IntTensor] = None
@@ -81,8 +73,8 @@ def shadow(c: IntTensor, k: int) -> IntTensor:
 # t <= k of C(q,t): the realisation has at most nnz(s) entries from each
 # of the sum's projections, and the final check projects it C(q,k) times.
 # A width-400 line of 400 entries lifted to q = 70 (1,992,970 reads) takes
-# 2.2 s at 32 MB peak RSS, and H_3 to q = 13 (1,513,512) 0.8 s; H_3 to
-# q = 20 (20,003,400) took 11.4 s, and to q = 2000 ran out of memory
+# 1.0 s at 31 MB peak RSS, and H_3 to q = 13 (1,513,512) 0.3 s; H_3 to
+# q = 20 (20,003,400) took 4.4 s, and to q = 2000 ran out of memory
 _MAX_REALISE_READS = 2 * 10**6
 
 
@@ -169,7 +161,7 @@ def hollow_crystal_fault(c: IntTensor, k: int) -> Optional[str]:
 
 
 # H_k has a(k) entries (the ordered Bell numbers): 7,087,261 at k = 9, which
-# takes 135 s and 1.4 GB to emit and check, and 102,247,563 at k = 10.
+# takes 99 s and 1.4 GB to emit and check, and 102,247,563 at k = 10.
 _MAX_MINED_K = 9
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Edge = tuple[int, int]
 
@@ -41,19 +40,31 @@ class DigraphTooLarge(DigraphError):
 _MAX_EDGES = 10**6
 
 
-@dataclass(frozen=True)
 class Digraph:
-    vertex_count: int
-    edges: frozenset[Edge]
+    """Immutable digraph on the vertices 1..vertex_count."""
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: frozenset[Edge]):
+        if vertex_count < 1:
             raise DigraphError("need at least one vertex")
-        edges = frozenset((int(u), int(v)) for u, v in self.edges)
+        edges = frozenset((int(u), int(v)) for u, v in edges)
         for u, v in edges:
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise DigraphError(f"edge ({u},{v}) out of range")
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Digraph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -273,8 +284,7 @@ def iterate_b(p: int, i: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class ChromaticParams:
+class ChromaticParams(NamedTuple):
     i: int
     q_bits: int
     q: Optional[int]  # exact value when it fits in 64 bits, else None

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -76,7 +75,6 @@ class SystemTooLarge(DigraphError):
     (``_MAX_COLUMNS``, ``_MAX_LEVEL``); refused before anything is built."""
 
 
-@dataclass(frozen=True)
 class LinearSystem:
     """A sparse integer equation system over numbered columns.
 
@@ -95,13 +93,34 @@ class LinearSystem:
     The boundary functions read an alias's value, support and zeroing
     through its representative; the solver core, which sees only the
     rows, never meets one.  It is empty at k = 1 and in a hand-built
-    system.
+    system.  It takes part in ``==`` but not in ``hash``.
     """
 
-    variables: tuple[VarKey, ...]
-    equations: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-    forced_zero: frozenset[int]
-    alias: dict[int, int] = field(default_factory=dict, hash=False)
+    __slots__ = ("variables", "equations", "forced_zero", "alias")
+
+    def __init__(
+        self,
+        variables: tuple[VarKey, ...],
+        equations: tuple[tuple[tuple[tuple[int, int], ...], int], ...],
+        forced_zero: frozenset[int],
+        alias: Optional[dict[int, int]] = None,
+    ):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "forced_zero", forced_zero)
+        object.__setattr__(self, "alias", {} if alias is None else alias)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearSystem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearSystem):
+            return NotImplemented
+        return (self.variables, self.equations, self.forced_zero, self.alias) == (
+            other.variables, other.equations, other.forced_zero, other.alias)
+
+    def __hash__(self):
+        return hash((self.variables, self.equations, self.forced_zero))
 
     def live_columns(self) -> list[int]:
         return [j for j in range(len(self.variables)) if j not in self.forced_zero]

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Optional
 
@@ -70,28 +69,38 @@ def increasing_tuples(q: int, p: int) -> list[Index]:
     return [tuple(c) for c in itertools.combinations(range(1, q + 1), p)]
 
 
-@dataclass(frozen=True)
 class ShadowSystem:
-    p: int
-    shape: Shape
-    shadows: Mapping[Index, IntTensor]
+    """Immutable system of shadows: one tensor per increasing p-tuple of
+    the q = len(shape) modes, of the widths those modes select."""
 
-    def __post_init__(self):
-        q = len(self.shape)
-        if not 1 <= self.p <= q:
-            raise TensorError(f"need 1 <= p <= q, got p={self.p}, q={q}")
-        object.__setattr__(self, "shape", tuple(self.shape))
-        shadows = dict(self.shadows)
-        expected = increasing_tuples(q, self.p)
+    __slots__ = ("p", "shape", "shadows")
+
+    def __init__(self, p: int, shape: Shape, shadows: Mapping[Index, IntTensor]):
+        q = len(shape)
+        if not 1 <= p <= q:
+            raise TensorError(f"need 1 <= p <= q, got p={p}, q={q}")
+        shape = tuple(shape)
+        shadows = dict(shadows)
+        expected = increasing_tuples(q, p)
         if set(shadows) != set(expected):
             missing = sorted(set(expected) - set(shadows))
             extra = sorted(set(shadows) - set(expected))
             raise TensorError(f"shadow keys wrong: missing={missing}, extra={extra}")
         for i in expected:
-            want = tuple(self.shape[m - 1] for m in i)
+            want = tuple(shape[m - 1] for m in i)
             if shadows[i].shape != want:
                 raise TensorError(f"shadow {i} has shape {shadows[i].shape}, expected {want}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "shadows", shadows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShadowSystem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShadowSystem):
+            return NotImplemented
+        return (self.p, self.shape, self.shadows) == (other.p, other.shape, other.shadows)
 
     def shadow_at(self, sel: Index) -> IntTensor:
         """Shadow for an arbitrary (possibly non-increasing) injective tuple.

@@ -10,6 +10,7 @@ small and purely functional: no operation mutates its arguments.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 Shape = tuple[int, ...]
@@ -34,6 +35,14 @@ class InvalidSelector(TensorError):
 
 class StFormatError(TensorError):
     """Malformed ``.st`` payload."""
+
+
+class BadDimension(TensorError):
+    """A level, dimension or mode count out of range."""
+
+
+class NotACrystal(TensorError):
+    """A tensor whose projections onto the increasing k-tuples differ."""
 
 
 class IntTensor:
@@ -227,9 +236,15 @@ def project(t: IntTensor, sel: Iterable[int]) -> IntTensor:
     """
     sel = _check_selector(sel, len(t.shape))
     pos = tuple(m - 1 for m in sel)
-    return pushforward(
-        t, lambda idx: tuple([idx[m] for m in pos]), tuple(t.shape[m] for m in pos)
-    )
+    # itemgetter of two or more positions returns a tuple but of one a bare
+    # coordinate, so one mode, and no mode, take a slice of the index
+    if len(pos) > 1:
+        key_of = itemgetter(*pos)
+    elif pos:
+        key_of = itemgetter(slice(pos[0], pos[0] + 1))
+    else:
+        key_of = itemgetter(slice(0))
+    return pushforward(t, key_of, tuple(t.shape[m] for m in pos))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,21 @@ def test_certificate_totality_enforced():
         ZaffCertificate(2, cert.instance, cert.template, zeta, cert.template_clique)
 
 
+def test_certificate_is_an_immutable_value():
+    zeta = {(v,): IntTensor((2,), {(v,): 1}) for v in (1, 2)}
+    cert = ZaffCertificate(1, clique(2), clique(2), zeta)
+    assert cert.template_clique is None
+    assert cert == ZaffCertificate(
+        k=1, instance=clique(2), template=clique(2), zeta=dict(zeta), template_clique=None)
+    assert cert != ZaffCertificate(1, clique(2), clique(2), zeta, template_clique=2)
+    zeta.clear()  # the certificate keeps its own copy
+    assert len(cert.zeta) == 2
+    with pytest.raises(TypeError):
+        hash(cert)  # zeta is a dict
+    with pytest.raises(AttributeError):
+        cert.k = 2
+
+
 # -- verification failures --------------------------------------------------
 
 

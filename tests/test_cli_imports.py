@@ -24,14 +24,15 @@ from crystalforge.tensor_core import IntTensor, dumps_st, project
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # runs one verb through ``cli.run``, then prints its exit code, the
-# crystalforge modules loaded and whether ``fractions`` was, as the last
-# line of stdout
+# crystalforge modules loaded and whether ``fractions`` and ``dataclasses``
+# were, as the last line of stdout
 PROBE = """\
 import json, sys
 from crystalforge.cli import run
 code = run(sys.argv[1:]) if sys.argv[1:] else None
 mods = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("crystalforge."))
-print(json.dumps({"code": code, "modules": mods, "fractions": "fractions" in sys.modules}))
+print(json.dumps({"code": code, "modules": mods, "fractions": "fractions" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -67,7 +68,7 @@ def inputs(tmp_path_factory):
 
 DIGRAPH = ["digraph_lab"]
 TENSORS = ["crystal_mill", "shadow_realiser", "tensor_core"]
-CERT = ["certificate_desk", "crystal_mill", "digraph_lab", "shadow_realiser", "tensor_core"]
+CERT = ["certificate_desk", "digraph_lab", "tensor_core"]
 
 
 VERBS = [
@@ -84,7 +85,8 @@ VERBS = [
     (("crystal", "crystalise", "--q", "3", "u.st"), 0, TENSORS),
     (("shadows", "check", "sys.json"), 0, ["shadow_realiser", "tensor_core"]),
     (("shadows", "realise", "sys.json"), 0, ["shadow_realiser", "tensor_core"]),
-    (("cert", "from-crystal", "--k", "2", "c4.st", "k4.json"), 0, CERT),
+    (("cert", "from-crystal", "--k", "2", "c4.st", "k4.json"), 0,
+     CERT + ["crystal_mill", "shadow_realiser"]),
     (("cert", "verify", "cert.json"), 0, CERT),
     (("cert", "push-hom", "cert.json", "f.json", "k4.json"), 0, CERT),
     (("cert", "linegraph", "cert.json"), 0, CERT),
@@ -97,9 +99,10 @@ def test_each_verb_loads_only_the_modules_it_runs(inputs, argv, code, modules):
     proc = python(inputs, "-c", PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
-    # only the LP engine computes with Fraction
+    # only the LP engine computes with Fraction, and no verb loads dataclasses
     fractions = "relaxation_engine" in modules
-    assert last == {"code": code, "modules": sorted(["cli", *modules]), "fractions": fractions}
+    assert last == {"code": code, "modules": sorted(["cli", *modules]), "fractions": fractions,
+                    "dataclasses": False}
 
 
 ERRORS = [

@@ -65,6 +65,19 @@ def test_is_crystal_k_equals_q_trivial():
     assert rep.is_crystal and rep.shadow == t
 
 
+def test_crystal_report_is_an_immutable_value():
+    t = IntTensor((2, 2), {(1, 2): 3})
+    rep = is_crystal(t, 2)
+    assert rep == CrystalReport(True, 2, t) == CrystalReport(
+        is_crystal=True, k=2, shadow=t, failing_pair=None)
+    assert hash(rep) == hash(CrystalReport(True, 2, t))
+    assert is_crystal(IntTensor((2, 2), {(1, 2): 1}), 1) == CrystalReport(
+        False, 1, failing_pair=((1,), (2,)))
+    assert CrystalReport(False, 1).shadow is None
+    with pytest.raises(AttributeError):
+        rep.k = 3
+
+
 def test_is_crystal_rejects_non_cubical():
     with pytest.raises(NotCubical):
         is_crystal(IntTensor((2, 3), {}), 1)
@@ -80,6 +93,14 @@ def test_is_crystal_rejects_k_out_of_range():
 def test_shadow_raises_on_non_crystal():
     with pytest.raises(NotACrystal):
         shadow(IntTensor((2, 2), {(1, 2): 1}), 1)
+
+
+def test_shared_errors_are_the_tensor_core_classes():
+    # certificate_desk raises them without loading the miner
+    import crystalforge.certificate_desk as cd
+    import crystalforge.tensor_core as tc
+    assert cm.BadDimension is cd.BadDimension is tc.BadDimension
+    assert cm.NotACrystal is cd.NotACrystal is tc.NotACrystal
 
 
 # -- crystalise -------------------------------------------------------------

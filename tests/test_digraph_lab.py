@@ -49,6 +49,17 @@ def test_digraph_validation():
         clique(0)
 
 
+def test_digraph_is_an_immutable_value():
+    g = Digraph(3, [(1, 2), ("2", 3)])
+    assert g.edges == frozenset({(1, 2), (2, 3)})
+    assert g == Digraph(vertex_count=3, edges=frozenset({(2, 3), (1, 2)}))
+    assert hash(g) == hash(Digraph(3, frozenset({(1, 2), (2, 3)})))
+    assert g != Digraph(4, g.edges) and g != Digraph(3, frozenset())
+    assert g.__eq__((3, g.edges)) is NotImplemented
+    with pytest.raises(AttributeError):
+        g.vertex_count = 4
+
+
 def test_clique_edge_count():
     for n in (1, 2, 3, 5):
         g = clique(n)
@@ -276,6 +287,12 @@ def test_fooling_parameters_known_instance():
     # q = 2^(2^(2^4)) + 1: a 65537-bit number, too large for the exact field
     assert p.q_bits == 65537
     assert p.q is None
+    same = ChromaticParams(3, 65537, None, (6, 20, 184756), (16, 64, 256))
+    assert p == same == ChromaticParams(
+        i=3, q_bits=65537, q=None, b_iterates=(6, 20, 184756), thresholds=(16, 64, 256))
+    assert hash(p) == hash(same)
+    with pytest.raises(AttributeError):
+        p.i = 4
 
 
 def test_fooling_parameters_small_q():

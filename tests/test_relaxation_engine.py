@@ -10,6 +10,7 @@ from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, clique
 from crystalforge.relaxation_engine import (
     Infeasible,
+    LinearSystem,
     SystemTooLarge,
     build_ip_system,
     decide_aip,
@@ -265,6 +266,19 @@ def test_build_ip_system_shapes():
     forced = {sys2.variables[j] for j in sys2.forced_zero}
     assert ("l", (1, 1), (1, 2)) in forced
     assert ("l", (1, 2), (1, 1)) not in forced
+
+
+def test_linear_system_is_an_immutable_value():
+    keys, rows = tuple(V[:2]), ((((0, 1),), 1),)
+    a = LinearSystem(keys, rows, frozenset())
+    assert a.alias == {} and a.alias is not LinearSystem(keys, rows, frozenset()).alias
+    assert a == LinearSystem(variables=keys, equations=rows, forced_zero=frozenset(), alias={})
+    assert a != LinearSystem(keys, rows, frozenset({1}))
+    # the alias takes part in == but not in hash
+    b = LinearSystem(keys, rows, frozenset(), {1: 0})
+    assert a != b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        a.alias = {1: 0}
 
 
 def test_build_ip_system_needs_level_at_least_one():

@@ -55,6 +55,20 @@ def test_system_validation():
         ShadowSystem(3, (2, 2), {})  # p > q
 
 
+def test_shadow_system_is_an_immutable_value():
+    s, u = IntTensor((2,), {(1,): 1}), IntTensor((2,), {(2,): 1})
+    shadows = {(1,): s, (2,): s}
+    a = ShadowSystem(1, [2, 2], shadows)
+    shadows.clear()  # the system keeps its own copy
+    assert a.shape == (2, 2) and a.shadows == {(1,): s, (2,): s}
+    assert a == ShadowSystem(p=1, shape=(2, 2), shadows={(2,): s, (1,): s})
+    assert a != ShadowSystem(1, (2, 2), {(1,): s, (2,): u})
+    with pytest.raises(TypeError):
+        hash(a)  # its shadows are a dict
+    with pytest.raises(AttributeError):
+        a.p = 2
+
+
 def test_shadow_at_reflects():
     c = IntTensor((2, 3), {(1, 2): 5, (2, 3): 1})
     sys = system_of(c, 2)

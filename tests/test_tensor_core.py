@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +275,22 @@ def test_project_is_pushforward_along_selector(t, data):
     sel = tuple(data.draw(st.lists(st.integers(1, t.dim), max_size=4)))
     shape = tuple(t.shape[m - 1] for m in sel)
     assert project(t, sel) == pushforward(t, lambda j: tuple(j[m - 1] for m in sel), shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "sel",
+    [(), (1,), (4,), (1, 3), (3, 1), (2, 2), (4, 1, 4, 2), (1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)],
+)
+def test_project_matches_pushforward_on_seeded_tensors(seed, sel):
+    # no mode, one mode (a slice of the index) and several (an itemgetter),
+    # with repeats and permutations; the +-1, +-2 entries cancel in places
+    rng = random.Random(seed)
+    shape = (3, 2, 4, 3)
+    cells = itertools.product(*(range(1, w + 1) for w in shape))
+    t = T(shape, {i: rng.choice((-2, -1, 1, 2)) for i in cells if rng.random() < 0.4})
+    want = pushforward(t, lambda j: tuple(j[m - 1] for m in sel), tuple(shape[m - 1] for m in sel))
+    assert project(t, sel) == want
 
 
 # -- .st format -------------------------------------------------------------
