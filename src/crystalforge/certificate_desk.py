@@ -16,6 +16,7 @@ import itertools
 import json
 from typing import Mapping, Optional
 
+from . import Immutable
 from .tensor_core import (
     BadDimension,
     Index,
@@ -69,7 +70,7 @@ class EmptyLineTemplate(TensorError):
     pass
 
 
-class ZaffCertificate:
+class ZaffCertificate(Immutable):
     """Immutable level-k certificate: ``zeta`` maps each k-tuple of
     ``instance`` vertices to an integer tensor over ``template``'s vertices;
     ``template_clique`` is n when the template is K_n."""
@@ -101,20 +102,7 @@ class ZaffCertificate:
         for x, t in zeta.items():
             if t.shape != (n,) * k:
                 raise DimensionMismatch(f"image at {x} has shape {t.shape}, expected {(n,) * k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "template_clique", template_clique)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZaffCertificate is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZaffCertificate):
-            return NotImplemented
-        return (self.k, self.instance, self.template, self.zeta, self.template_clique) == (
-            other.k, other.instance, other.template, other.zeta, other.template_clique)
+        self._set(k, instance, template, zeta, template_clique)
 
 
 def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCertificate:
@@ -125,6 +113,8 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     vertices), so the image of x is just the projection of the crystal onto
     the selector x.  Tensoriality is then projection composition, for free.
     The level k must be at least 2, the least level the verifiers accept.
+    A crystal check over ``crystal_mill._MAX_CRYSTAL_READS`` reads is
+    refused with ``BadDimension`` before it starts.
     """
     if k < 2:
         raise BadDimension(f"certificate level must be >= 2, got k={k}")
@@ -138,8 +128,9 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     if not is_affine(c):
         raise NotAffine("crystal entries must sum to 1")
     # imported here so that the other ``cert`` verbs never load the miner
-    from .crystal_mill import is_crystal
+    from .crystal_mill import _check_crystal_reads, is_crystal
 
+    _check_crystal_reads(c, k)
     rep = is_crystal(c, k)
     if not rep.is_crystal:
         raise NotACrystal(f"not a {k}-crystal (mismatch at {rep.failing_pair})")
@@ -281,7 +272,8 @@ def transform_certificate_homomorphism(
         return tuple([fmap[c] for c in idx])
 
     zeta = {x: pushforward(t, g, shape) for x, t in cert.zeta.items()}
-    is_cl = b_graph == clique(p)
+    # a loopless digraph on p vertices with p(p-1) edges is K_p
+    is_cl = b_graph.is_loopless() and len(b_graph.edges) == p * (p - 1)
     return ZaffCertificate(k, cert.instance, b_graph, zeta, template_clique=p if is_cl else None)
 
 

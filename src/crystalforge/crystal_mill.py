@@ -25,7 +25,7 @@ from .tensor_core import (
     project,
     total,
 )
-from .shadow_realiser import _realise, constant_system, increasing_tuples
+from .shadow_realiser import _check_realise_reads, _realise, constant_system
 
 
 class NotCubical(TensorError):
@@ -56,46 +56,58 @@ def is_crystal(c: IntTensor, k: int) -> CrystalReport:
         raise BadDimension(f"need 0 <= k <= {q}, got {k}")
     base_sel = tuple(range(1, k + 1))
     base = project(c, base_sel)
-    for i in increasing_tuples(q, k):
+    for i in itertools.combinations(range(1, q + 1), k):
         if project(c, i) != base:
             return CrystalReport(False, k, failing_pair=(base_sel, i))
     return CrystalReport(True, k, shadow=base)
 
 
+# the most reads ``shadow`` and ``certificate_from_crystal`` let
+# ``is_crystal`` make on a tensor from outside, C(q,k) * (nnz+1): it
+# projects the tensor onto every increasing k-tuple.  Each projection
+# costs more than one read, so the worst case is a tensor with no entries:
+# 23 modes at k = 11 (1,352,078 reads) take 9.0 s at 14 MB peak RSS, while
+# crystalise(H_3, 12) at k = 3 (420,420) takes 0.13 s.  The miner's own
+# check of H_9 (9 * 7,087,262 reads) is over the budget, so ``is_crystal``
+# itself takes none
+_MAX_CRYSTAL_READS = 2 * 10**6
+
+
+def _check_crystal_reads(c: IntTensor, k: int) -> None:
+    """Refuse, with BadDimension, an ``is_crystal(c, k)`` of more than
+    ``_MAX_CRYSTAL_READS`` reads before a tuple is listed."""
+    q, nnz = c.dim, len(c.entries)
+    reads = comb(q, k) * (nnz + 1) if 0 <= k <= q else 0
+    if reads > _MAX_CRYSTAL_READS:
+        raise BadDimension(
+            f"checking the {k}-projections of {nnz} entries in q = {q} modes takes "
+            f"C({q},{k})*({nnz}+1) = {reads} reads, over the budget of {_MAX_CRYSTAL_READS}"
+        )
+
+
 def shadow(c: IntTensor, k: int) -> IntTensor:
+    """The k-shadow of a k-crystal; a check over ``_MAX_CRYSTAL_READS``
+    reads is refused with ``BadDimension`` before it starts."""
+    _check_crystal_reads(c, k)
     report = is_crystal(c, k)
     if not report.is_crystal:
         raise NotACrystal(f"not a {k}-crystal; projections differ at {report.failing_pair}")
     return report.shadow
 
 
-# the most reads ``crystalise`` makes, C(q,k) * (nnz(s)+1) * sum over
-# t <= k of C(q,t): the realisation has at most nnz(s) entries from each
-# of the sum's projections, and the final check projects it C(q,k) times.
-# A width-400 line of 400 entries lifted to q = 70 (1,992,970 reads) takes
-# 1.0 s at 31 MB peak RSS, and H_3 to q = 13 (1,513,512) 0.3 s; H_3 to
-# q = 20 (20,003,400) took 4.4 s, and to q = 2000 ran out of memory
-_MAX_REALISE_READS = 2 * 10**6
-
-
 def crystalise(s: IntTensor, q: int) -> IntTensor:
     """Realise the constant system {S_i = s}: a k-crystal of dimension q
     with k-shadow ``s`` (k = dimension of ``s``, which must be a
-    (k-1)-crystal for the constant system to be realistic).  For q > k,
-    more than ``_MAX_REALISE_READS`` reads are refused with
+    (k-1)-crystal for the constant system to be realistic).  A lift over
+    ``shadow_realiser._MAX_REALISE_READS`` reads is refused with
     ``BadDimension`` before the system is built."""
     if not s.is_cubical():
         raise NotCubical(f"shape {s.shape} is not cubical")
     k = s.dim
     if not 1 <= k <= q:
         raise BadDimension(f"need 1 <= dim(s) <= q, got dim {k}, q {q}")
-    if q > k:
-        reads = comb(q, k) * (len(s.entries) + 1) * sum(comb(q, t) for t in range(k + 1))
-        if reads > _MAX_REALISE_READS:
-            raise BadDimension(
-                f"lifting {len(s.entries)} entries of dimension {k} to q = {q} takes "
-                f"{reads} reads, over the budget of {_MAX_REALISE_READS}"
-            )
+    nnz = len(s.entries)
+    _check_realise_reads(q, k, nnz, f"lifting {nnz} entries of dimension {k} to q = {q}")
     rep = is_crystal(s, k - 1)
     if not rep.is_crystal:
         raise NotACrystal(

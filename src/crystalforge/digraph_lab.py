@@ -16,6 +16,8 @@ import json
 import math
 from typing import NamedTuple, Optional
 
+from . import Immutable
+
 Edge = tuple[int, int]
 
 
@@ -40,7 +42,7 @@ class DigraphTooLarge(DigraphError):
 _MAX_EDGES = 10**6
 
 
-class Digraph:
+class Digraph(Immutable):
     """Immutable digraph on the vertices 1..vertex_count."""
 
     __slots__ = ("vertex_count", "edges")
@@ -52,16 +54,7 @@ class Digraph:
         for u, v in edges:
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise DigraphError(f"edge ({u},{v}) out of range")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Digraph is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+        self._set(vertex_count, edges)
 
     def __hash__(self):
         return hash((self.vertex_count, self.edges))

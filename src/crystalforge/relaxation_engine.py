@@ -53,6 +53,7 @@ from typing import Iterable, Optional
 
 _Q = Fraction  # the rational type of witnesses and optima
 
+from . import Immutable
 from .digraph_lab import Digraph, DigraphError, refines
 
 VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
@@ -75,7 +76,7 @@ class SystemTooLarge(DigraphError):
     (``_MAX_COLUMNS``, ``_MAX_LEVEL``); refused before anything is built."""
 
 
-class LinearSystem:
+class LinearSystem(Immutable):
     """A sparse integer equation system over numbered columns.
 
     ``variables[j]`` is the VarKey that names column j.  ``equations`` and
@@ -105,19 +106,7 @@ class LinearSystem:
         forced_zero: frozenset[int],
         alias: Optional[dict[int, int]] = None,
     ):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "forced_zero", forced_zero)
-        object.__setattr__(self, "alias", {} if alias is None else alias)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSystem is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearSystem):
-            return NotImplemented
-        return (self.variables, self.equations, self.forced_zero, self.alias) == (
-            other.variables, other.equations, other.forced_zero, other.alias)
+        self._set(variables, equations, forced_zero, {} if alias is None else alias)
 
     def __hash__(self):
         return hash((self.variables, self.equations, self.forced_zero))

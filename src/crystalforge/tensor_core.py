@@ -13,6 +13,8 @@ import itertools
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
+from . import Immutable
+
 Shape = tuple[int, ...]
 Index = tuple[int, ...]
 
@@ -45,7 +47,7 @@ class NotACrystal(TensorError):
     """A tensor whose projections onto the increasing k-tuples differ."""
 
 
-class IntTensor:
+class IntTensor(Immutable):
     """Immutable sparse integer tensor.
 
     ``shape`` is a tuple of positive mode widths (empty for scalars) and
@@ -70,8 +72,7 @@ class IntTensor:
                 if len(idx) != q or any(not 1 <= c <= w for c, w in zip(idx, shape)):
                     raise InvalidIndex(f"index {idx} invalid for shape {shape}")
                 clean[idx] = val
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", clean)
+        self._set(shape, clean)
 
     @classmethod
     def _raw(cls, shape: Shape, entries: dict[Index, int]) -> "IntTensor":
@@ -81,16 +82,8 @@ class IntTensor:
         object.__setattr__(t, "entries", entries)
         return t
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntTensor is immutable")
-
     def __getitem__(self, idx: Index) -> int:
         return self.entries.get(tuple(idx), 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntTensor):
-            return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.shape, frozenset(self.entries.items())))

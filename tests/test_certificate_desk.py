@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystalforge import certificate_desk as cd
+from crystalforge import crystal_mill as cm
 from crystalforge.tensor_core import IntTensor, TensorError, is_affine, project, total
 from crystalforge.crystal_mill import BadDimension, mine_hollow_shadowed_crystal
 from crystalforge.digraph_lab import Digraph, clique, line_digraph
@@ -77,6 +78,16 @@ def test_from_crystal_rejects_a_non_crystal_and_a_tied_shadow():
         certificate_from_crystal(IntTensor((1, 1, 1), {(1, 1, 1): 1}), clique(3), 2)
 
 
+def test_from_crystal_refuses_over_the_crystal_check_budget(monkeypatch):
+    c = mine_hollow_shadowed_crystal(2, 4)
+    reads = 6 * (len(c.entries) + 1)  # C(4,2) * (nnz+1)
+    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
+    assert certificate_from_crystal(c, clique(4), 2) == k4_cert()
+    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
+    with pytest.raises(BadDimension, match=rf"= {reads} reads, over the budget of {reads - 1}$"):
+        certificate_from_crystal(c, clique(4), 2)
+
+
 def test_certificate_totality_enforced():
     cert = k4_cert()
     zeta = dict(cert.zeta)
@@ -98,6 +109,8 @@ def test_certificate_is_an_immutable_value():
         hash(cert)  # zeta is a dict
     with pytest.raises(AttributeError):
         cert.k = 2
+    with pytest.raises(AttributeError):
+        del cert.zeta
 
 
 # -- verification failures --------------------------------------------------
@@ -236,6 +249,22 @@ def test_homomorphism_transport_preserves_validity():
     assert ok, why
     with pytest.raises(NotAHomomorphism):
         transform_certificate_homomorphism(cert, {1: 1, 2: 1, 3: 3}, clique(5))
+
+
+def test_homomorphism_transport_names_a_clique_target_without_building_one():
+    cert = k4_cert()  # over K3
+    identity = {1: 1, 2: 2, 3: 3}
+    assert transform_certificate_homomorphism(cert, identity, clique(3)).template_clique == 3
+    # K3's edges among 1,001 vertices: K_1001 is over the edge budget, so
+    # it must not be built to see that the target is no clique
+    big = Digraph(1001, clique(3).edges)
+    pushed = transform_certificate_homomorphism(cert, identity, big)
+    assert pushed.template == big and pushed.template_clique is None
+    assert verify_zaff_certificate_general(pushed, clique(4), big) == (True, None)
+    # p(p-1) edges with a loop among them
+    looped = Digraph(2, frozenset({(1, 1), (1, 2)}))
+    pushed = transform_certificate_homomorphism(cert, {1: 1, 2: 1, 3: 1}, looped)
+    assert pushed.template_clique is None
 
 
 def test_homomorphism_transport_rejects_map_leaving_target():

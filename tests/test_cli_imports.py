@@ -8,6 +8,7 @@ load, passes there all the same.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,14 @@ def inputs(tmp_path_factory):
         {"axes": [2], "tensor": "st 1\ndims 1\nwidths 2\nentries 1\n1 2\n"},
     ]}))
     (d / "bad.st").write_text("not a tensor\n")
+    # tiny inputs naming combinatorial families: C(60,30) keys, 2^22 - 1
+    # projections to realise, C(60,30) and C(24,12) tuples to compare
+    (d / "keys60.json").write_text(json.dumps({"p": 30, "widths": [1] * 60, "shadows": []}))
+    one21 = dumps_st(IntTensor((1,) * 21, {(1,) * 21: 1}))
+    (d / "q22.json").write_text(json.dumps({"p": 21, "widths": [1] * 22, "shadows": [
+        {"axes": list(i), "tensor": one21} for i in increasing_tuples(22, 21)]}))
+    for q in (24, 60):
+        (d / f"one{q}.st").write_text(dumps_st(IntTensor((1,) * q, {(1,) * q: 1})))
     (d / "bad.json").write_text("{")
     return d
 
@@ -116,6 +125,18 @@ ERRORS = [
     (("cert", "verify", "bad.json"), 2, "error: bad certificate JSON: "),
     (("cert", "push-hom", "cert.json", "bad.json", "k4.json"), 2,
      "error: bad homomorphism JSON"),
+    (("shadows", "check", "keys60.json"), 2,  # TensorError
+     f"error: shadow keys wrong: {math.comb(60, 30)} of the C(60,30) = {math.comb(60, 30)} "),
+    (("shadows", "realise", "q22.json"), 2,  # BadDimension
+     "error: realising 22 shadows of dimension 21 and at most 1 entries on q = 22 modes takes "
+     f"{22 * 2 * (2**22 - 1)} reads, over the budget of 2000000\n"),
+    (("crystal", "shadow", "--k", "30", "one60.st"), 2,
+     f"error: checking the 30-projections of 1 entries in q = 60 modes takes "
+     f"C(60,30)*(1+1) = {2 * math.comb(60, 30)} reads, over the budget of 2000000\n"),
+    (("crystal", "shadow", "--k", "12", "one24.st"), 2, f"= {2 * math.comb(24, 12)} reads"),
+    (("cert", "from-crystal", "--k", "12", "one24.st", "k4.json"), 2,
+     f"error: checking the 12-projections of 1 entries in q = 24 modes takes "
+     f"C(24,12)*(1+1) = {2 * math.comb(24, 12)} reads, over the budget of 2000000\n"),
 ]
 
 

@@ -19,6 +19,7 @@ from crystalforge.tensor_core import (
     total,
 )
 import crystalforge.crystal_mill as cm
+import crystalforge.shadow_realiser as sr
 from crystalforge.crystal_mill import (
     BadDimension,
     CrystalReport,
@@ -76,6 +77,8 @@ def test_crystal_report_is_an_immutable_value():
     assert CrystalReport(False, 1).shadow is None
     with pytest.raises(AttributeError):
         rep.k = 3
+    with pytest.raises(AttributeError):
+        del rep.shadow
 
 
 def test_is_crystal_rejects_non_cubical():
@@ -88,6 +91,26 @@ def test_is_crystal_rejects_k_out_of_range():
     for k in (-1, 3):
         with pytest.raises(BadDimension, match=f"got {k}"):
             is_crystal(t, k)
+
+
+def test_shadow_refuses_over_the_crystal_check_budget(monkeypatch):
+    c = crystalise(mine_hollow_crystal(2), 4)
+    n = len(c.entries)
+    reads = math.comb(4, 2) * (n + 1)
+    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
+    assert shadow(c, 2) == mine_hollow_crystal(2)
+    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
+    with pytest.raises(BadDimension, match=rf"^checking the 2-projections of {n} entries in q = 4 "
+                                           rf"modes takes C\(4,2\)\*\({n}\+1\) = {reads} reads, "
+                                           rf"over the budget of {reads - 1}$"):
+        shadow(c, 2)
+    monkeypatch.undo()
+    # the C(60,30) tuples of a one-entry tensor are counted, never listed
+    with pytest.raises(BadDimension, match=rf"= {2 * math.comb(60, 30)} reads"):
+        shadow(IntTensor((1,) * 60, {(1,) * 60: 1}), 30)
+    # a level out of range is still is_crystal's error
+    with pytest.raises(BadDimension, match="got 5"):
+        shadow(c, 5)
 
 
 def test_shadow_raises_on_non_crystal():
@@ -148,14 +171,14 @@ def test_crystalise_q_bounds():
 def test_crystalise_refuses_over_the_read_budget(monkeypatch):
     s = mine_hollow_crystal(2)  # 3 entries
     # C(3,2) * (3+1) * (C(3,0) + C(3,1) + C(3,2)) = 3 * 4 * 7
-    monkeypatch.setattr(cm, "_MAX_REALISE_READS", 84)
+    monkeypatch.setattr(sr, "_MAX_REALISE_READS", 84)
     assert is_crystal(crystalise(s, 3), 2).shadow == s
-    monkeypatch.setattr(cm, "_MAX_REALISE_READS", 83)
+    monkeypatch.setattr(sr, "_MAX_REALISE_READS", 83)
     with pytest.raises(BadDimension, match="^lifting 3 entries of dimension 2 to q = 3 takes "
                                            "84 reads, over the budget of 83$"):
         crystalise(s, 3)
     # at q = k the shadow comes back as it is, with no reads
-    monkeypatch.setattr(cm, "_MAX_REALISE_READS", 0)
+    monkeypatch.setattr(sr, "_MAX_REALISE_READS", 0)
     assert crystalise(s, 2) == s
 
 

@@ -58,6 +58,8 @@ def test_digraph_is_an_immutable_value():
     assert g.__eq__((3, g.edges)) is NotImplemented
     with pytest.raises(AttributeError):
         g.vertex_count = 4
+    with pytest.raises(AttributeError):
+        del g.edges
 
 
 def test_clique_edge_count():

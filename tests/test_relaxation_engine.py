@@ -279,6 +279,8 @@ def test_linear_system_is_an_immutable_value():
     assert a != b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.alias = {1: 0}
+    with pytest.raises(AttributeError):
+        del a.alias
 
 
 def test_build_ip_system_needs_level_at_least_one():

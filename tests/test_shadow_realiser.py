@@ -53,6 +53,15 @@ def test_system_validation():
         ShadowSystem(1, (2, 3), {(1,): s, (2,): s})  # wrong shape at (2,)
     with pytest.raises(TensorError):
         ShadowSystem(3, (2, 2), {})  # p > q
+    with pytest.raises(TensorError, match=r"^shadow keys wrong: 1 of the C\(2,1\) = 2 increasing "
+                                          r"tuples missing, first missing=\(2,\), extra=\[\(3,\)\]$"):
+        ShadowSystem(1, (2, 2), {(1,): s, (3,): s})
+    with pytest.raises(TensorError, match=r"extra=\[\(1, 1\), \(2, 1\)\]$"):
+        ShadowSystem(2, (2, 2), {(1, 2): project(s, (1, 1)), (1, 1): s, (2, 1): s})
+    # the C(60,30) keys are counted, never listed
+    n = math.comb(60, 30)
+    with pytest.raises(TensorError, match=rf"^shadow keys wrong: {n} of the C\(60,30\) = {n} "):
+        ShadowSystem(30, (1,) * 60, {})
 
 
 def test_shadow_system_is_an_immutable_value():
@@ -67,6 +76,31 @@ def test_shadow_system_is_an_immutable_value():
         hash(a)  # its shadows are a dict
     with pytest.raises(AttributeError):
         a.p = 2
+    with pytest.raises(AttributeError):
+        del a.shadows
+
+
+def test_realise_refuses_over_the_read_budget(monkeypatch):
+    import crystalforge.shadow_realiser as sr
+    from crystalforge.tensor_core import BadDimension
+
+    c = IntTensor((2, 2, 2), {(1, 2, 1): 3, (2, 1, 2): -1})
+    sys = system_of(c, 2)  # 3 shadows of 2 entries
+    # C(3,2) * (2+1) * (C(3,0) + C(3,1) + C(3,2)) = 3 * 3 * 7
+    monkeypatch.setattr(sr, "_MAX_REALISE_READS", 63)
+    assert verify_realisation(realise(sys), sys)
+    monkeypatch.setattr(sr, "_MAX_REALISE_READS", 62)
+    with pytest.raises(BadDimension, match="^realising 3 shadows of dimension 2 and at most 2 "
+                                           "entries on q = 3 modes takes 63 reads, over the "
+                                           "budget of 62$"):
+        realise(sys)
+    # an unrealistic system is still a verified NO, and at p = q the
+    # shadow comes back as it is, with no reads
+    monkeypatch.setattr(sr, "_MAX_REALISE_READS", 0)
+    s1, s2 = IntTensor((2,), {(1,): 1}), IntTensor((2,), {(1,): 2})
+    with pytest.raises(NotRealistic):
+        realise(ShadowSystem(1, (2, 2), {(1,): s1, (2,): s2}))
+    assert realise(system_of(c, 3)) == c
 
 
 def test_shadow_at_reflects():

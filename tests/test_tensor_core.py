@@ -87,6 +87,8 @@ def test_immutability():
     t = T((2,), {(1,): 1})
     with pytest.raises(AttributeError):
         t.shape = (3,)
+    with pytest.raises(AttributeError):
+        del t.entries
 
 
 # -- predicates -------------------------------------------------------------
