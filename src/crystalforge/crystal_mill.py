@@ -63,25 +63,32 @@ def is_crystal(c: IntTensor, k: int) -> CrystalReport:
 
 
 # the most reads ``shadow`` and ``certificate_from_crystal`` let
-# ``is_crystal`` make on a tensor from outside, C(q,k) * (nnz+1): it
-# projects the tensor onto every increasing k-tuple.  Each projection
-# costs more than one read, so the worst case is a tensor with no entries:
-# 23 modes at k = 11 (1,352,078 reads) take 9.0 s at 14 MB peak RSS, while
-# crystalise(H_3, 12) at k = 3 (420,420) takes 0.13 s.  The miner's own
-# check of H_9 (9 * 7,087,262 reads) is over the budget, so ``is_crystal``
-# itself takes none
+# ``is_crystal`` make on a tensor from outside, C(q,k) * (nnz +
+# _TUPLE_READS): it projects the tensor onto every increasing k-tuple,
+# reading each entry once at a fixed cost of _TUPLE_READS reads a tuple.
+# crystalise(H_3, 12) at k = 3 (C(12,3) * (1,910 + 25) = 425,700 reads)
+# takes 0.13 s, and an empty 18-dimensional tensor at k = 9 (1,215,500)
+# 0.4 s; an empty 23-dimensional tensor at k = 11 (33,801,950) takes 9 to
+# 12 s at 14 MB peak RSS.  The miner's own check of H_9 (9 * 7,087,262
+# reads) is over the budget, so ``is_crystal`` itself takes none
 _MAX_CRYSTAL_READS = 2 * 10**6
+# one increasing k-tuple in reads, whatever the tensor holds: over five
+# alternating runs, an empty 20-dimensional tensor at k = 10 took 6.0-9.5 us
+# a tuple and the check of crystalise(H_3, 12) at k = 3 0.24-0.43 us a
+# read, a median ratio of 24.7
+_TUPLE_READS = 25
 
 
 def _check_crystal_reads(c: IntTensor, k: int) -> None:
     """Refuse, with BadDimension, an ``is_crystal(c, k)`` of more than
     ``_MAX_CRYSTAL_READS`` reads before a tuple is listed."""
     q, nnz = c.dim, len(c.entries)
-    reads = comb(q, k) * (nnz + 1) if 0 <= k <= q else 0
+    reads = comb(q, k) * (nnz + _TUPLE_READS) if 0 <= k <= q else 0
     if reads > _MAX_CRYSTAL_READS:
         raise BadDimension(
             f"checking the {k}-projections of {nnz} entries in q = {q} modes takes "
-            f"C({q},{k})*({nnz}+1) = {reads} reads, over the budget of {_MAX_CRYSTAL_READS}"
+            f"C({q},{k})*({nnz}+{_TUPLE_READS}) = {reads} reads, "
+            f"over the budget of {_MAX_CRYSTAL_READS}"
         )
 
 

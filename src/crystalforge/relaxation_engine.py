@@ -17,10 +17,11 @@ a fixed size budget are refused before they are built.
 Variables are numbered columns, and ``variables[j]`` names column j.
 The solver core takes rows in the shape of ``LinearSystem.equations``:
 ``_lp_pass`` (presolve and phase 1), ``_dead_columns`` (the columns 0 on
-the whole polytope) and ``integer_feasible`` (the one integer solver,
-with a set of columns fixed to 0).  One ``_check_witness`` checks every
-witness they return against the rows.  Only ``build_ip_system`` and the
-public boundary functions (``lp_feasible``, ``diophantine_feasible``,
+the whole polytope, found by maximizing on the tableau ``_lp_pass``
+leaves) and ``integer_feasible`` (the one integer solver, with a set of
+columns fixed to 0).  One ``_check_witness`` checks every witness they
+return against the rows.  Only ``build_ip_system`` and the public
+boundary functions (``lp_feasible``, ``diophantine_feasible``,
 ``relative_interior_support``) read ``variables``, ``forced_zero`` and
 ``alias``; there results cross back to VarKeys, and an alias takes its
 representative's value.  The deciders and the certificate edge systems
@@ -38,7 +39,11 @@ Three deciders share the infrastructure:
 * BA: rational feasibility, then integer feasibility of the rows with
   every column that vanishes on the whole polytope zeroed (the dead set,
   outside the relative-interior support, found by maximizing columns one
-  at a time).
+  at a time).  An integral phase-1 witness ends the decision with YES:
+  it satisfies every row (checked) and is nonnegative, so it lies in the
+  polytope; a dead column is 0 at every point of the polytope, so it is 0
+  in the witness; and so the witness is an integer solution of the rows
+  with the dead set zeroed, which is what the integer step looks for.
 
 Everything is exact: the only number types are arbitrary-precision
 integers and, for witness values and optima only, ``Fraction``.
@@ -969,9 +974,10 @@ def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) 
     return {v: sol.get(alias.get(j, j), 0) for j, v in enumerate(sys.variables)}
 
 
-def _dead_columns(rows) -> Optional[frozenset]:
+def _dead_columns(lp) -> frozenset:
     """The columns of the rows that are 0 on the whole feasible polytope,
-    or None when it is empty.
+    given ``lp``, the ``(witness, reduced, simplex)`` that ``_lp_pass``
+    returned for them.
 
     The support is found by maximizing the columns one at a time
     (warm-started on a shared tableau); a column unbounded above is
@@ -980,9 +986,6 @@ def _dead_columns(rows) -> Optional[frozenset]:
     column the presolve left in no row and did not eliminate is free, so
     positive somewhere, and is not dead.
     """
-    lp = _lp_pass(rows)
-    if lp is None:
-        return None
     _witness, red, sx = lp
     positive = {j for j, val in sx.solution().items() if val > 0}
     for j in sx.vars:
@@ -1000,10 +1003,10 @@ def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
     ``Infeasible`` when it is empty).  Columns in no row are unconstrained,
     hence in the support; forced-zero columns are not; an alias is in it
     when its representative is."""
-    dead = _dead_columns(sys.equations)
-    if dead is None:
+    lp = _lp_pass(sys.equations)
+    if lp is None:
         raise Infeasible("system has no nonnegative rational solution")
-    alias = sys.alias
+    dead, alias = _dead_columns(lp), sys.alias
     return {sys.variables[j] for j in sys.live_columns() if alias.get(j, j) not in dead}
 
 
@@ -1018,9 +1021,20 @@ def decide_aip(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
 def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     """BA^k: rational feasibility, then integer feasibility with every
     column that is 0 on the whole polytope zeroed.  One presolve and one
-    phase 1 serve both steps: ``_dead_columns`` runs them (with the checks
-    of the rational witness) before its support loop, and returns None
-    when BLP rejects."""
+    phase 1 serve both steps: ``_lp_pass`` runs them, checks its witness
+    against every row and for nonnegativity, and hands its tableau on to
+    ``_dead_columns``.
+
+    An integral witness ends the decision with YES, before the support
+    loop and the integer step.  It satisfies every row and is nonnegative,
+    so it lies in the polytope.  A dead column is 0 at every point of the
+    polytope, so it is 0 in the witness.  So the witness is an integer
+    solution of the rows with the dead set zeroed, which is exactly what
+    ``integer_feasible(rows, dead)`` looks for."""
     rows = build_ip_system(x_graph, a_graph, k).equations
-    dead = _dead_columns(rows)
-    return dead is not None and integer_feasible(rows, dead) is not None
+    lp = _lp_pass(rows)
+    if lp is None:
+        return False
+    if all(val.denominator == 1 for val in lp[0].values()):
+        return True
+    return integer_feasible(rows, _dead_columns(lp)) is not None

@@ -40,7 +40,6 @@ import itertools
 import json
 import math
 import os
-from math import comb
 from typing import Mapping, Optional
 
 from . import Immutable
@@ -202,6 +201,12 @@ def _check_realise_reads(q: int, p: int, nnz: int, what: str) -> None:
                 f"{what} takes {reads} reads, over the budget of {_MAX_REALISE_READS}")
 
 
+def _coefficient(q: int, p: int, t: int) -> int:
+    """The coefficient of E_T(pi_T) for |T| = t in the realisation of a
+    (p, q)-system, t <= p < q: (-1)^(p-t) * binom(q-t-1, p-t)."""
+    return (-1) ** (p - t) * math.comb(q - t - 1, p - t)
+
+
 def _realise(sys: ShadowSystem) -> IntTensor:
     """Realise a realistic (p, shape)-system by the inclusion-exclusion sum
     of the module docstring.  Each pi_T is projected from one pi of the
@@ -222,7 +227,7 @@ def _realise(sys: ShadowSystem) -> IntTensor:
                     pi[low] = project(pi[up], [y for y in range(1, t + 1) if y != x + 1])
     out: dict[Index, int] = {}
     for modes, s in pi.items():
-        coeff = (-1) ** (p - len(modes)) * comb(q - len(modes) - 1, p - len(modes))
+        coeff = _coefficient(q, p, len(modes))
         for idx, v in s.entries.items():
             # E_T: the entry sits at idx on the modes in T, at the corner elsewhere
             key = list(shape)

@@ -80,7 +80,7 @@ def test_from_crystal_rejects_a_non_crystal_and_a_tied_shadow():
 
 def test_from_crystal_refuses_over_the_crystal_check_budget(monkeypatch):
     c = mine_hollow_shadowed_crystal(2, 4)
-    reads = 6 * (len(c.entries) + 1)  # C(4,2) * (nnz+1)
+    reads = 6 * (len(c.entries) + 25)  # C(4,2) * (nnz+25)
     monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
     assert certificate_from_crystal(c, clique(4), 2) == k4_cert()
     monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)

@@ -64,13 +64,15 @@ def inputs(tmp_path_factory):
     ]}))
     (d / "bad.st").write_text("not a tensor\n")
     # tiny inputs naming combinatorial families: C(60,30) keys, 2^22 - 1
-    # projections to realise, C(60,30) and C(24,12) tuples to compare
+    # projections to realise, C(60,30), C(24,12) and C(23,11) tuples to
+    # compare
     (d / "keys60.json").write_text(json.dumps({"p": 30, "widths": [1] * 60, "shadows": []}))
     one21 = dumps_st(IntTensor((1,) * 21, {(1,) * 21: 1}))
     (d / "q22.json").write_text(json.dumps({"p": 21, "widths": [1] * 22, "shadows": [
         {"axes": list(i), "tensor": one21} for i in increasing_tuples(22, 21)]}))
     for q in (24, 60):
         (d / f"one{q}.st").write_text(dumps_st(IntTensor((1,) * q, {(1,) * q: 1})))
+    (d / "empty23.st").write_text(dumps_st(IntTensor((1,) * 23, {})))
     (d / "bad.json").write_text("{")
     return d
 
@@ -132,11 +134,15 @@ ERRORS = [
      f"{22 * 2 * (2**22 - 1)} reads, over the budget of 2000000\n"),
     (("crystal", "shadow", "--k", "30", "one60.st"), 2,
      f"error: checking the 30-projections of 1 entries in q = 60 modes takes "
-     f"C(60,30)*(1+1) = {2 * math.comb(60, 30)} reads, over the budget of 2000000\n"),
-    (("crystal", "shadow", "--k", "12", "one24.st"), 2, f"= {2 * math.comb(24, 12)} reads"),
+     f"C(60,30)*(1+25) = {26 * math.comb(60, 30)} reads, over the budget of 2000000\n"),
+    (("crystal", "shadow", "--k", "12", "one24.st"), 2, f"= {26 * math.comb(24, 12)} reads"),
     (("cert", "from-crystal", "--k", "12", "one24.st", "k4.json"), 2,
      f"error: checking the 12-projections of 1 entries in q = 24 modes takes "
-     f"C(24,12)*(1+1) = {2 * math.comb(24, 12)} reads, over the budget of 2000000\n"),
+     f"C(24,12)*(1+25) = {26 * math.comb(24, 12)} reads, over the budget of 2000000\n"),
+    # each tuple weighs 25 reads, so an empty tensor is refused too
+    (("crystal", "shadow", "--k", "11", "empty23.st"), 2,
+     f"error: checking the 11-projections of 0 entries in q = 23 modes takes "
+     f"C(23,11)*(0+25) = {25 * math.comb(23, 11)} reads, over the budget of 2000000\n"),
 ]
 
 

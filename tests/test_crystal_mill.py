@@ -96,18 +96,22 @@ def test_is_crystal_rejects_k_out_of_range():
 def test_shadow_refuses_over_the_crystal_check_budget(monkeypatch):
     c = crystalise(mine_hollow_crystal(2), 4)
     n = len(c.entries)
-    reads = math.comb(4, 2) * (n + 1)
+    reads = math.comb(4, 2) * (n + 25)
     monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
     assert shadow(c, 2) == mine_hollow_crystal(2)
     monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
     with pytest.raises(BadDimension, match=rf"^checking the 2-projections of {n} entries in q = 4 "
-                                           rf"modes takes C\(4,2\)\*\({n}\+1\) = {reads} reads, "
+                                           rf"modes takes C\(4,2\)\*\({n}\+25\) = {reads} reads, "
                                            rf"over the budget of {reads - 1}$"):
         shadow(c, 2)
     monkeypatch.undo()
     # the C(60,30) tuples of a one-entry tensor are counted, never listed
-    with pytest.raises(BadDimension, match=rf"= {2 * math.comb(60, 30)} reads"):
+    with pytest.raises(BadDimension, match=rf"= {26 * math.comb(60, 30)} reads"):
         shadow(IntTensor((1,) * 60, {(1,) * 60: 1}), 30)
+    # every tuple weighs 25 reads, so the C(23,11) tuples of an empty
+    # tensor are over the budget too
+    with pytest.raises(BadDimension, match=rf"C\(23,11\)\*\(0\+25\) = {25 * math.comb(23, 11)} "):
+        shadow(IntTensor((1,) * 23, {}), 11)
     # a level out of range is still is_crystal's error
     with pytest.raises(BadDimension, match="got 5"):
         shadow(c, 5)

@@ -296,8 +296,9 @@ def test_lp_pass_takes_rows_and_values_only_their_columns():
 
 def test_dead_columns_are_columns_of_the_rows():
     sys = build_ip_system(clique(4), clique(3), 3)
-    dead = rx._dead_columns(sys.equations)
+    dead = rx._dead_columns(rx._lp_pass(sys.equations))
     assert dead <= row_columns(sys.equations)
     support = relative_interior_support(sys)
     assert {sys.variables[j] for j in dead}.isdisjoint(support)
-    assert rx._dead_columns([(((0, 1), (1, 1)), -1)]) is None
+    # an empty polytope stops at the LP pass, before any support loop
+    assert rx._lp_pass([(((0, 1), (1, 1)), -1)]) is None

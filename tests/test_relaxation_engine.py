@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from keyed_systems import keyed_system
+from two_step_ba import two_step_ba
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, clique
@@ -342,3 +344,90 @@ def test_ba_dominated_by_blp_and_aip():
         ba = decide_ba(x, a, k)
         if ba:
             assert decide_blp(x, a, k) and decide_aip(x, a, k)
+
+
+# -- BA's integral-witness shortcut -------------------------------------------
+
+
+def sweep_instances():
+    """The 138 decisions of the relax-sweep benchmark, unrelabelled: every
+    loopless digraph on 1-3 vertices against K2 and K3, at k = |V(X)|."""
+    for m in (2, 3):
+        for n in (1, 2, 3):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+            for bits in itertools.product((0, 1), repeat=len(pairs)):
+                yield Digraph(n, frozenset(e for e, b in zip(pairs, bits) if b)), clique(m), n
+
+
+def brute_force_hom(x, a) -> bool:
+    return any(
+        all((f[u - 1], f[v - 1]) in a.edges for u, v in x.edges)
+        for f in itertools.product(range(1, a.vertex_count + 1), repeat=x.vertex_count)
+    )
+
+
+def random_instance(rng):
+    """X on at most 4 vertices, A on at most 3, loops allowed, k <= 3."""
+
+    def graph(n):
+        p = rng.random()
+        return Digraph(n, frozenset(
+            (u, v) for u in range(1, n + 1) for v in range(1, n + 1) if rng.random() < p))
+
+    return graph(rng.randint(1, 4)), graph(rng.randint(1, 3)), rng.randint(1, 3)
+
+
+def counted_ba_steps(monkeypatch):
+    """Patch the support loop and the integer step to log their calls."""
+    calls = []
+
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("_dead_columns", "integer_feasible"):
+        monkeypatch.setattr(rx, name, counting(name, getattr(rx, name)))
+    return calls
+
+
+def test_ba_matches_the_two_step_oracle():
+    cases = list(sweep_instances())
+    assert len(cases) == 138
+    # the BA instances of the clique ladder
+    cases += [(clique(n), clique(3), k) for n, k in ((4, 2), (4, 3), (5, 2), (5, 3), (4, 4))]
+    rng = random.Random(19)
+    cases += [random_instance(rng) for _ in range(300)]
+    kinds = set()
+    for x, a, k in cases:
+        got = decide_ba(x, a, k)
+        assert got == two_step_ba(x, a, k), (x, a, k)
+        lp = rx._lp_pass(build_ip_system(x, a, k).equations)
+        integral = lp is not None and all(val.denominator == 1 for val in lp[0].values())
+        kinds.add((lp is not None, integral, got))
+    # no LP solution, an integral witness, and a fractional witness that
+    # the integer step accepts or rejects all occur
+    assert kinds == {(False, False, False), (True, True, True),
+                     (True, False, True), (True, False, False)}
+
+
+def test_ba_skips_its_integer_step_on_an_integral_witness(monkeypatch):
+    calls = counted_ba_steps(monkeypatch)
+    cycle = Digraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+    assert decide_ba(cycle, clique(3), 3) is True
+    assert calls == []
+    # K4 -> K3 at k = 2 has a fractional witness
+    assert decide_ba(clique(4), clique(3), 2) is True
+    assert calls == ["_dead_columns", "integer_feasible"]
+    calls.clear()
+    shortcuts = 0
+    for x, a, k in sweep_instances():
+        if decide_ba(x, a, k):
+            # an integral point of the level-k polytope picks one value
+            # tuple per slice, so it encodes a homomorphism
+            assert brute_force_hom(x, a), (x, a, k)
+            shortcuts += 1
+        assert calls == []
+    # every LP-feasible sweep decision took the shortcut
+    assert shortcuts == 111

@@ -388,7 +388,8 @@ def test_wrong_realisation_is_caught_before_it_is_returned(monkeypatch):
 
     u = cm.mine_hollow_crystal(2)
     # a wrong coefficient in the sum must not reach the caller
-    monkeypatch.setattr(sr, "comb", lambda n, k: math.comb(n, k) + 1)
+    real = sr._coefficient
+    monkeypatch.setattr(sr, "_coefficient", lambda q, p, t: 2 * real(q, p, t))
     with pytest.raises(AssertionError):
         realise(system_of(IntTensor((2, 2, 2), {(1, 2, 1): 3}), 2))
     with pytest.raises(AssertionError):
