@@ -21,7 +21,7 @@ from .tensor_core import (
     BadDimension,
     Index,
     IntTensor,
-    NotACrystal,
+    NotACrystal,  # certificate_from_crystal raises it through crystal_mill.shadow
     TensorError,
     dumps_st,
     is_affine,
@@ -113,8 +113,9 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     vertices), so the image of x is just the projection of the crystal onto
     the selector x.  Tensoriality is then projection composition, for free.
     The level k must be at least 2, the least level the verifiers accept.
-    A crystal check over ``crystal_mill._MAX_CRYSTAL_READS`` reads is
-    refused with ``BadDimension`` before it starts.
+    The crystal is checked by ``crystal_mill.shadow``, which refuses a
+    check over its read budget with ``BadDimension`` before it starts and
+    a non-crystal with ``NotACrystal``.
     """
     if k < 2:
         raise BadDimension(f"certificate level must be >= 2, got k={k}")
@@ -128,13 +129,9 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     if not is_affine(c):
         raise NotAffine("crystal entries must sum to 1")
     # imported here so that the other ``cert`` verbs never load the miner
-    from .crystal_mill import _check_crystal_reads, is_crystal
+    from .crystal_mill import shadow
 
-    _check_crystal_reads(c, k)
-    rep = is_crystal(c, k)
-    if not rep.is_crystal:
-        raise NotACrystal(f"not a {k}-crystal (mismatch at {rep.failing_pair})")
-    if not is_hollow(rep.shadow):
+    if not is_hollow(shadow(c, k)):
         raise NotHollowShadow("the k-shadow has a tie")
     n = c.shape[0]
     zeta = {

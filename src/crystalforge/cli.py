@@ -15,7 +15,10 @@ writes output and picks the exit code.  A handler returns either
 
 ``shadow_realiser.NotRealistic`` is a verified NO without a token: its
 message goes to stderr, exit 1.  Usage and format errors exit 2, and any
-other exception exits 3.
+other exception exits 3.  Handlers validate nothing the library refuses:
+a level out of range, an input over a size budget or a malformed file is
+the library's ``TensorError`` or ``DigraphError``, and ``run`` maps it to
+exit 2.
 
 A process runs one verb, so the module imports only the standard library,
 and each handler imports the crystalforge modules it calls in its body:
@@ -93,8 +96,6 @@ def _cmd_crystal_mine(args):
 
 def _cmd_crystal_verify(args):
     """Check the miner's contract (``crystal_mill.hollow_crystal_fault``)."""
-    if args.k < 1:
-        raise _CliError(f"--k must be >= 1, got {args.k}")
     from . import crystal_mill as cm
     fault = cm.hollow_crystal_fault(_load_tensor(args.tensor), args.k)
     return fault is None, fault
@@ -145,8 +146,6 @@ def _cmd_hom(args):
 
 
 def _cmd_relax(args):
-    if args.k < 1:
-        raise _CliError(f"--k must be >= 1, got {args.k}")
     from . import relaxation_engine as rx
     x = _load_digraph(args.instance)
     a = _load_digraph(args.template)
@@ -289,7 +288,7 @@ def run(argv=None) -> int:
         if _raised(exc, "shadow_realiser", "NotRealistic"):
             print(str(exc), file=sys.stderr)
             return 1
-        if (isinstance(exc, (_CliError, json.JSONDecodeError))
+        if (isinstance(exc, _CliError)
                 or _raised(exc, "tensor_core", "TensorError")
                 or _raised(exc, "digraph_lab", "DigraphError")):
             print(f"error: {exc}", file=sys.stderr)

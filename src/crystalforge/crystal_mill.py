@@ -62,15 +62,16 @@ def is_crystal(c: IntTensor, k: int) -> CrystalReport:
     return CrystalReport(True, k, shadow=base)
 
 
-# the most reads ``shadow`` and ``certificate_from_crystal`` let
-# ``is_crystal`` make on a tensor from outside, C(q,k) * (nnz +
-# _TUPLE_READS): it projects the tensor onto every increasing k-tuple,
-# reading each entry once at a fixed cost of _TUPLE_READS reads a tuple.
-# crystalise(H_3, 12) at k = 3 (C(12,3) * (1,910 + 25) = 425,700 reads)
-# takes 0.13 s, and an empty 18-dimensional tensor at k = 9 (1,215,500)
-# 0.4 s; an empty 23-dimensional tensor at k = 11 (33,801,950) takes 9 to
-# 12 s at 14 MB peak RSS.  The miner's own check of H_9 (9 * 7,087,262
-# reads) is over the budget, so ``is_crystal`` itself takes none
+# the most reads ``shadow`` (and so ``certificate_from_crystal``) lets
+# ``is_crystal`` make on a tensor from outside, C(q,k) * (nnz * (1 + k // 4)
+# + _TUPLE_READS): it projects the tensor onto every increasing k-tuple,
+# reading each entry once at 1 + k // 4 reads, at a fixed cost of
+# _TUPLE_READS reads a tuple.  crystalise(H_3, 12) at k = 3 (C(12,3) *
+# (1,910 + 25) = 425,700 reads) takes 0.13 s, and an empty 18-dimensional
+# tensor at k = 9 (1,215,500) 0.4 s; an empty 23-dimensional tensor at
+# k = 11 (33,801,950) takes 9 to 12 s at 14 MB peak RSS.  The miner's own
+# check of H_9 (9 * 7,087,262 reads) is over the budget, so ``is_crystal``
+# itself takes none
 _MAX_CRYSTAL_READS = 2 * 10**6
 # one increasing k-tuple in reads, whatever the tensor holds: over five
 # alternating runs, an empty 20-dimensional tensor at k = 10 took 6.0-9.5 us
@@ -82,12 +83,21 @@ _TUPLE_READS = 25
 def _check_crystal_reads(c: IntTensor, k: int) -> None:
     """Refuse, with BadDimension, an ``is_crystal(c, k)`` of more than
     ``_MAX_CRYSTAL_READS`` reads before a tuple is listed."""
-    q, nnz = c.dim, len(c.entries)
-    reads = comb(q, k) * (nnz + _TUPLE_READS) if 0 <= k <= q else 0
+    # an entry of a k-tuple weighs ceil((k+1)/4) = 1 + k // 4 reads: a read
+    # is an entry at k = 3, and an entry costs more as k grows, since its
+    # key is a k-tuple.  Timed back to back with k = 3, seven times each,
+    # ``shadow`` on the full cubes 2^12 and 3^9 (crystals at every level)
+    # took a median 1.2-1.3 times as long an entry at k = 5, 1.3-1.4 at
+    # k = 7, 2.2 at k = 8 and 1.6-1.9 at k = 9-11; projecting 200 entries
+    # onto 2,000 k-tuples took 0.37 us an entry at q = 12, k = 3, 0.73 us
+    # at q = 14, k = 7 and 0.69-0.92 us at q = 18-22, k = 9-11.  (k+1)/4 is
+    # above each of these ratios
+    q, nnz, w = c.dim, len(c.entries), 1 + k // 4
+    reads = comb(q, k) * (nnz * w + _TUPLE_READS) if 0 <= k <= q else 0
     if reads > _MAX_CRYSTAL_READS:
         raise BadDimension(
             f"checking the {k}-projections of {nnz} entries in q = {q} modes takes "
-            f"C({q},{k})*({nnz}+{_TUPLE_READS}) = {reads} reads, "
+            f"C({q},{k})*({nnz}*{w}+{_TUPLE_READS}) = {reads} reads, "
             f"over the budget of {_MAX_CRYSTAL_READS}"
         )
 
@@ -164,7 +174,10 @@ def pad(c: IntTensor, layers: int) -> IntTensor:
 
 def hollow_crystal_fault(c: IntTensor, k: int) -> Optional[str]:
     """Why ``c`` is not a hollow affine (k-1)-crystal of dimension k and
-    width (k^2+k)/2, the miner's contract; None when it is one (k >= 1)."""
+    width (k^2+k)/2, the miner's contract; None when it is one.  A level
+    below 1 has no such crystal and is refused with BadDimension."""
+    if k < 1:
+        raise BadDimension(f"k must be >= 1, got {k}")
     if not c.is_cubical() or c.dim != k:
         return f"expected a cubical tensor of dimension {k}, got shape {c.shape}"
     if c.shape[0] != (k * k + k) // 2:

@@ -170,7 +170,8 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     so the sorted equations and everything computed from them are those of
     a system keyed by VarKeys.  A system of more than ``_MAX_COLUMNS``
     columns, n^k*m^k + |E(X)|*|E(A)|, or a level above ``_MAX_LEVEL`` is
-    refused with ``SystemTooLarge`` before anything is listed.
+    refused with ``SystemTooLarge`` before anything is listed, and a level
+    below 1 with ``DigraphError``.
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
@@ -232,7 +233,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     union of orbits, because refinement is kept by permuting positions.
     """
     if k < 1:
-        raise ValueError("level k must be >= 1")
+        raise DigraphError(f"level k must be >= 1, got {k}")
     n, m = x_graph.vertex_count, a_graph.vertex_count
     x_edges = x_graph.sorted_edges()
     a_edges = a_graph.sorted_edges()

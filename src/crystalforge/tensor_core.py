@@ -111,11 +111,7 @@ def zero_tensor(shape: Iterable[int]) -> IntTensor:
 
 def unit_tensor(shape: Iterable[int], idx: Index) -> IntTensor:
     """The standard unit tensor: value 1 at ``idx``, zero elsewhere."""
-    shape = tuple(shape)
-    idx = tuple(idx)
-    if len(idx) != len(shape) or any(not 1 <= c <= w for c, w in zip(idx, shape)):
-        raise InvalidIndex(f"index {idx} invalid for shape {shape}")
-    return IntTensor._raw(shape, {idx: 1})
+    return IntTensor(shape, {tuple(idx): 1})
 
 
 def total(t: IntTensor) -> int:
@@ -271,35 +267,27 @@ def loads_st(text: str) -> IntTensor:
     def fail(msg: str):
         raise StFormatError(msg)
 
+    def header(i: int, word: str, count: int) -> list[int]:
+        """The ``count`` ints after ``word`` on header line ``i``."""
+        toks = lines[i].split()
+        if toks[:1] == [word] and len(toks) == count + 1:
+            try:
+                return [int(x) for x in toks[1:]]
+            except ValueError:
+                pass
+        fail(f"bad {word} line: {lines[i]!r}")
+
     if len(lines) < 4:
         fail("truncated .st payload")
     if lines[0] != "st 1":
         fail(f"bad magic line: {lines[0]!r}")
-    m = lines[1].split()
-    if len(m) != 2 or m[0] != "dims":
-        fail(f"bad dims line: {lines[1]!r}")
-    try:
-        q = int(m[1])
-    except ValueError:
-        fail(f"bad dims line: {lines[1]!r}")
+    (q,) = header(1, "dims", 1)
     if q < 0:
         fail("negative dims")
-    w = lines[2].split()
-    if not w or w[0] != "widths" or len(w) != q + 1:
-        fail(f"bad widths line: {lines[2]!r}")
-    try:
-        shape = tuple(int(x) for x in w[1:])
-    except ValueError:
-        fail(f"bad widths line: {lines[2]!r}")
+    shape = tuple(header(2, "widths", q))
     if any(x < 1 for x in shape):
         fail("widths must be positive")
-    e = lines[3].split()
-    if len(e) != 2 or e[0] != "entries":
-        fail(f"bad entries line: {lines[3]!r}")
-    try:
-        count = int(e[1])
-    except ValueError:
-        fail(f"bad entries line: {lines[3]!r}")
+    (count,) = header(3, "entries", 1)
     if count < 0 or len(lines) != 4 + count:
         fail(f"expected {count} entry lines, found {len(lines) - 4}")
     entries: dict[Index, int] = {}

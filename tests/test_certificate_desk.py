@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -70,8 +71,10 @@ def test_from_crystal_rejects_level_below_two():
 
 
 def test_from_crystal_rejects_a_non_crystal_and_a_tied_shadow():
-    # one entry at (1, 2, 3): affine, but its 2-projections differ
-    with pytest.raises(cd.NotACrystal):
+    # one entry at (1, 2, 3): affine, but its 2-projections differ; the
+    # words are crystal_mill.shadow's
+    with pytest.raises(cd.NotACrystal,
+                       match=r"^not a 2-crystal; projections differ at \(\(1, 2\), \(1, 3\)\)$"):
         certificate_from_crystal(IntTensor((3, 3, 3), {(1, 2, 3): 1}), clique(3), 2)
     # one entry at (1, 1, 1): a 2-crystal whose shadow is tied at (1, 1)
     with pytest.raises(cd.NotHollowShadow):
@@ -79,13 +82,24 @@ def test_from_crystal_rejects_a_non_crystal_and_a_tied_shadow():
 
 
 def test_from_crystal_refuses_over_the_crystal_check_budget(monkeypatch):
-    c = mine_hollow_shadowed_crystal(2, 4)
-    reads = 6 * (len(c.entries) + 25)  # C(4,2) * (nnz+25)
-    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
-    assert certificate_from_crystal(c, clique(4), 2) == k4_cert()
-    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
-    with pytest.raises(BadDimension, match=rf"= {reads} reads, over the budget of {reads - 1}$"):
-        certificate_from_crystal(c, clique(4), 2)
+    # C(q,k) * (nnz * (1 + k // 4) + 25) reads: an entry weighs 1 at k = 2
+    # and 2 at k = 4
+    for c, x, k, w in ((mine_hollow_shadowed_crystal(2, 4), clique(4), 2, 1),
+                       (mine_hollow_shadowed_crystal(4, 5), cycle(3), 4, 2)):
+        reads = math.comb(c.dim, k) * (len(c.entries) * w + 25)
+        want = certificate_from_crystal(c, x, k)
+        monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
+        assert certificate_from_crystal(c, x, k) == want
+        monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
+
+        def unreached(*args):
+            raise AssertionError("is_crystal ran on a tensor over the budget")
+
+        monkeypatch.setattr(cm, "is_crystal", unreached)
+        with pytest.raises(BadDimension,
+                           match=rf"= {reads} reads, over the budget of {reads - 1}$"):
+            certificate_from_crystal(c, x, k)
+        monkeypatch.undo()
 
 
 def test_certificate_totality_enforced():

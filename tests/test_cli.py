@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import runpy
 import sys
 import time
@@ -511,6 +512,54 @@ def test_verb_usage_line(monkeypatch, capsys, verb):
     code, stdout, err = invoke(capsys, *verb, "--help")
     assert code == 0 and err == ""
     assert stdout.splitlines()[0] == f"usage: crystalforge {' '.join(verb)} {USAGE[verb]}"
+
+
+# a call that exits 0 of each verb with an int option
+VALID = {
+    ("crystal", "mine"): ["--k", "2"],
+    ("crystal", "verify"): ["--k", "2", "u.st"],
+    ("crystal", "shadow"): ["--k", "2", "c4.st"],
+    ("crystal", "crystalise"): ["--q", "3", "u.st"],
+    ("digraph", "clique"): ["--q", "3"],
+    ("digraph", "shift"): ["--q", "3", "--i", "1"],
+    **{("relax", which): ["--k", "1", "k4.json", "k3.json"] for which in ("blp", "aip", "ba")},
+    ("cert", "from-crystal"): ["--k", "2", "c4.st", "k4.json"],
+    ("fool", "params"): ["--c", "4", "--d", "4", "--k", "2"],
+}
+# options whose range holds 0: the 0-shadow is the scalar total, and the
+# shift digraph S_{q,0} is K_q
+ZERO_IN_RANGE = {(("crystal", "shadow"), "--k"), (("digraph", "shift"), "--i")}
+
+
+def test_every_int_option_below_its_range_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the library refuses each of these; no handler checks a level
+    monkeypatch.chdir(tmp_path)
+    invoke(capsys, "crystal", "mine", "--k", "2", "-o", "u.st")
+    invoke(capsys, "crystal", "crystalise", "--q", "4", "u.st", "-o", "c4.st")
+    for n in (3, 4):
+        write_graph(tmp_path / f"k{n}.json", clique(n))
+    assert set(VALID) == {verb for verb, usage in USAGE.items() if " --" in usage}
+    for verb, call in VALID.items():
+        assert invoke(capsys, *verb, *call)[0] == 0, verb
+        for option in re.findall(r"--[a-z]+", USAGE[verb]):
+            for value in ("0", "-1"):
+                argv = [*verb, *call]
+                argv[argv.index(option) + 1] = value
+                code, stdout, err = invoke(capsys, *argv)
+                if value == "0" and (verb, option) in ZERO_IN_RANGE:
+                    assert (code, err) == (0, "") and stdout, argv
+                else:
+                    assert (code, stdout) == (2, ""), argv
+                    assert err.startswith("error:") and "internal error" not in err, argv
+
+
+def test_cert_from_crystal_words_a_non_crystal_as_crystal_shadow_does(tmp_path, capsys):
+    t = tmp_path / "t.st"
+    write_st(IntTensor((3, 3, 3), {(1, 2, 3): 1}), t)  # affine, 2-projections differ
+    k3 = write_graph(tmp_path / "k3.json", clique(3))
+    err = "error: not a 2-crystal; projections differ at ((1, 2), (1, 3))\n"
+    assert invoke(capsys, "crystal", "shadow", "--k", "2", str(t)) == (2, "", err)
+    assert invoke(capsys, "cert", "from-crystal", "--k", "2", str(t), k3) == (2, "", err)
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,7 @@ def inputs(tmp_path_factory):
         {"axes": [2], "tensor": "st 1\ndims 1\nwidths 2\nentries 1\n1 2\n"},
     ]}))
     (d / "bad.st").write_text("not a tensor\n")
+    (d / "scalar.st").write_text(dumps_st(IntTensor((), {(): 1})))
     # tiny inputs naming combinatorial families: C(60,30) keys, 2^22 - 1
     # projections to realise, C(60,30), C(24,12) and C(23,11) tuples to
     # compare
@@ -134,15 +135,19 @@ ERRORS = [
      f"{22 * 2 * (2**22 - 1)} reads, over the budget of 2000000\n"),
     (("crystal", "shadow", "--k", "30", "one60.st"), 2,
      f"error: checking the 30-projections of 1 entries in q = 60 modes takes "
-     f"C(60,30)*(1+25) = {26 * math.comb(60, 30)} reads, over the budget of 2000000\n"),
-    (("crystal", "shadow", "--k", "12", "one24.st"), 2, f"= {26 * math.comb(24, 12)} reads"),
+     f"C(60,30)*(1*8+25) = {33 * math.comb(60, 30)} reads, over the budget of 2000000\n"),
+    (("crystal", "shadow", "--k", "12", "one24.st"), 2, f"= {29 * math.comb(24, 12)} reads"),
     (("cert", "from-crystal", "--k", "12", "one24.st", "k4.json"), 2,
      f"error: checking the 12-projections of 1 entries in q = 24 modes takes "
-     f"C(24,12)*(1+25) = {26 * math.comb(24, 12)} reads, over the budget of 2000000\n"),
+     f"C(24,12)*(1*4+25) = {29 * math.comb(24, 12)} reads, over the budget of 2000000\n"),
     # each tuple weighs 25 reads, so an empty tensor is refused too
     (("crystal", "shadow", "--k", "11", "empty23.st"), 2,
      f"error: checking the 11-projections of 0 entries in q = 23 modes takes "
-     f"C(23,11)*(0+25) = {25 * math.comb(23, 11)} reads, over the budget of 2000000\n"),
+     f"C(23,11)*(0*3+25) = {25 * math.comb(23, 11)} reads, over the budget of 2000000\n"),
+    # a level below 1 is the library's error, not the CLI's
+    (("crystal", "verify", "--k", "0", "scalar.st"), 2, "error: k must be >= 1, got 0\n"),
+    (("relax", "ba", "--k", "0", "k4.json", "k3.json"), 2,
+     "error: level k must be >= 1, got 0\n"),
 ]
 
 

@@ -94,25 +94,30 @@ def test_is_crystal_rejects_k_out_of_range():
 
 
 def test_shadow_refuses_over_the_crystal_check_budget(monkeypatch):
-    c = crystalise(mine_hollow_crystal(2), 4)
-    n = len(c.entries)
-    reads = math.comb(4, 2) * (n + 25)
-    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
-    assert shadow(c, 2) == mine_hollow_crystal(2)
-    monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
-    with pytest.raises(BadDimension, match=rf"^checking the 2-projections of {n} entries in q = 4 "
-                                           rf"modes takes C\(4,2\)\*\({n}\+25\) = {reads} reads, "
-                                           rf"over the budget of {reads - 1}$"):
-        shadow(c, 2)
-    monkeypatch.undo()
+    # an entry of a k-tuple weighs 1 + k // 4 reads: 1 at k = 2, 2 at k = 4
+    for c, k, w in ((crystalise(mine_hollow_crystal(2), 4), 2, 1),
+                    (mine_hollow_shadowed_crystal(4, 5), 4, 2)):
+        n, q = len(c.entries), c.dim
+        reads = math.comb(q, k) * (n * w + 25)
+        monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
+        assert shadow(c, k) == mine_hollow_crystal(k)
+        monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads - 1)
+        with pytest.raises(BadDimension, match=rf"^checking the {k}-projections of {n} entries "
+                                               rf"in q = {q} modes takes C\({q},{k}\)\*\({n}\*{w}"
+                                               rf"\+25\) = {reads} reads, "
+                                               rf"over the budget of {reads - 1}$"):
+            shadow(c, k)
+        monkeypatch.undo()
     # the C(60,30) tuples of a one-entry tensor are counted, never listed
-    with pytest.raises(BadDimension, match=rf"= {26 * math.comb(60, 30)} reads"):
+    with pytest.raises(BadDimension, match=rf"= {33 * math.comb(60, 30)} reads"):
         shadow(IntTensor((1,) * 60, {(1,) * 60: 1}), 30)
     # every tuple weighs 25 reads, so the C(23,11) tuples of an empty
     # tensor are over the budget too
-    with pytest.raises(BadDimension, match=rf"C\(23,11\)\*\(0\+25\) = {25 * math.comb(23, 11)} "):
+    with pytest.raises(BadDimension,
+                       match=rf"C\(23,11\)\*\(0\*3\+25\) = {25 * math.comb(23, 11)} "):
         shadow(IntTensor((1,) * 23, {}), 11)
     # a level out of range is still is_crystal's error
+    c = crystalise(mine_hollow_crystal(2), 4)
     with pytest.raises(BadDimension, match="got 5"):
         shadow(c, 5)
 
@@ -339,6 +344,13 @@ def test_every_increasing_projection_is_the_smaller_hollow_crystal(k):
 def test_mine_rejects_bad_k():
     with pytest.raises(BadDimension):
         mine_hollow_crystal(0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_fault_refuses_a_level_below_one(k):
+    # a scalar: dimension 0, and no width to compare with (k^2+k)/2
+    with pytest.raises(BadDimension, match=f"k must be >= 1, got {k}"):
+        cm.hollow_crystal_fault(IntTensor((), {(): 1}), k)
 
 
 @pytest.mark.parametrize("k", [10, 1000])

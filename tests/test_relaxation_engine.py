@@ -9,7 +9,7 @@ from keyed_systems import keyed_system
 from two_step_ba import two_step_ba
 
 from crystalforge import relaxation_engine as rx
-from crystalforge.digraph_lab import Digraph, clique
+from crystalforge.digraph_lab import Digraph, DigraphError, clique
 from crystalforge.relaxation_engine import (
     Infeasible,
     LinearSystem,
@@ -288,6 +288,10 @@ def test_linear_system_is_an_immutable_value():
 def test_build_ip_system_needs_level_at_least_one():
     with pytest.raises(ValueError, match="level k must be >= 1"):
         build_ip_system(clique(2), clique(2), 0)
+    # a DigraphError, so the CLI refuses it with exit 2
+    for k in (0, -1):
+        with pytest.raises(DigraphError, match=f"^level k must be >= 1, got {k}$"):
+            build_ip_system(clique(2), clique(2), k)
 
 
 def test_build_ip_system_refuses_over_the_column_budget(monkeypatch):

@@ -324,30 +324,37 @@ def test_file_round_trip(tmp_path):
     assert read_st(p) == t
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "st 2\ndims 0\nwidths\nentries 0\n",
-        "st 1\ndims 1\nwidths 2 2\nentries 0\n",
-        "st 1\ndims 1\nwidths 2\nentries 1\n",  # missing entry line
-        "st 1\ndims 1\nwidths 2\nentries 0\n1 1\n",  # extra entry line
-        "st 1\ndims 1\nwidths 2\nentries 1\n1 0\n",  # stored zero
-        "st 1\ndims 1\nwidths 2\nentries 1\n3 1\n",  # out of range
-        "st 1\ndims 1\nwidths 2\nentries 2\n2 1\n1 1\n",  # unsorted
-        "st 1\ndims 1\nwidths 2\nentries 2\n1 1\n1 2\n",  # duplicate
-        "st 1\ndims 1\nwidths 0\nentries 0\n",
-        "st 1\ndims 1\nwidths 2\nentries 1\nx 1\n",
-        "st 1\ndims\nwidths\nentries 0\n",  # dims line without a count
-        "st 1\ndims x\nwidths\nentries 0\n",
-        "st 1\ndims -1\nwidths\nentries 0\n",
-        "st 1\ndims 1\nwidths x\nentries 0\n",
-        "st 1\ndims 1\nwidths 2\nentry 0\n",
-        "st 1\ndims 1\nwidths 2\nentries x\n",
-        "st 1\ndims 1\nwidths 2\nentries -1\n",
-        "st 1\ndims 2\nwidths 2 2\nentries 1\n1 1\n",  # short entry line
-    ],
-)
-def test_malformed_st_rejected(text):
-    with pytest.raises(StFormatError):
+# each malformed payload and its message; a bad header line is named
+MALFORMED_ST = {
+    "": "truncated .st payload",
+    "st 2\ndims 0\nwidths\nentries 0\n": "bad magic line: 'st 2'",
+    "st 1\ndims 1\nwidths 2 2\nentries 0\n": "bad widths line: 'widths 2 2'",
+    "st 1\ndims 1\nwidths 2\nentries 1\n": "expected 1 entry lines, found 0",  # missing entry line
+    "st 1\ndims 1\nwidths 2\nentries 0\n1 1\n": "expected 0 entry lines, found 1",  # extra entry line
+    "st 1\ndims 1\nwidths 2\nentries 1\n1 0\n": "zero value stored at (1,)",
+    "st 1\ndims 1\nwidths 2\nentries 1\n3 1\n": "index (3,) out of range for widths (2,)",
+    "st 1\ndims 1\nwidths 2\nentries 2\n2 1\n1 1\n": "entries not sorted/deduplicated at (1,)",
+    "st 1\ndims 1\nwidths 2\nentries 2\n1 1\n1 2\n": "entries not sorted/deduplicated at (1,)",
+    "st 1\ndims 1\nwidths 0\nentries 0\n": "widths must be positive",
+    "st 1\ndims 1\nwidths 2\nentries 1\nx 1\n": "bad entry line: 'x 1'",
+    "st 1\ndims\nwidths\nentries 0\n": "bad dims line: 'dims'",
+    "st 1\ndims x\nwidths\nentries 0\n": "bad dims line: 'dims x'",
+    "st 1\ndims 1 1\nwidths 2\nentries 0\n": "bad dims line: 'dims 1 1'",
+    "st 1\n\nwidths\nentries 0\n": "bad dims line: ''",
+    "st 1\ndims -1\nwidths\nentries 0\n": "negative dims",
+    "st 1\ndims 1\nwidths x\nentries 0\n": "bad widths line: 'widths x'",
+    "st 1\ndims 2\nwidths 2 x\nentries 0\n": "bad widths line: 'widths 2 x'",
+    "st 1\ndims 1\nwidth 2\nentries 0\n": "bad widths line: 'width 2'",
+    "st 1\ndims 1\nwidths 2\nentry 0\n": "bad entries line: 'entry 0'",
+    "st 1\ndims 1\nwidths 2\nentries x\n": "bad entries line: 'entries x'",
+    "st 1\ndims 1\nwidths 2\nentries 0 0\n": "bad entries line: 'entries 0 0'",
+    "st 1\ndims 1\nwidths 2\nentries -1\n": "expected -1 entry lines, found 0",
+    "st 1\ndims 2\nwidths 2 2\nentries 1\n1 1\n": "bad entry line: '1 1'",  # short entry line
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_ST.items(), ids=list(MALFORMED_ST))
+def test_malformed_st_rejected(text, message):
+    with pytest.raises(StFormatError) as err:
         loads_st(text)
+    assert str(err.value) == message
