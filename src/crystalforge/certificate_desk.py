@@ -37,6 +37,7 @@ from .digraph_lab import (
     clique,
     digraph_from_json,
     digraph_to_json,
+    json_int,
     line_digraph,
     refines,
 )
@@ -344,11 +345,11 @@ def certificate_to_json(cert: ZaffCertificate) -> str:
 def certificate_from_json(text: str) -> ZaffCertificate:
     try:
         doc = json.loads(text)
-        k = int(doc["k"])
+        k = json_int(doc["k"])
         instance = digraph_from_json(json.dumps(doc["instance"]))
         tmpl = doc["template"]
         if isinstance(tmpl, dict) and set(tmpl) == {"clique"}:
-            n = int(tmpl["clique"])
+            n = json_int(tmpl["clique"])
             template = clique(n)
             template_clique = n
         else:
@@ -356,7 +357,7 @@ def certificate_from_json(text: str) -> ZaffCertificate:
             template_clique = None
         zeta = {}
         for blob in doc["zeta"]:
-            x = tuple(int(c) for c in blob["x"])
+            x = tuple(json_int(c) for c in blob["x"])
             if x in zeta:
                 raise ValueError(f"duplicate zeta entry for x={x}")
             zeta[x] = loads_st(blob["tensor"])

@@ -325,11 +325,19 @@ def digraph_to_json(g: Digraph) -> str:
     ) + "\n"
 
 
+def json_int(value) -> int:
+    """A JSON integer as it is: an ``int`` that is not a ``bool``.  A float,
+    a bool or a string is refused with ``TypeError``, not rounded or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def digraph_from_json(text: str) -> Digraph:
     try:
         doc = json.loads(text)
-        n = int(doc["vertices"])
-        edges = frozenset((int(u), int(v)) for u, v in doc["edges"])
+        n = json_int(doc["vertices"])
+        edges = frozenset((json_int(u), json_int(v)) for u, v in doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DigraphError(f"bad digraph JSON: {exc}") from exc
     return Digraph(n, edges)

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -64,7 +65,7 @@ from .digraph_lab import Digraph, DigraphError, refines
 VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
 
 # the most columns ``build_ip_system`` lists: the 248,904 of K4 -> K3 at
-# k = 5 build in 0.3 s at 63 MB peak RSS, and the benchmark's largest
+# k = 5 build in 0.16 s at 65 MB peak RSS, and the benchmark's largest
 # system has 20,808
 _MAX_COLUMNS = 10**6
 # the highest level it takes: past it (n*m)^k > 2^64 unless n = m = 1,
@@ -134,7 +135,7 @@ def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
     return tuple(out), len(seen)
 
 
-def _rank(t: tuple, base: int) -> int:
+def _rank(t: Iterable[int], base: int) -> int:
     """Index of a tuple over 1..base in ``itertools.product`` order."""
     r = 0
     for v in t:
@@ -143,8 +144,7 @@ def _rank(t: tuple, base: int) -> int:
 
 
 def _canon(coeffs: dict, rhs: int):
-    """Sort a row and make its lead positive.  The row is never empty:
-    ``emit`` drops 0 = 0, and with m >= 1 every normalization row has a term."""
+    """Sort a nonempty row and make its lead positive."""
     items = tuple(sorted(coeffs.items()))
     if items[0][1] < 0:
         items = tuple((v, -c) for v, c in items)
@@ -175,7 +175,9 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
-    up front: they are declared but never appear in an equation.
+    up front: they are declared but never appear in an equation.  The
+    normalization and mu rows are emitted canonical, columns ascending and
+    lead positive; only the collapse rows are sorted by ``_canon``.
 
     The full system.  For a tuple t and a map i: [k] -> [k] write
     t.i = (t[i(0)], ..., t[i(k-1)]), so that t.(i o j) = (t.i).j.  It has
@@ -257,52 +259,47 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     # Everything below depends on x only through its equality pattern, its
     # rank and the order of its values, so the value-tuple work is done
     # once per pattern and position map.
-    compat: dict[tuple, list[tuple[tuple, int]]] = {}
+    tables: dict[tuple, tuple] = {}
 
-    def compatible(bl: tuple, nb: int) -> list[tuple[tuple, int]]:
-        """(a, rank(a)) for the value tuples a compatible with a pattern."""
-        if bl not in compat:
-            compat[bl] = [
-                (a, _rank(a, m))
-                for a in (tuple(vals[b] for b in bl)
-                          for vals in itertools.product(range(1, m + 1), repeat=nb))
-            ]
-        return compat[bl]
+    def table(t: tuple) -> tuple:
+        """For the pattern of t: (a, rank(a)) for the value tuples a compatible
+        with it and their ranks (the live ones), ascending as the vals do,
+        the other ranks (the forced ones) and a cache of its marginals."""
+        bl, nb = _blocks(t)
+        if bl not in tables:
+            comp = [(a, _rank(a, m)) for a in (tuple(vals[b] for b in bl)
+                    for vals in itertools.product(range(1, m + 1), repeat=nb))]
+            live = [ra for _a, ra in comp]
+            tables[bl] = (comp, live, set(range(mk)).difference(live), {})
+        return tables[bl]
 
-    marg: dict[tuple, list[tuple[int, int]]] = {}
-
-    def marginal(bl_x: tuple, nb_x: int, i: tuple) -> list[tuple[int, int]]:
-        """(rank(ahat.i), rank(ahat)) for each ahat compatible with the
-        pattern of x: the lambda terms of L_i(x, .) on the x-slice."""
-        key = (bl_x, i)
-        if key not in marg:
-            marg[key] = [(_rank(tuple(a[p] for p in i), m), ra)
-                         for a, ra in compatible(bl_x, nb_x)]
-        return marg[key]
+    def marginal(tab: tuple, i: tuple) -> list[tuple[int, list[int]]]:
+        """The lambda terms of L_i(x, .) on the x-slice: each rank(ahat.i)
+        with the ranks of its ahat compatible with the pattern."""
+        if i not in tab[3]:
+            terms: dict[int, list[int]] = {}
+            for a, ra in tab[0]:
+                terms.setdefault(_rank(map(a.__getitem__, i), m), []).append(ra)
+            tab[3][i] = list(terms.items())
+        return tab[3][i]
 
     forced: set[int] = set()
     alias: dict[int, int] = {}
-    equations: dict = {}
-
-    def emit(coeffs: dict, rhs: int):
-        if not coeffs and rhs == 0:
-            return
-        equations.setdefault(_canon(coeffs, rhs), None)
+    equations: dict = {}  # the rows, each canonical, as keys (deduplicated)
 
     identity = tuple(range(k))
+    tabs = [table(x) for x in xs]
     for rank_x, x in enumerate(xs):
         bx = rank_x * mk
-        bl_x, nb_x = _blocks(x)
-        live = {ra for _a, ra in compatible(bl_x, nb_x)}
-        forced.update(bx + ra for ra in range(mk) if ra not in live)
+        forced.update([bx + ra for ra in tabs[rank_x][2]])
         # the positions in the order that makes x non-increasing (stable)
-        p = tuple(sorted(identity, key=lambda q: -x[q]))
+        p = tuple(sorted(identity, key=x.__getitem__, reverse=True))
         if p == identity:
             # normalization: each lambda slice sums to one
-            emit({bx + ra: 1 for ra in live}, 1)
+            equations[(tuple([(bx + ra, 1) for ra in tabs[rank_x][1]]), 1)] = None
         else:
-            brep = _rank(tuple(x[q] for q in p), n) * mk
-            for rb, ra in marginal(bl_x, nb_x, p):
+            brep = _rank(map(x.__getitem__, p), n) * mk
+            for rb, (ra,) in marginal(tabs[rank_x], p):
                 alias[bx + ra] = brep + rb
 
     # lambda marginality for the collapse: projecting the x-slice along c
@@ -311,40 +308,43 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
         c = (0, 0) + identity[2:]
         for rank_x, x in enumerate(xs):
             bx = rank_x * mk
-            bl_x, nb_x = _blocks(x)
-            bxc = _rank(tuple(x[q] for q in c), n) * mk
+            bxc = _rank(map(x.__getitem__, c), n) * mk
             # every a compatible with the pattern of x.c is ahat.c for some
             # ahat compatible with that of x, so grouping the terms by
             # rank(ahat.c) gives every row of L_c(x, .); the representatives
             # of one x-slice are distinct
-            rows: dict[int, dict[int, int]] = {}
-            for ra, rahat in marginal(bl_x, nb_x, c):
-                j = bx + rahat
-                rows.setdefault(ra, {})[alias.get(j, j)] = 1
-            for ra, coeffs in rows.items():
+            for ra, rahats in marginal(tabs[rank_x], c):
+                coeffs = {}
+                for rahat in rahats:
+                    j = bx + rahat
+                    coeffs[alias.get(j, j)] = 1
                 j = bxc + ra
                 rcol = alias.get(j, j)
-                coeffs[rcol] = coeffs.get(rcol, 0) - 1
-                emit({v: cf for v, cf in coeffs.items() if cf}, 0)
+                if coeffs.pop(rcol, None) is None:
+                    coeffs[rcol] = -1
+                if coeffs:
+                    equations[_canon(coeffs, 0)] = None
 
     # mu marginality: the i-projection of an edge's mu slice reproduces
-    # the lambda slice of the projected vertex tuple
+    # the lambda slice of the projected vertex tuple; a live lambda column
+    # sorts before every mu column, so it leads its row, negated to +1
     for iy, y in enumerate(x_edges):
         by0 = mu0 + iy * len(a_edges)
         for i in _mu_generators(k):
-            byi = _rank(tuple(y[p] for p in i), n) * mk
-            by_a: dict[int, dict] = {}
+            yi = tuple(y[q] for q in i)
+            byi = _rank(yi, n) * mk
+            by_a: dict[int, list[int]] = {}
             for ib, b in enumerate(a_edges):
                 if k >= 2 and not refines(y, b):
                     forced.add(by0 + ib)
                     continue
-                by_a.setdefault(_rank(tuple(b[p] for p in i), m), {})[by0 + ib] = 1
-            for ra in range(mk):
-                coeffs = dict(by_a.get(ra, {}))
+                by_a.setdefault(_rank(map(b.__getitem__, i), m), []).append(by0 + ib)
+            for ra in table(yi)[1]:
                 j = byi + ra
-                if j not in forced:
-                    coeffs[alias.get(j, j)] = -1
-                emit(coeffs, 0)
+                row = ((alias.get(j, j), 1),) + tuple([(v, -1) for v in by_a.pop(ra, ())])
+                equations[(row, 0)] = None
+            for cols in by_a.values():
+                equations[(tuple([(v, 1) for v in cols]), 0)] = None
 
     eq_tuple = tuple(sorted(equations))
     return LinearSystem(variables, eq_tuple, frozenset(forced), alias)
@@ -423,7 +423,7 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
     ``zero`` fixed to 0; a row left as 0 = 0 is dropped on entry."""
     red = _Reduced()
     eqs: dict[int, tuple[dict, int]] = {}
-    occ: dict = {}
+    occ: defaultdict[object, set[int]] = defaultdict(set)
     for items, rhs in equations:
         coeffs = {v: c for v, c in items if c and v not in zero}
         if not coeffs and not rhs:
@@ -431,7 +431,7 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
         eid = len(eqs)
         eqs[eid] = (coeffs, rhs)
         for v in coeffs:
-            occ.setdefault(v, set()).add(eid)
+            occ[v].add(eid)
     work = list(eqs)
     in_work = set(work)
 
@@ -439,7 +439,7 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
         """Eliminate v through the row c*v + sum(lin) = rhs."""
         red.subs[v] = (c, rhs, lin)
         scale = abs(c)
-        for eid in list(occ.pop(v, ())):
+        for eid in occ.pop(v, ()):
             if eid not in eqs:
                 continue
             coeffs, erhs = eqs[eid]
@@ -450,15 +450,16 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
                 for w in coeffs:
                     coeffs[w] *= scale
                 erhs *= scale
-            erhs -= d * rhs
+            if rhs:
+                erhs -= d * rhs
             for w, cw in lin.items():
                 nc = coeffs.get(w, 0) - d * cw
                 if nc:
                     coeffs[w] = nc
-                    occ.setdefault(w, set()).add(eid)
+                    occ[w].add(eid)
                 else:
-                    coeffs.pop(w, None)
-                    occ.get(w, set()).discard(eid)
+                    del coeffs[w]
+                    occ[w].discard(eid)
             if nonneg:
                 g = math.gcd(erhs, *coeffs.values())
                 if g > 1:
@@ -489,7 +490,10 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
             substitute(v, 1, rhs // c, {})
             continue
         if nonneg:
-            npos = sum(1 for c in coeffs.values() if c > 0)
+            npos = 0
+            for c in coeffs.values():
+                if c > 0:
+                    npos += 1
             nneg = len(coeffs) - npos
             if not npos or not nneg:
                 if rhs == 0:
@@ -510,19 +514,15 @@ def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
             ] if npos == 1 or nneg == 1 else ()
         else:
             candidates = [(v, c) for v, c in coeffs.items() if c in (1, -1)]
-        cand = None
-        for v, c in candidates:
-            use = len(occ.get(v, ()))
-            if cand is None or use < cand[0]:
-                cand = (use, v, c)
+        # the candidate in the fewest rows, the first on ties
+        cand = min(candidates, key=lambda vc: len(occ[vc[0]]), default=None)
         if cand is not None:
-            _, v, c = cand
-            lin = {w: cw for w, cw in coeffs.items() if w != v}
+            v, c = cand
             del eqs[eid]
-            occ.get(v, set()).discard(eid)
-            for w in lin:
-                occ.get(w, set()).discard(eid)
-            substitute(v, c, rhs, lin)
+            for w in coeffs:
+                occ[w].discard(eid)
+            del coeffs[v]  # the row, less v, is the substitution's lin
+            substitute(v, c, rhs, coeffs)
 
     # final dedup (and, in integer mode, content reduction); rows equal up
     # to a nonzero multiple share the primitive row with a positive lead

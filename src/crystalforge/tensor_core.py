@@ -267,15 +267,22 @@ def loads_st(text: str) -> IntTensor:
     def fail(msg: str):
         raise StFormatError(msg)
 
+    def numbers(toks: list[str]) -> list[int] | None:
+        """The ints the tokens spell, or None unless each is canonical: ASCII
+        ``-?(0|[1-9][0-9]*)``, so no ``+``, ``_``, leading 0 or ``-0``."""
+        try:
+            nums = list(map(int, toks))
+        except ValueError:
+            return None
+        return nums if list(map(str, nums)) == toks else None
+
     def header(i: int, word: str, count: int) -> list[int]:
         """The ``count`` ints after ``word`` on header line ``i``."""
         toks = lines[i].split()
-        if toks[:1] == [word] and len(toks) == count + 1:
-            try:
-                return [int(x) for x in toks[1:]]
-            except ValueError:
-                pass
-        fail(f"bad {word} line: {lines[i]!r}")
+        nums = numbers(toks[1:]) if toks[:1] == [word] and len(toks) == count + 1 else None
+        if nums is None:
+            fail(f"bad {word} line: {lines[i]!r}")
+        return nums
 
     if len(lines) < 4:
         fail("truncated .st payload")
@@ -296,9 +303,8 @@ def loads_st(text: str) -> IntTensor:
         toks = ln.split()
         if len(toks) != q + 1:
             fail(f"bad entry line: {ln!r}")
-        try:
-            nums = [int(x) for x in toks]
-        except ValueError:
+        nums = numbers(toks)
+        if nums is None:
             fail(f"bad entry line: {ln!r}")
         idx, val = tuple(nums[:q]), nums[q]
         if val == 0:

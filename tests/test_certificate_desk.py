@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -397,6 +398,22 @@ def test_certificate_json_malformed():
         certificate_from_json("{}")
     with pytest.raises(TensorError):
         certificate_from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("field", ["k", "clique", "x", "instance"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"], ids=["integral-float", "float", "bool", "string"])
+def test_certificate_json_refuses_a_number_that_is_not_an_integer(field, value):
+    doc = json.loads(certificate_to_json(k4_cert()))
+    if field == "k":
+        doc["k"] = value
+    elif field == "clique":
+        doc["template"]["clique"] = value
+    elif field == "x":
+        doc["zeta"][0]["x"][0] = value
+    else:
+        doc["instance"]["edges"][0][1] = value
+    with pytest.raises(TensorError, match="bad certificate JSON: .*expected an integer, got "):
+        certificate_from_json(json.dumps(doc))
 
 
 # -- tensoriality and edge vectors by generator maps -------------------------

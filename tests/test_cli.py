@@ -248,6 +248,19 @@ def test_relax_level_below_one_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("which", ["blp", "aip", "ba"])
+def test_relax_refuses_a_template_with_a_bool_for_a_vertex(tmp_path, capsys, which):
+    """A bool is not a vertex: read as 1, ``[1, true]`` would be the loop
+    (1, 1), every digraph maps to a looped template, and BA would answer
+    YES for K4 against this K3 with a typo."""
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    typo = tmp_path / "t.json"
+    typo.write_text('{"vertices": 3, "edges": [[1, 2], [2, 1], [1, true]]}')
+    code, stdout, err = invoke(capsys, "relax", which, "--k", "2", k4, str(typo))
+    assert (code, stdout) == (2, "")
+    assert err == "error: bad digraph JSON: expected an integer, got true\n"
+
+
+@pytest.mark.parametrize("which", ["blp", "aip", "ba"])
 def test_relax_over_the_size_budget_is_a_usage_error(tmp_path, capsys, which):
     k4 = write_graph(tmp_path / "k4.json", clique(4))
     k3 = write_graph(tmp_path / "k3.json", clique(3))

@@ -75,6 +75,8 @@ def inputs(tmp_path_factory):
         (d / f"one{q}.st").write_text(dumps_st(IntTensor((1,) * q, {(1,) * q: 1})))
     (d / "empty23.st").write_text(dumps_st(IntTensor((1,) * 23, {})))
     (d / "bad.json").write_text("{")
+    (d / "typo.json").write_text('{"vertices": 3, "edges": [[1, 2], [2, 1], [1, true]]}')
+    (d / "plus.st").write_text("st 1\ndims 1\nwidths 2\nentries 1\n1 +1\n")
     return d
 
 
@@ -148,6 +150,10 @@ ERRORS = [
     (("crystal", "verify", "--k", "0", "scalar.st"), 2, "error: k must be >= 1, got 0\n"),
     (("relax", "ba", "--k", "0", "k4.json", "k3.json"), 2,
      "error: level k must be >= 1, got 0\n"),
+    # numbers are read as they are spelled, not through int()
+    (("relax", "ba", "--k", "2", "k4.json", "typo.json"), 2,
+     "error: bad digraph JSON: expected an integer, got true\n"),
+    (("crystal", "verify", "--k", "1", "plus.st"), 2, "error: bad entry line: '1 +1'\n"),
 ]
 
 

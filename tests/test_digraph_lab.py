@@ -337,3 +337,24 @@ def test_digraph_json_malformed():
         digraph_from_json("{}")
     with pytest.raises(DigraphError):
         digraph_from_json('{"vertices": 1, "edges": [[1, 2]]}')
+
+
+# a number that is not a JSON integer, in each place a digraph has one;
+# int() would read 2.7 as 2, "1" as 1 and true as 1
+NOT_JSON_INTS = {
+    "vertices-float": '{"vertices": 2.7, "edges": []}',
+    "vertices-integral-float": '{"vertices": 2.0, "edges": []}',
+    "vertices-bool": '{"vertices": true, "edges": []}',
+    "vertices-string": '{"vertices": "2", "edges": []}',
+    "tail-float": '{"vertices": 2, "edges": [[1.9, 2]]}',
+    "head-integral-float": '{"vertices": 2, "edges": [[1, 2.0]]}',
+    "tail-string": '{"vertices": 2, "edges": [["1", 2]]}',
+    "head-bool": '{"vertices": 3, "edges": [[1, 2], [2, 1], [1, true]]}',
+    "tail-bool": '{"vertices": 2, "edges": [[false, 1]]}',
+}
+
+
+@pytest.mark.parametrize("text", NOT_JSON_INTS.values(), ids=list(NOT_JSON_INTS))
+def test_digraph_json_refuses_a_number_that_is_not_an_integer(text):
+    with pytest.raises(DigraphError, match="bad digraph JSON: expected an integer, got "):
+        digraph_from_json(text)

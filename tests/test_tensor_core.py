@@ -350,6 +350,15 @@ MALFORMED_ST = {
     "st 1\ndims 1\nwidths 2\nentries 0 0\n": "bad entries line: 'entries 0 0'",
     "st 1\ndims 1\nwidths 2\nentries -1\n": "expected -1 entry lines, found 0",
     "st 1\ndims 2\nwidths 2 2\nentries 1\n1 1\n": "bad entry line: '1 1'",  # short entry line
+    # zero and negative numbers spelled as dumps_st never writes them
+    "st 1\ndims 0\nwidths\nentries -0\n": "bad entries line: 'entries -0'",
+    "st 1\ndims 0\nwidths\nentries 00\n": "bad entries line: 'entries 00'",
+    "st 1\ndims 00\nwidths\nentries 0\n": "bad dims line: 'dims 00'",
+    "st 1\ndims 1\nwidths 2\nentries 1\n1 -01\n": "bad entry line: '1 -01'",
+    "st 1\ndims 1\nwidths 2\nentries 1\n1 -0_1\n": "bad entry line: '1 -0_1'",
+    "st 1\ndims 1\nwidths 2\nentries 1\n1 -\u0661\n": "bad entry line: '1 -\u0661'",
+    # three spellings that int() reads as a width-2 tensor with entry 10
+    "st 1\ndims +1\nwidths 0_2\nentries 1\n1 1_0\n": "bad dims line: 'dims +1'",
 }
 
 
@@ -358,3 +367,34 @@ def test_malformed_st_rejected(text, message):
     with pytest.raises(StFormatError) as err:
         loads_st(text)
     assert str(err.value) == message
+
+
+# every spelling of 1 that Python's int reads but dumps_st never writes:
+# a sign, a leading zero, an underscore, a non-ASCII digit (ARABIC-INDIC
+# DIGIT ONE)
+ONE_SPELLINGS = {"plus": "+1", "leading-0": "01", "underscore": "0_1", "arabic-indic": "\u0661"}
+# a tensor of width 2 with the entry (1,) = 1; {} marks the number spelled
+ST_SLOTS = {
+    "dims": ("st 1\ndims {}\nwidths 2\nentries 1\n1 1\n", "bad dims line: 'dims {}'"),
+    "widths": ("st 1\ndims 1\nwidths {}\nentries 1\n1 1\n", "bad widths line: 'widths {}'"),
+    "entries": ("st 1\ndims 1\nwidths 2\nentries {}\n1 1\n", "bad entries line: 'entries {}'"),
+    "index": ("st 1\ndims 1\nwidths 2\nentries 1\n{} 1\n", "bad entry line: '{} 1'"),
+    "value": ("st 1\ndims 1\nwidths 2\nentries 1\n1 {}\n", "bad entry line: '1 {}'"),
+}
+
+
+@pytest.mark.parametrize("slot", ST_SLOTS)
+@pytest.mark.parametrize("name", ONE_SPELLINGS)
+def test_st_number_must_be_spelled_canonically(slot, name):
+    text, message, spelling = *ST_SLOTS[slot], ONE_SPELLINGS[name]
+    assert loads_st(text.format("1")) == T((1,) if slot == "widths" else (2,), {(1,): 1})
+    with pytest.raises(StFormatError) as err:
+        loads_st(text.format(spelling))
+    assert str(err.value) == message.format(spelling)
+
+
+def test_st_whitespace_rule_is_unchanged():
+    """Numbers are canonical; the whitespace between them is any run of
+    whitespace, as ``str.split`` reads it."""
+    text = "st 1\ndims\t2\nwidths  2 3 \nentries 2\n 1\t2 -7\n2 \u20033\v10\n"
+    assert loads_st(text) == T((2, 3), {(1, 2): -7, (2, 3): 10})
