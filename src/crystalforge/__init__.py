@@ -1,7 +1,18 @@
 """crystalforge: exact integer tensor crystals, shadow systems, and
 lift-and-project relaxation hierarchies on digraphs."""
 
+import json
+
 __version__ = "0.1.0"
+
+
+def json_int(value) -> int:
+    """A JSON integer as it is: an ``int`` that is not a ``bool``.  A float,
+    a bool or a string is refused with ``TypeError``, not rounded or parsed.
+    Every JSON loader of the package reads its numbers through this."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
 
 
 class Immutable:

@@ -16,7 +16,7 @@ import itertools
 import json
 from typing import Mapping, Optional
 
-from . import Immutable
+from . import Immutable, json_int
 from .tensor_core import (
     BadDimension,
     Index,
@@ -35,9 +35,8 @@ from .digraph_lab import (
     Digraph,
     check_homomorphism,
     clique,
-    digraph_from_json,
-    digraph_to_json,
-    json_int,
+    digraph_from_doc,
+    digraph_to_doc,
     line_digraph,
     refines,
 )
@@ -329,10 +328,10 @@ def certificate_to_json(cert: ZaffCertificate) -> str:
     if cert.template_clique is not None:
         template_doc = {"clique": cert.template_clique}
     else:
-        template_doc = json.loads(digraph_to_json(cert.template))
+        template_doc = digraph_to_doc(cert.template)
     doc = {
         "k": cert.k,
-        "instance": json.loads(digraph_to_json(cert.instance)),
+        "instance": digraph_to_doc(cert.instance),
         "template": template_doc,
         "zeta": [
             {"x": list(x), "tensor": dumps_st(cert.zeta[x])}
@@ -342,18 +341,34 @@ def certificate_to_json(cert: ZaffCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def homomorphism_from_json(text: str) -> dict[int, int]:
+    """The vertex map of a JSON object ``{"u": v, ...}``.  A key must be a
+    number spelled as ``str`` spells it (no ``+``, space, ``_`` or leading
+    0), and a value a JSON integer; anything else is a ``TensorError``."""
+    try:
+        f = {}
+        for u, v in json.loads(text).items():
+            if str(int(u)) != u:
+                raise ValueError(f"expected a vertex number, got {json.dumps(u)}")
+            f[int(u)] = json_int(v)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TensorError(
+            f"bad homomorphism JSON (want an object of vertex pairs): {exc}") from exc
+    return f
+
+
 def certificate_from_json(text: str) -> ZaffCertificate:
     try:
         doc = json.loads(text)
         k = json_int(doc["k"])
-        instance = digraph_from_json(json.dumps(doc["instance"]))
+        instance = digraph_from_doc(doc["instance"])
         tmpl = doc["template"]
         if isinstance(tmpl, dict) and set(tmpl) == {"clique"}:
             n = json_int(tmpl["clique"])
             template = clique(n)
             template_clique = n
         else:
-            template = digraph_from_json(json.dumps(tmpl))
+            template = digraph_from_doc(tmpl)
             template_clique = None
         zeta = {}
         for blob in doc["zeta"]:

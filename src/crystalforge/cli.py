@@ -171,11 +171,7 @@ def _cmd_cert_verify(args):
 def _cmd_cert_push_hom(args):
     from . import certificate_desk as cd
     cert = _load_certificate(args.certificate)
-    try:
-        raw = json.loads(_read_text(args.map))
-        f = {int(u): int(v) for u, v in raw.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise _CliError(f"bad homomorphism JSON (want an object of vertex pairs): {exc}")
+    f = cd.homomorphism_from_json(_read_text(args.map))
     b = _load_digraph(args.target)
     return cd.certificate_to_json(cd.transform_certificate_homomorphism(cert, f, b))
 

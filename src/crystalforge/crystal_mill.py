@@ -160,18 +160,6 @@ def quartz(n: int, a: Index, b: Index) -> IntTensor:
     return IntTensor._raw((n,) * k, entries)
 
 
-def pad(c: IntTensor, layers: int) -> IntTensor:
-    """Grow every mode by ``layers`` zero layers, keeping entries in place."""
-    if not c.is_cubical():
-        raise NotCubical(f"shape {c.shape} is not cubical")
-    if layers < 0:
-        raise BadDimension("layers must be >= 0")
-    if c.dim == 0:
-        return c
-    w = c.shape[0] + layers
-    return IntTensor._raw((w,) * c.dim, dict(c.entries))
-
-
 def hollow_crystal_fault(c: IntTensor, k: int) -> Optional[str]:
     """Why ``c`` is not a hollow affine (k-1)-crystal of dimension k and
     width (k^2+k)/2, the miner's contract; None when it is one.  A level

@@ -16,7 +16,7 @@ import json
 import math
 from typing import NamedTuple, Optional
 
-from . import Immutable
+from . import Immutable, json_int
 
 Edge = tuple[int, int]
 
@@ -319,25 +319,29 @@ def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
 # ---------------------------------------------------------------------------
 
 
+def digraph_to_doc(g: Digraph) -> dict:
+    """The JSON object of a digraph: ``vertices`` and its sorted ``edges``."""
+    return {"vertices": g.vertex_count, "edges": [list(e) for e in g.sorted_edges()]}
+
+
 def digraph_to_json(g: Digraph) -> str:
-    return json.dumps(
-        {"vertices": g.vertex_count, "edges": [list(e) for e in g.sorted_edges()]}
-    ) + "\n"
+    return json.dumps(digraph_to_doc(g)) + "\n"
 
 
-def json_int(value) -> int:
-    """A JSON integer as it is: an ``int`` that is not a ``bool``.  A float,
-    a bool or a string is refused with ``TypeError``, not rounded or parsed."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
-def digraph_from_json(text: str) -> Digraph:
+def digraph_from_doc(doc) -> Digraph:
+    """The digraph of a parsed JSON object; a field that is missing or not
+    a JSON integer is a ``DigraphError`` starting ``bad digraph JSON``."""
     try:
-        doc = json.loads(text)
         n = json_int(doc["vertices"])
         edges = frozenset((json_int(u), json_int(v)) for u, v in doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DigraphError(f"bad digraph JSON: {exc}") from exc
     return Digraph(n, edges)
+
+
+def digraph_from_json(text: str) -> Digraph:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DigraphError(f"bad digraph JSON: {exc}") from exc
+    return digraph_from_doc(doc)

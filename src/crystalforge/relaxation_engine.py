@@ -120,9 +120,6 @@ class LinearSystem(Immutable):
     def live_columns(self) -> list[int]:
         return [j for j in range(len(self.variables)) if j not in self.forced_zero]
 
-    def live_variables(self) -> list[VarKey]:
-        return [self.variables[j] for j in self.live_columns()]
-
 
 def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
     """Equality pattern of a tuple: block id per position, number of blocks."""

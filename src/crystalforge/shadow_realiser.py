@@ -42,7 +42,7 @@ import math
 import os
 from typing import Mapping, Optional
 
-from . import Immutable
+from . import Immutable, json_int
 from .tensor_core import (
     BadDimension,
     Index,
@@ -103,16 +103,6 @@ class ShadowSystem(Immutable):
             if shadows[i].shape != want:
                 raise TensorError(f"shadow {i} has shape {shadows[i].shape}, expected {want}")
         self._set(p, shape, shadows)
-
-    def shadow_at(self, sel: Index) -> IntTensor:
-        """Shadow for an arbitrary (possibly non-increasing) injective tuple.
-
-        Only increasing tuples are stored; other orderings are answered by
-        reflecting the stored shadow on the sorted tuple so that its modes
-        follow ``sel``.
-        """
-        key = tuple(sorted(sel))
-        return project(self.shadows[key], tuple(key.index(m) + 1 for m in sel))
 
 
 def constant_system(s: IntTensor, q: int) -> ShadowSystem:
@@ -266,11 +256,11 @@ def system_to_json(sys: ShadowSystem) -> str:
 def system_from_json(text: str, base_dir: str | None = None) -> ShadowSystem:
     try:
         doc = json.loads(text)
-        p = int(doc["p"])
-        shape = tuple(int(w) for w in doc["widths"])
+        p = json_int(doc["p"])
+        shape = tuple(json_int(w) for w in doc["widths"])
         shadows = {}
         for blob in doc["shadows"]:
-            axes = tuple(int(a) for a in blob["axes"])
+            axes = tuple(json_int(a) for a in blob["axes"])
             if axes in shadows:
                 raise ValueError(f"duplicate shadow for axes {axes}")
             payload = blob["tensor"]

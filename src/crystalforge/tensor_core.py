@@ -9,9 +9,8 @@ small and purely functional: no operation mutates its arguments.
 
 from __future__ import annotations
 
-import itertools
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import Immutable
 
@@ -100,19 +99,6 @@ class IntTensor(Immutable):
     def is_cubical(self) -> bool:
         return len(set(self.shape)) <= 1
 
-    def indices(self) -> Iterator[Index]:
-        """Iterate over the full (dense) index space of the shape."""
-        return itertools.product(*(range(1, w + 1) for w in self.shape))
-
-
-def zero_tensor(shape: Iterable[int]) -> IntTensor:
-    return IntTensor(shape, {})
-
-
-def unit_tensor(shape: Iterable[int], idx: Index) -> IntTensor:
-    """The standard unit tensor: value 1 at ``idx``, zero elsewhere."""
-    return IntTensor(shape, {tuple(idx): 1})
-
 
 def total(t: IntTensor) -> int:
     return sum(t.entries.values())
@@ -127,37 +113,9 @@ def support(t: IntTensor) -> set[Index]:
     return set(t.entries)
 
 
-def ties(t: IntTensor) -> set[Index]:
-    """Support indices with a repeated coordinate."""
-    return {idx for idx in t.entries if len(set(idx)) < len(idx)}
-
-
 def is_hollow(t: IntTensor) -> bool:
     """No support index carries a repeated coordinate."""
     return all(len(set(idx)) == len(idx) for idx in t.entries)
-
-
-def add(t: IntTensor, u: IntTensor) -> IntTensor:
-    if t.shape != u.shape:
-        raise ShapeMismatch(f"cannot add shapes {t.shape} and {u.shape}")
-    out = dict(t.entries)
-    for idx, v in u.entries.items():
-        s = out.get(idx, 0) + v
-        if s:
-            out[idx] = s
-        else:
-            del out[idx]
-    return IntTensor._raw(t.shape, out)
-
-
-def scale(t: IntTensor, c: int) -> IntTensor:
-    if c == 0:
-        return IntTensor._raw(t.shape, {})
-    return IntTensor._raw(t.shape, {idx: c * v for idx, v in t.entries.items()})
-
-
-def sub(t: IntTensor, u: IntTensor) -> IntTensor:
-    return add(t, scale(u, -1))
 
 
 def contract(t: IntTensor, u: IntTensor, over: int) -> IntTensor:
@@ -317,12 +275,3 @@ def loads_st(text: str) -> IntTensor:
         entries[idx] = val
     return IntTensor._raw(shape, entries)
 
-
-def write_st(t: IntTensor, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_st(t))
-
-
-def read_st(path) -> IntTensor:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_st(fh.read())

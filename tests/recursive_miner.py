@@ -1,13 +1,25 @@
 """The recursive hollow-crystal miner, kept as the oracle for the closed
 form in ``crystal_mill.mine_hollow_crystal``.
 
-It builds H_k from H_{k-1} through ``crystalise``, ``pad`` and ``quartz``
-from ``crystal_mill``, so it also exercises the shadow realiser that
-``crystalise`` calls.
+It builds H_k from H_{k-1} through ``crystalise`` and ``quartz`` from
+``crystal_mill`` and its own ``pad``, so it also exercises the shadow
+realiser that ``crystalise`` calls.
 """
 
-from crystalforge.crystal_mill import BadDimension, crystalise, pad, quartz
+from crystalforge.crystal_mill import BadDimension, NotCubical, crystalise, quartz
 from crystalforge.tensor_core import IntTensor
+
+
+def pad(c, layers):
+    """Grow every mode by ``layers`` zero layers, keeping entries in place."""
+    if not c.is_cubical():
+        raise NotCubical(f"shape {c.shape} is not cubical")
+    if layers < 0:
+        raise BadDimension("layers must be >= 0")
+    if c.dim == 0:
+        return c
+    w = c.shape[0] + layers
+    return IntTensor._raw((w,) * c.dim, dict(c.entries))
 
 
 def recursive_miner(k):

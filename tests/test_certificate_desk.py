@@ -10,7 +10,7 @@ from crystalforge import certificate_desk as cd
 from crystalforge import crystal_mill as cm
 from crystalforge.tensor_core import IntTensor, TensorError, is_affine, project, total
 from crystalforge.crystal_mill import BadDimension, mine_hollow_shadowed_crystal
-from crystalforge.digraph_lab import Digraph, clique, line_digraph
+from crystalforge.digraph_lab import Digraph, clique, digraph_to_json, line_digraph
 from crystalforge.relaxation_engine import integer_feasible
 from crystalforge.certificate_desk import (
     DimensionMismatch,
@@ -23,6 +23,7 @@ from crystalforge.certificate_desk import (
     certificate_from_crystal,
     certificate_from_json,
     certificate_to_json,
+    homomorphism_from_json,
     transform_certificate_homomorphism,
     transform_certificate_line_digraph,
     verify_clique_certificate,
@@ -55,9 +56,8 @@ def test_from_crystal_preconditions():
     with pytest.raises(TooFewDimensions):
         certificate_from_crystal(mine_hollow_shadowed_crystal(2, 2), clique(4), 2)
     with pytest.raises(NotAffine):
-        from crystalforge.tensor_core import scale
-
-        certificate_from_crystal(scale(c, 2), clique(4), 2)
+        certificate_from_crystal(IntTensor(c.shape, {i: 2 * v for i, v in c.entries.items()}),
+                                 clique(4), 2)
     with pytest.raises(NotAHomomorphism):
         certificate_from_crystal(c, Digraph(2, frozenset({(1, 1)})), 2)
 
@@ -324,12 +324,10 @@ def test_line_digraph_transport_support_condition():
     # cannot be regrouped: every index pair must be a template edge
     import itertools
 
-    from crystalforge.tensor_core import unit_tensor
-
     path = Digraph(3, frozenset({(1, 2), (2, 3)}))
     one_edge = Digraph(2, frozenset({(1, 2)}))
     zeta = {
-        t: unit_tensor((3, 3), (1, 3))  # (1, 3) is not an edge of the path
+        t: IntTensor((3, 3), {(1, 3): 1})  # (1, 3) is not an edge of the path
         for t in itertools.product((1, 2), repeat=2)
     }
     cert = ZaffCertificate(2, one_edge, path, zeta)
@@ -340,22 +338,20 @@ def test_line_digraph_transport_support_condition():
         2,
         one_edge,
         path,
-        {t: unit_tensor((3, 3), (1, 2)) for t in itertools.product((1, 2), repeat=2)},
+        {t: IntTensor((3, 3), {(1, 2): 1}) for t in itertools.product((1, 2), repeat=2)},
     )
     lowered = transform_certificate_line_digraph(good)
     assert lowered.k == 1
-    assert lowered.zeta[(1,)] == unit_tensor((2,), (1,))
+    assert lowered.zeta[(1,)] == IntTensor((2,), {(1,): 1})
 
 
 def test_line_digraph_transport_empty_template():
     import itertools
 
-    from crystalforge.tensor_core import unit_tensor
-
     # the line digraph of a single edge has one vertex and no edges
     one_edge = Digraph(2, frozenset({(1, 2)}))
     zeta = {
-        t: unit_tensor((2, 2), (1, 2)) for t in itertools.product((1, 2), repeat=2)
+        t: IntTensor((2, 2), {(1, 2): 1}) for t in itertools.product((1, 2), repeat=2)
     }
     cert = ZaffCertificate(2, one_edge, one_edge, zeta)
     with pytest.raises(EmptyLineTemplate):
@@ -365,11 +361,9 @@ def test_line_digraph_transport_empty_template():
 def test_line_digraph_transport_needs_instance_edges():
     import itertools
 
-    from crystalforge.tensor_core import unit_tensor
-
     path = Digraph(3, frozenset({(1, 2), (2, 3)}))
     lonely = Digraph(1, frozenset())
-    zeta = {(1, 1): unit_tensor((3, 3), (1, 2))}
+    zeta = {(1, 1): IntTensor((3, 3), {(1, 2): 1})}
     cert = ZaffCertificate(2, lonely, path, zeta)
     with pytest.raises(EmptyLineTemplate):
         transform_certificate_line_digraph(cert)
@@ -391,6 +385,8 @@ def test_certificate_json_general_template():
     cert2 = transform_certificate_line_digraph(certificate_from_crystal(c, cycle(3), 4))
     back = certificate_from_json(certificate_to_json(cert2))
     assert back == cert2 and back.template_clique is None
+    doc = json.loads(certificate_to_json(cert2))
+    assert doc["template"] == json.loads(digraph_to_json(cert2.template))
 
 
 def test_certificate_json_malformed():
@@ -414,6 +410,22 @@ def test_certificate_json_refuses_a_number_that_is_not_an_integer(field, value):
         doc["instance"]["edges"][0][1] = value
     with pytest.raises(TensorError, match="bad certificate JSON: .*expected an integer, got "):
         certificate_from_json(json.dumps(doc))
+
+
+def test_certificate_json_names_the_fault_of_a_nested_digraph():
+    doc = json.loads(certificate_to_json(k4_cert()))
+    doc["instance"]["edges"][0][1] = 2.5
+    with pytest.raises(TensorError) as info:
+        certificate_from_json(json.dumps(doc))
+    assert str(info.value) == "bad certificate JSON: bad digraph JSON: expected an integer, got 2.5"
+
+
+def test_homomorphism_json_reads_canonical_vertex_numbers():
+    assert homomorphism_from_json('{"1": 2, "10": 3, "-1": 0}') == {1: 2, 10: 3, -1: 0}
+    assert homomorphism_from_json("{}") == {}
+    for text in ('{"1 ": 2}', '{"01": 2}', '{"1": 2.0}', '{"1": null}', "[[1, 2]]", "{"):
+        with pytest.raises(TensorError, match=r"^bad homomorphism JSON \(want an object"):
+            homomorphism_from_json(text)
 
 
 # -- tensoriality and edge vectors by generator maps -------------------------

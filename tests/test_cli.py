@@ -11,7 +11,7 @@ import pytest
 from crystalforge.cli import run
 from crystalforge.digraph_lab import Digraph, clique, digraph_from_json, digraph_to_json
 from crystalforge.shadow_realiser import increasing_tuples, ShadowSystem, system_to_json
-from crystalforge.tensor_core import IntTensor, dumps_st, loads_st, project, read_st, write_st
+from crystalforge.tensor_core import IntTensor, dumps_st, loads_st, project
 
 
 def invoke(capsys, *argv):
@@ -32,7 +32,7 @@ def test_crystal_mine_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "c.st"
     code, _, _ = invoke(capsys, "crystal", "mine", "--k", "3", "-o", str(out))
     assert code == 0
-    t = read_st(out)
+    t = loads_st(out.read_text())
     assert t.shape == (6, 6, 6)
     code, stdout, _ = invoke(capsys, "crystal", "verify", "--k", "3", str(out))
     assert code == 0 and stdout == "YES\n"
@@ -61,7 +61,7 @@ def test_crystal_shadow_and_crystalise(tmp_path, capsys):
     assert code == 0
     code, stdout, _ = invoke(capsys, "crystal", "shadow", "--k", "2", str(lifted))
     assert code == 0
-    assert loads_st(stdout) == read_st(mined)
+    assert loads_st(stdout) == loads_st(mined.read_text())
 
 
 def test_crystal_mine_deterministic(tmp_path, capsys):
@@ -105,7 +105,7 @@ def test_shadows_check_and_realise(tmp_path, capsys):
     out = tmp_path / "w.st"
     code, _, _ = invoke(capsys, "shadows", "realise", path, "-o", str(out))
     assert code == 0
-    w = read_st(out)
+    w = loads_st(out.read_text())
     for i in increasing_tuples(3, 2):
         assert project(w, i) == sys.shadows[i]
 
@@ -134,6 +134,18 @@ def test_shadows_check_non_string_payload_is_a_format_error(tmp_path, capsys):
     code, stdout, err = invoke(capsys, "shadows", "check", str(f))
     assert code == 2 and stdout == "" and err.startswith("error:")
 
+
+
+@pytest.mark.parametrize("verb", ["check", "realise"])
+def test_shadows_number_that_is_not_an_integer_is_a_format_error(tmp_path, capsys, verb):
+    # int() would read this as p = 1 with widths (2, 2)
+    doc = json.loads(system_to_json(ShadowSystem(1, (2, 2), {
+        (1,): IntTensor((2,), {(1,): 1}), (2,): IntTensor((2,), {(2,): 1})})))
+    doc.update(p=1.9, widths=[2, 2.5])
+    f = tmp_path / "sys.json"
+    f.write_text(json.dumps(doc))
+    assert invoke(capsys, "shadows", verb, str(f)) == (
+        2, "", "error: bad shadow-system JSON: expected an integer, got 1.9\n")
 
 
 @pytest.mark.parametrize("verb", ["check", "realise"])
@@ -568,7 +580,7 @@ def test_every_int_option_below_its_range_is_a_usage_error(tmp_path, capsys, mon
 
 def test_cert_from_crystal_words_a_non_crystal_as_crystal_shadow_does(tmp_path, capsys):
     t = tmp_path / "t.st"
-    write_st(IntTensor((3, 3, 3), {(1, 2, 3): 1}), t)  # affine, 2-projections differ
+    t.write_text(dumps_st(IntTensor((3, 3, 3), {(1, 2, 3): 1})))  # affine, 2-projections differ
     k3 = write_graph(tmp_path / "k3.json", clique(3))
     err = "error: not a 2-crystal; projections differ at ((1, 2), (1, 3))\n"
     assert invoke(capsys, "crystal", "shadow", "--k", "2", str(t)) == (2, "", err)
@@ -587,7 +599,7 @@ def test_cert_from_crystal_words_a_non_crystal_as_crystal_shadow_does(tmp_path, 
 )
 def test_crystal_verify_no_reasons(tmp_path, capsys, k, tensor, reason):
     path = tmp_path / "t.st"
-    write_st(tensor, path)
+    path.write_text(dumps_st(tensor))
     code, stdout, err = invoke(capsys, "crystal", "verify", "--k", str(k), str(path))
     assert (code, stdout, err) == (1, "NO\n", reason + "\n")
 
@@ -647,6 +659,36 @@ def test_cert_push_hom_bad_map_is_a_format_error(tmp_path, capsys):
         "error: bad homomorphism JSON (want an object of vertex pairs): "
         "'list' object has no attribute 'items'\n",
     )
+
+
+# map spellings that int() would read as {1: 2, 2: 3, 3: 1}, each with its message
+BAD_MAPS = {
+    "all-three": ('{" 1": 2.0, "+2": 3.9, "3": true}', 'expected a vertex number, got " 1"'),
+    "key-space": ('{" 1": 2, "2": 3, "3": 1}', 'expected a vertex number, got " 1"'),
+    "key-plus": ('{"1": 2, "+2": 3, "3": 1}', 'expected a vertex number, got "+2"'),
+    "key-leading-zero": ('{"1": 2, "02": 3, "3": 1}', 'expected a vertex number, got "02"'),
+    "key-underscore": ('{"1": 2, "2": 3, "0_3": 1}', 'expected a vertex number, got "0_3"'),
+    "key-arabic-indic": ('{"\u0661": 2, "2": 3, "3": 1}', 'expected a vertex number, got "\\u0661"'),
+    "value-integral-float": ('{"1": 2.0, "2": 3, "3": 1}', "expected an integer, got 2.0"),
+    "value-float": ('{"1": 2, "2": 3.9, "3": 1}', "expected an integer, got 3.9"),
+    "value-bool": ('{"1": 2, "2": 3, "3": true}', "expected an integer, got true"),
+    "value-string": ('{"1": 2, "2": "3", "3": 1}', 'expected an integer, got "3"'),
+}
+
+
+@pytest.mark.parametrize("text, reason", BAD_MAPS.values(), ids=list(BAD_MAPS))
+def test_cert_push_hom_refuses_a_map_spelled_otherwise(tmp_path, capsys, text, reason):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(k4_certificate_doc(tmp_path, capsys)))
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    fmap = tmp_path / "f.json"
+    fmap.write_text('{"1": 2, "2": 3, "3": 1}')
+    pushed = tmp_path / "pushed.json"
+    assert invoke(capsys, "cert", "push-hom", str(cert), str(fmap), k4, "-o", str(pushed)) == (
+        0, "", "")
+    fmap.write_text(text)
+    assert invoke(capsys, "cert", "push-hom", str(cert), str(fmap), k4) == (
+        2, "", f"error: bad homomorphism JSON (want an object of vertex pairs): {reason}\n")
 
 
 def test_output_into_missing_directory_is_a_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -13,7 +14,9 @@ from crystalforge.digraph_lab import (
     InvalidParams,
     check_homomorphism,
     clique,
+    digraph_from_doc,
     digraph_from_json,
+    digraph_to_doc,
     digraph_to_json,
     fooling_parameters,
     homomorphism_exists,
@@ -330,6 +333,18 @@ def test_digraph_json_round_trip():
     text = digraph_to_json(g)
     assert digraph_from_json(text) == g
     assert digraph_to_json(digraph_from_json(text)) == text
+
+
+def test_digraph_doc_is_the_parsed_json():
+    g = cycle(3)
+    doc = digraph_to_doc(g)
+    assert doc == {"vertices": 3, "edges": [[1, 2], [2, 3], [3, 1]]}
+    assert json.dumps(doc) + "\n" == digraph_to_json(g)
+    assert digraph_from_doc(doc) == g
+    with pytest.raises(DigraphError, match=r"^bad digraph JSON: expected an integer, got 2.5$"):
+        digraph_from_doc({"vertices": 3, "edges": [[1, 2.5]]})
+    with pytest.raises(DigraphError, match=r"^bad digraph JSON: 'vertices'$"):
+        digraph_from_doc({})
 
 
 def test_digraph_json_malformed():

