@@ -15,6 +15,14 @@ def json_int(value) -> int:
     return value
 
 
+def refuse_over(count: int, budget: int, what: str, error: type) -> None:
+    """Raise ``error("<what>, over the budget of <budget>")`` when ``count``
+    is over ``budget``.  Every budget on a count of things to be listed
+    is checked through this, before anything is listed."""
+    if count > budget:
+        raise error(f"{what}, over the budget of {budget}")
+
+
 class Immutable:
     """Base of the package's immutable values.
 

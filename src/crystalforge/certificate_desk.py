@@ -18,10 +18,8 @@ from typing import Mapping, Optional
 
 from . import Immutable, json_int
 from .tensor_core import (
-    BadDimension,
     Index,
     IntTensor,
-    NotACrystal,  # certificate_from_crystal raises it through crystal_mill.shadow
     TensorError,
     dumps_st,
     is_affine,
@@ -40,34 +38,6 @@ from .digraph_lab import (
     line_digraph,
     refines,
 )
-
-
-class NotAffine(TensorError):
-    pass
-
-
-class NotHollowShadow(TensorError):
-    pass
-
-
-class TooFewDimensions(TensorError):
-    pass
-
-
-class DimensionMismatch(TensorError):
-    pass
-
-
-class NotAHomomorphism(TensorError):
-    pass
-
-
-class SupportConditionViolated(TensorError):
-    pass
-
-
-class EmptyLineTemplate(TensorError):
-    pass
 
 
 class ZaffCertificate(Immutable):
@@ -92,16 +62,16 @@ class ZaffCertificate(Immutable):
         with fewer than k keys is refused before the power is taken, and
         a short zeta is refused at once at any k."""
         if k < 0:
-            raise DimensionMismatch(f"certificate level must be >= 0, got k={k}")
+            raise TensorError(f"certificate level must be >= 0, got k={k}")
         n = template.vertex_count
         verts = range(1, instance.vertex_count + 1)
         zeta = dict(zeta)
         counted = (len(verts) < 2 or k <= len(zeta)) and len(zeta) == len(verts) ** k
         if not counted or not all(len(x) == k and all(v in verts for v in x) for x in zeta):
-            raise DimensionMismatch("zeta must be total over instance vertex k-tuples")
+            raise TensorError("zeta must be total over instance vertex k-tuples")
         for x, t in zeta.items():
             if t.shape != (n,) * k:
-                raise DimensionMismatch(f"image at {x} has shape {t.shape}, expected {(n,) * k}")
+                raise TensorError(f"image at {x} has shape {t.shape}, expected {(n,) * k}")
         self._set(k, instance, template, zeta, template_clique)
 
 
@@ -114,25 +84,24 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     the selector x.  Tensoriality is then projection composition, for free.
     The level k must be at least 2, the least level the verifiers accept.
     The crystal is checked by ``crystal_mill.shadow``, which refuses a
-    check over its read budget with ``BadDimension`` before it starts and
-    a non-crystal with ``NotACrystal``.
+    check over its read budget before it starts, and a non-crystal.
     """
     if k < 2:
-        raise BadDimension(f"certificate level must be >= 2, got k={k}")
+        raise TensorError(f"certificate level must be >= 2, got k={k}")
     if not x_graph.is_loopless():
-        raise NotAHomomorphism("instance digraph must be loopless")
+        raise TensorError("instance digraph must be loopless")
     q = c.dim
     if q < max(k + 1, x_graph.vertex_count):
-        raise TooFewDimensions(
+        raise TensorError(
             f"crystal has {q} modes; needs at least {max(k + 1, x_graph.vertex_count)}"
         )
     if not is_affine(c):
-        raise NotAffine("crystal entries must sum to 1")
+        raise TensorError("crystal entries must sum to 1")
     # imported here so that the other ``cert`` verbs never load the miner
     from .crystal_mill import shadow
 
     if not is_hollow(shadow(c, k)):
-        raise NotHollowShadow("the k-shadow has a tie")
+        raise TensorError("the k-shadow has a tie")
     n = c.shape[0]
     zeta = {
         x: project(c, x)
@@ -257,10 +226,21 @@ def transform_certificate_homomorphism(
     cert: ZaffCertificate, f: Mapping[int, int], b_graph: Digraph
 ) -> ZaffCertificate:
     """Push a certificate along a template homomorphism f: A -> B,
-    applying f coordinatewise to every image's indices."""
-    fmap = {int(u): int(v) for u, v in f.items()}
+    applying f coordinatewise to every image's indices.  The keys of f
+    must be exactly the vertices 1..|V(A)|, and every key and value an
+    ``int`` that is not a ``bool``."""
+    fmap = dict(f)
+    bad = next(((u, v) for u, v in fmap.items() if type(u) is not int or type(v) is not int), None)
+    if bad is not None:
+        raise TensorError(f"f must map vertex numbers to vertex numbers, got {bad[0]!r}: "
+                          f"{bad[1]!r}")
     if not check_homomorphism(cert.template, b_graph, fmap):
-        raise NotAHomomorphism("f is not a homomorphism between the templates")
+        raise TensorError("f is not a homomorphism between the templates")
+    # f maps every template vertex, so a key outside them is one too many
+    n = cert.template.vertex_count
+    if len(fmap) > n:
+        stray = min(u for u in fmap if not 1 <= u <= n)
+        raise TensorError(f"f maps {stray}, which is not a template vertex (1..{n})")
     k = cert.k
     p = b_graph.vertex_count
     shape = (p,) * k
@@ -284,16 +264,16 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
     on tuples whose consecutive pairs are all template edges.
     """
     if cert.k % 2 != 0 or cert.k < 2:
-        raise BadDimension("certificate level must be even and >= 2")
+        raise TensorError("certificate level must be even and >= 2")
     k = cert.k // 2
     a_graph = cert.template
     x_graph = cert.instance
     da, a_labels = line_digraph(a_graph)
     dx, x_labels = line_digraph(x_graph)
     if not da.edges:
-        raise EmptyLineTemplate("the template's line digraph has no edges")
+        raise TensorError("the template's line digraph has no edges")
     if not x_graph.edges:
-        raise EmptyLineTemplate("the instance's line digraph has no labelled vertices")
+        raise TensorError("the instance's line digraph has no labelled vertices")
 
     a_pos = {e: i + 1 for i, e in enumerate(a_labels)}
     a_edges = a_graph.edges
@@ -305,7 +285,7 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
         for ell in range(k):
             pair = (idx[2 * ell], idx[2 * ell + 1])
             if pair not in a_edges:
-                raise SupportConditionViolated(
+                raise TensorError(
                     f"image of {gam} has mass at {idx}, whose pair {pair} is not a template edge"
                 )
             out.append(a_pos[pair])
@@ -344,10 +324,21 @@ def certificate_to_json(cert: ZaffCertificate) -> str:
 def homomorphism_from_json(text: str) -> dict[int, int]:
     """The vertex map of a JSON object ``{"u": v, ...}``.  A key must be a
     number spelled as ``str`` spells it (no ``+``, space, ``_`` or leading
-    0), and a value a JSON integer; anything else is a ``TensorError``."""
+    0) and appear once, and a value must be a JSON integer; anything else
+    is a ``TensorError``."""
+
+    def once(pairs):
+        # ``json.loads`` alone would keep the last of a repeated key
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            dup = next(u for u, _ in pairs if u in seen or seen.add(u))
+            raise ValueError(f"key {json.dumps(dup)} appears twice")
+        return doc
+
     try:
         f = {}
-        for u, v in json.loads(text).items():
+        for u, v in json.loads(text, object_pairs_hook=once).items():
             if str(int(u)) != u:
                 raise ValueError(f"expected a vertex number, got {json.dumps(u)}")
             f[int(u)] = json_int(v)

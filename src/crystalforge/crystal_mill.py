@@ -15,25 +15,16 @@ import itertools
 from math import comb
 from typing import NamedTuple, Optional
 
+from . import refuse_over
 from .tensor_core import (
-    BadDimension,
     Index,
     IntTensor,
-    NotACrystal,
     TensorError,
     is_hollow,
     project,
     total,
 )
 from .shadow_realiser import _check_realise_reads, _realise, constant_system
-
-
-class NotCubical(TensorError):
-    pass
-
-
-class CoordinateClash(TensorError):
-    pass
 
 
 class CrystalReport(NamedTuple):
@@ -50,10 +41,10 @@ def is_crystal(c: IntTensor, k: int) -> CrystalReport:
     tuple) in lexicographic order.
     """
     if not c.is_cubical():
-        raise NotCubical(f"shape {c.shape} is not cubical")
+        raise TensorError(f"shape {c.shape} is not cubical")
     q = c.dim
     if not 0 <= k <= q:
-        raise BadDimension(f"need 0 <= k <= {q}, got {k}")
+        raise TensorError(f"need 0 <= k <= {q}, got {k}")
     base_sel = tuple(range(1, k + 1))
     base = project(c, base_sel)
     for i in itertools.combinations(range(1, q + 1), k):
@@ -80,9 +71,9 @@ _MAX_CRYSTAL_READS = 2 * 10**6
 _TUPLE_READS = 25
 
 
-def _check_crystal_reads(c: IntTensor, k: int) -> None:
-    """Refuse, with BadDimension, an ``is_crystal(c, k)`` of more than
-    ``_MAX_CRYSTAL_READS`` reads before a tuple is listed."""
+def shadow(c: IntTensor, k: int) -> IntTensor:
+    """The k-shadow of a k-crystal; a check over ``_MAX_CRYSTAL_READS``
+    reads is refused with ``TensorError`` before a tuple is listed."""
     # an entry of a k-tuple weighs ceil((k+1)/4) = 1 + k // 4 reads: a read
     # is an entry at k = 3, and an entry costs more as k grows, since its
     # key is a k-tuple.  Timed back to back with k = 3, seven times each,
@@ -94,21 +85,12 @@ def _check_crystal_reads(c: IntTensor, k: int) -> None:
     # above each of these ratios
     q, nnz, w = c.dim, len(c.entries), 1 + k // 4
     reads = comb(q, k) * (nnz * w + _TUPLE_READS) if 0 <= k <= q else 0
-    if reads > _MAX_CRYSTAL_READS:
-        raise BadDimension(
-            f"checking the {k}-projections of {nnz} entries in q = {q} modes takes "
-            f"C({q},{k})*({nnz}*{w}+{_TUPLE_READS}) = {reads} reads, "
-            f"over the budget of {_MAX_CRYSTAL_READS}"
-        )
-
-
-def shadow(c: IntTensor, k: int) -> IntTensor:
-    """The k-shadow of a k-crystal; a check over ``_MAX_CRYSTAL_READS``
-    reads is refused with ``BadDimension`` before it starts."""
-    _check_crystal_reads(c, k)
+    refuse_over(reads, _MAX_CRYSTAL_READS,
+                f"checking the {k}-projections of {nnz} entries in q = {q} modes takes "
+                f"C({q},{k})*({nnz}*{w}+{_TUPLE_READS}) = {reads} reads", TensorError)
     report = is_crystal(c, k)
     if not report.is_crystal:
-        raise NotACrystal(f"not a {k}-crystal; projections differ at {report.failing_pair}")
+        raise TensorError(f"not a {k}-crystal; projections differ at {report.failing_pair}")
     return report.shadow
 
 
@@ -117,17 +99,17 @@ def crystalise(s: IntTensor, q: int) -> IntTensor:
     with k-shadow ``s`` (k = dimension of ``s``, which must be a
     (k-1)-crystal for the constant system to be realistic).  A lift over
     ``shadow_realiser._MAX_REALISE_READS`` reads is refused with
-    ``BadDimension`` before the system is built."""
+    ``TensorError`` before the system is built."""
     if not s.is_cubical():
-        raise NotCubical(f"shape {s.shape} is not cubical")
+        raise TensorError(f"shape {s.shape} is not cubical")
     k = s.dim
     if not 1 <= k <= q:
-        raise BadDimension(f"need 1 <= dim(s) <= q, got dim {k}, q {q}")
+        raise TensorError(f"need 1 <= dim(s) <= q, got dim {k}, q {q}")
     nnz = len(s.entries)
     _check_realise_reads(q, k, nnz, f"lifting {nnz} entries of dimension {k} to q = {q}")
     rep = is_crystal(s, k - 1)
     if not rep.is_crystal:
-        raise NotACrystal(
+        raise TensorError(
             f"shadow candidate is not a {k - 1}-crystal (mismatch at {rep.failing_pair})"
         )
     sys = constant_system(s, q)
@@ -147,12 +129,12 @@ def quartz(n: int, a: Index, b: Index) -> IntTensor:
     if len(b) != k:
         raise TensorError(f"corner tuples differ in length: {a} vs {b}")
     if k == 0:
-        raise BadDimension("quartz needs at least one mode")
+        raise TensorError("quartz needs at least one mode")
     for i in range(k):
         if not (1 <= a[i] <= n and 1 <= b[i] <= n):
             raise TensorError(f"corner coordinate out of [1,{n}]")
         if a[i] == b[i]:
-            raise CoordinateClash(f"a and b agree in position {i + 1}")
+            raise TensorError(f"a and b agree in position {i + 1}")
     entries: dict[Index, int] = {}
     for z in itertools.product((0, 1), repeat=k):
         idx = tuple(b[i] if z[i] else a[i] for i in range(k))
@@ -163,9 +145,9 @@ def quartz(n: int, a: Index, b: Index) -> IntTensor:
 def hollow_crystal_fault(c: IntTensor, k: int) -> Optional[str]:
     """Why ``c`` is not a hollow affine (k-1)-crystal of dimension k and
     width (k^2+k)/2, the miner's contract; None when it is one.  A level
-    below 1 has no such crystal and is refused with BadDimension."""
+    below 1 has no such crystal and is refused with TensorError."""
     if k < 1:
-        raise BadDimension(f"k must be >= 1, got {k}")
+        raise TensorError(f"k must be >= 1, got {k}")
     if not c.is_cubical() or c.dim != k:
         return f"expected a cubical tensor of dimension {k}, got shape {c.shape}"
     if c.shape[0] != (k * k + k) // 2:
@@ -222,12 +204,12 @@ def mine_hollow_crystal(k: int) -> IntTensor:
 
     The result is checked against ``hollow_crystal_fault`` before it is
     returned (AssertionError on a mismatch).  k above 9 is refused up front
-    with BadDimension: H_10 would hold 102,247,563 entries.
+    with TensorError: H_10 would hold 102,247,563 entries.
     """
     if k < 1:
-        raise BadDimension("k must be >= 1")
+        raise TensorError("k must be >= 1")
     if k > _MAX_MINED_K:
-        raise BadDimension(
+        raise TensorError(
             f"k = {k} is over the size budget k <= {_MAX_MINED_K}: "
             "H_k has a(k) entries, 102,247,563 at k = 10"
         )
@@ -263,5 +245,5 @@ def mine_hollow_shadowed_crystal(k: int, q: int) -> IntTensor:
     """An affine k-crystal of dimension q and width (k^2+k)/2 whose
     k-shadow is hollow."""
     if not 1 <= k <= q:
-        raise BadDimension(f"need 1 <= k <= q, got k={k}, q={q}")
+        raise TensorError(f"need 1 <= k <= q, got k={k}, q={q}")
     return crystalise(mine_hollow_crystal(k), q)

@@ -16,23 +16,15 @@ import json
 import math
 from typing import NamedTuple, Optional
 
-from . import Immutable, json_int
+from . import Immutable, json_int, refuse_over
 
 Edge = tuple[int, int]
 
 
 class DigraphError(ValueError):
-    pass
-
-
-class InvalidParams(DigraphError):
-    pass
-
-
-class DigraphTooLarge(DigraphError):
-    """A digraph or a homomorphism search over its size budget
-    (``_MAX_EDGES``, ``_MAX_DOMAIN_CELLS``); refused before anything is
-    listed."""
+    """A digraph, level or parameter input the library refuses: out of
+    range, malformed or over a size budget (``_MAX_EDGES``,
+    ``_MAX_DOMAIN_CELLS``, and the level-k system's)."""
 
 
 # the most edges ``clique``, ``line_digraph`` and ``shift_digraph`` list:
@@ -43,14 +35,21 @@ _MAX_EDGES = 10**6
 
 
 class Digraph(Immutable):
-    """Immutable digraph on the vertices 1..vertex_count."""
+    """Immutable digraph on the vertices 1..vertex_count.  The vertex count
+    and each edge end must be an ``int`` that is not a ``bool``."""
 
     __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: frozenset[Edge]):
+        if type(vertex_count) is not int:
+            raise DigraphError(f"the vertex count must be an integer, got {vertex_count!r}")
         if vertex_count < 1:
             raise DigraphError("need at least one vertex")
-        edges = frozenset((int(u), int(v)) for u, v in edges)
+        pairs = [(u, v) for u, v in edges]
+        bad = next(((u, v) for u, v in pairs if type(u) is not int or type(v) is not int), None)
+        if bad is not None:
+            raise DigraphError(f"edge ends must be integers, got {bad!r}")
+        edges = frozenset(pairs)
         for u, v in edges:
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise DigraphError(f"edge ({u},{v}) out of range")
@@ -70,10 +69,8 @@ def clique(n: int) -> Digraph:
     """K_n: every ordered pair of distinct vertices is an edge."""
     if n < 1:
         raise DigraphError("clique size must be >= 1")
-    if n * (n - 1) > _MAX_EDGES:
-        raise DigraphTooLarge(
-            f"K_{n} has {n}*{n - 1} = {n * (n - 1)} edges, over the budget of {_MAX_EDGES}"
-        )
+    refuse_over(n * (n - 1), _MAX_EDGES, f"K_{n} has {n}*{n - 1} = {n * (n - 1)} edges",
+                DigraphError)
     return Digraph(n, frozenset((u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v))
 
 
@@ -83,7 +80,7 @@ def line_digraph(x: Digraph) -> tuple[Digraph, list[Edge]]:
     Vertices are the edges of ``x`` in lexicographic order (label list is
     1-based via position); (e, f) is an edge iff e = (u,v) and f = (v,w).
     So each vertex v of ``x`` gives indeg(v)*outdeg(v) edges; over
-    ``_MAX_EDGES`` in total is refused with ``DigraphTooLarge`` before
+    ``_MAX_EDGES`` in total is refused with ``DigraphError`` before
     anything is listed.
     """
     labels = x.sorted_edges()
@@ -91,10 +88,7 @@ def line_digraph(x: Digraph) -> tuple[Digraph, list[Edge]]:
     for f in labels:
         by_tail.setdefault(f[0], []).append(f)
     count = sum(len(by_tail.get(e[1], ())) for e in labels)
-    if count > _MAX_EDGES:
-        raise DigraphTooLarge(
-            f"the line digraph has {count} edges, over the budget of {_MAX_EDGES}"
-        )
+    refuse_over(count, _MAX_EDGES, f"the line digraph has {count} edges", DigraphError)
     pos = {e: i + 1 for i, e in enumerate(labels)}
     edges = set()
     for e in labels:
@@ -109,7 +103,7 @@ def shift_digraph(q: int, i: int) -> Digraph:
     K_q is (q-1)-regular with q(q-1) edges, and the line digraph of a
     (q-1)-regular digraph with E edges is (q-1)-regular with E(q-1)
     edges, so S_{q,i} has q(q-1)^(i+1).  Over ``_MAX_EDGES`` is refused
-    with ``DigraphTooLarge`` before anything is listed.  K_1 and K_2 are
+    with ``DigraphError`` before anything is listed.  K_1 and K_2 are
     their own line digraphs.
     """
     if q < 1 or i < 0:
@@ -117,10 +111,8 @@ def shift_digraph(q: int, i: int) -> Digraph:
     if q <= 2:
         return clique(q)
     # (q-1)^(i+1) >= 2^(i+1), over the budget once i reaches its bit length
-    if i >= _MAX_EDGES.bit_length() or q * (q - 1) ** (i + 1) > _MAX_EDGES:
-        raise DigraphTooLarge(
-            f"S_{{{q},{i}}} has {q}*{q - 1}^{i + 1} edges, over the budget of {_MAX_EDGES}"
-        )
+    count = q * (q - 1) ** (i + 1) if i < _MAX_EDGES.bit_length() else _MAX_EDGES + 1
+    refuse_over(count, _MAX_EDGES, f"S_{{{q},{i}}} has {q}*{q - 1}^{i + 1} edges", DigraphError)
     g = clique(q)
     for _ in range(i):
         g, _ = line_digraph(g)
@@ -141,15 +133,12 @@ def homomorphism_exists(x: Digraph, a: Digraph) -> Optional[dict[int, int]]:
     frame's candidates, read once every earlier vertex is assigned, all
     fit its assigned neighbours (and its loop, by the initial domains).
     A search over ``_MAX_DOMAIN_CELLS`` is refused with
-    ``DigraphTooLarge`` before a domain is laid out.
+    ``DigraphError`` before a domain is laid out.
     """
     n = x.vertex_count
     cells = n * a.vertex_count
-    if cells > _MAX_DOMAIN_CELLS:
-        raise DigraphTooLarge(
-            f"the search has {n}*{a.vertex_count} = {cells} domain cells, "
-            f"over the budget of {_MAX_DOMAIN_CELLS}"
-        )
+    refuse_over(cells, _MAX_DOMAIN_CELLS,
+                f"the search has {n}*{a.vertex_count} = {cells} domain cells", DigraphError)
     out_deg = [0] * (n + 1)
     for u, _ in x.edges:
         out_deg[u] += 1
@@ -243,13 +232,13 @@ _MAX_EXP = 10 ** 7
 def iterate_a(p: int, i: int) -> int:
     """i-fold iteration of a(p) = 2^p (i = 0 returns p).
 
-    Refuses (InvalidParams) before an exponent above 10^7 is raised."""
+    Refuses (DigraphError) before an exponent above 10^7 is raised."""
     if p < 1 or i < 0:
-        raise InvalidParams("need p >= 1 and i >= 0")
+        raise DigraphError("need p >= 1 and i >= 0")
     start = p
     for _ in range(i):
         if p > _MAX_EXP:
-            raise InvalidParams(
+            raise DigraphError(
                 f"a^({i})({start}) exceeds representable size (tower of height {i})"
             )
         p = 2 ** p
@@ -264,13 +253,13 @@ _MAX_B_ARG = 14_000
 def iterate_b(p: int, i: int) -> int:
     """i-fold iteration of b(p) = binom(p, floor(p/2)) (i = 0 returns p).
 
-    Refuses (InvalidParams) before b is taken of an argument above 14,000."""
+    Refuses (DigraphError) before b is taken of an argument above 14,000."""
     if p < 1 or i < 0:
-        raise InvalidParams("need p >= 1 and i >= 0")
+        raise DigraphError("need p >= 1 and i >= 0")
     start = p
     for _ in range(i):
         if p > _MAX_B_ARG:
-            raise InvalidParams(
+            raise DigraphError(
                 f"b^({i})({start}) exceeds representable size (b of {p} > {_MAX_B_ARG})"
             )
         p = math.comb(p, p // 2)
@@ -292,9 +281,9 @@ def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
     length, with the exact value included only when it fits in 64 bits.
     """
     if c < 4:
-        raise InvalidParams("c must be >= 4 (smaller c needs a separate reduction)")
+        raise DigraphError("c must be >= 4 (smaller c needs a separate reduction)")
     if d < c or k < 2:
-        raise InvalidParams("need d >= c and k >= 2")
+        raise DigraphError("need d >= c and k >= 2")
     b_iterates = []
     thresholds = []
     b_val = c
@@ -315,7 +304,8 @@ def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {"vertices": n, "edges": [[u, v], ...]} with sorted edges
+# JSON interchange: {"vertices": n, "edges": [[u, v], ...]} with sorted,
+# distinct edges and no other key
 # ---------------------------------------------------------------------------
 
 
@@ -330,13 +320,22 @@ def digraph_to_json(g: Digraph) -> str:
 
 def digraph_from_doc(doc) -> Digraph:
     """The digraph of a parsed JSON object; a field that is missing or not
-    a JSON integer is a ``DigraphError`` starting ``bad digraph JSON``."""
+    a JSON integer, an edge listed twice or a key other than ``vertices``
+    and ``edges`` is a ``DigraphError`` starting ``bad digraph JSON``."""
     try:
         n = json_int(doc["vertices"])
-        edges = frozenset((json_int(u), json_int(v)) for u, v in doc["edges"])
+        pairs = [(json_int(u), json_int(v)) for u, v in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DigraphError(f"bad digraph JSON: {exc}") from exc
-    return Digraph(n, edges)
+    g = Digraph(n, pairs)
+    extra = sorted(doc.keys() - {"vertices", "edges"})
+    if extra:
+        raise DigraphError(f"bad digraph JSON: unexpected key {json.dumps(extra[0])}")
+    if len(g.edges) < len(pairs):
+        seen: set[Edge] = set()
+        dup = next(e for e in pairs if e in seen or seen.add(e))
+        raise DigraphError(f"bad digraph JSON: edge {list(dup)} is listed twice")
+    return g
 
 
 def digraph_from_json(text: str) -> Digraph:

@@ -59,7 +59,7 @@ from typing import Iterable, Optional
 
 _Q = Fraction  # the rational type of witnesses and optima
 
-from . import Immutable
+from . import Immutable, refuse_over
 from .digraph_lab import Digraph, DigraphError, refines
 
 VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
@@ -75,11 +75,6 @@ _MAX_LEVEL = 64
 
 class Infeasible(ValueError):
     pass
-
-
-class SystemTooLarge(DigraphError):
-    """The level-k system of two digraphs is over the size budget
-    (``_MAX_COLUMNS``, ``_MAX_LEVEL``); refused before anything is built."""
 
 
 class LinearSystem(Immutable):
@@ -167,8 +162,8 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     so the sorted equations and everything computed from them are those of
     a system keyed by VarKeys.  A system of more than ``_MAX_COLUMNS``
     columns, n^k*m^k + |E(X)|*|E(A)|, or a level above ``_MAX_LEVEL`` is
-    refused with ``SystemTooLarge`` before anything is listed, and a level
-    below 1 with ``DigraphError``.
+    refused with ``DigraphError`` before anything is listed, and so is a
+    level below 1.
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
@@ -237,13 +232,10 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     x_edges = x_graph.sorted_edges()
     a_edges = a_graph.sorted_edges()
     if k > _MAX_LEVEL:
-        raise SystemTooLarge(f"level {k} is over the budget of {_MAX_LEVEL}")
+        raise DigraphError(f"level {k} is over the budget of {_MAX_LEVEL}")
     columns = (n * m) ** k + len(x_edges) * len(a_edges)
-    if columns > _MAX_COLUMNS:
-        raise SystemTooLarge(
-            f"the level-{k} system has {n}^{k}*{m}^{k} + {len(x_edges)}*{len(a_edges)} = "
-            f"{columns} columns, over the budget of {_MAX_COLUMNS}"
-        )
+    refuse_over(columns, _MAX_COLUMNS, f"the level-{k} system has {n}^{k}*{m}^{k} + "
+                f"{len(x_edges)}*{len(a_edges)} = {columns} columns", DigraphError)
     xs = list(itertools.product(range(1, n + 1), repeat=k))
     avals = list(itertools.product(range(1, m + 1), repeat=k))
     mk = len(avals)

@@ -42,9 +42,8 @@ import math
 import os
 from typing import Mapping, Optional
 
-from . import Immutable, json_int
+from . import Immutable, json_int, refuse_over
 from .tensor_core import (
-    BadDimension,
     Index,
     IntTensor,
     Shape,
@@ -158,7 +157,7 @@ def realise(sys: ShadowSystem) -> IntTensor:
     fails the compatibility check.  The tensor is the closed-form sum of
     the module docstring, a function of the shadows alone.  A realistic
     system whose sum takes over ``_MAX_REALISE_READS`` reads is refused
-    with BadDimension before it is summed.
+    with TensorError before it is summed.
     """
     ok, quad = is_realistic(sys)
     if not ok:
@@ -180,15 +179,13 @@ _MAX_REALISE_READS = 2 * 10**6
 
 
 def _check_realise_reads(q: int, p: int, nnz: int, what: str) -> None:
-    """Refuse, with BadDimension naming ``what``, a realisation of a
+    """Refuse, with TensorError naming ``what``, a realisation of a
     (p, q)-system with at most ``nnz`` entries per shadow that takes more
     than ``_MAX_REALISE_READS`` reads.  At p = q the shadow comes back as
     it is, with no reads."""
     if p < q:
         reads = math.comb(q, p) * (nnz + 1) * sum(math.comb(q, t) for t in range(p + 1))
-        if reads > _MAX_REALISE_READS:
-            raise BadDimension(
-                f"{what} takes {reads} reads, over the budget of {_MAX_REALISE_READS}")
+        refuse_over(reads, _MAX_REALISE_READS, f"{what} takes {reads} reads", TensorError)
 
 
 def _coefficient(q: int, p: int, t: int) -> int:

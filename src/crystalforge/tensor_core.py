@@ -19,31 +19,8 @@ Index = tuple[int, ...]
 
 
 class TensorError(ValueError):
-    """Base class for tensor construction/operation errors."""
-
-
-class InvalidIndex(TensorError):
-    pass
-
-
-class ShapeMismatch(TensorError):
-    pass
-
-
-class InvalidSelector(TensorError):
-    pass
-
-
-class StFormatError(TensorError):
-    """Malformed ``.st`` payload."""
-
-
-class BadDimension(TensorError):
-    """A level, dimension or mode count out of range."""
-
-
-class NotACrystal(TensorError):
-    """A tensor whose projections onto the increasing k-tuples differ."""
+    """A tensor, shadow system, crystal or certificate input the library
+    refuses: out of range, malformed or over a size budget."""
 
 
 class IntTensor(Immutable):
@@ -52,24 +29,29 @@ class IntTensor(Immutable):
     ``shape`` is a tuple of positive mode widths (empty for scalars) and
     ``entries`` maps index tuples to nonzero integers.  Zero entries are
     never stored, so two tensors are equal iff shapes and entry maps are.
+    A width, coordinate or value must be an ``int`` that is not a
+    ``bool``; nothing is rounded.
     """
 
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape: Iterable[int], entries: Mapping[Index, int] | None = None):
-        shape = tuple(int(w) for w in shape)
+        shape = tuple(shape)
+        if not all(type(w) is int for w in shape):
+            raise TensorError(f"widths must be integers, got {shape}")
         if any(w < 1 for w in shape):
-            raise ShapeMismatch(f"widths must be positive, got {shape}")
+            raise TensorError(f"widths must be positive, got {shape}")
         clean: dict[Index, int] = {}
         if entries:
             q = len(shape)
             for idx, val in entries.items():
-                idx = tuple(int(c) for c in idx)
-                val = int(val)
+                idx = tuple(idx)
+                if type(val) is not int or not all(type(c) is int for c in idx):
+                    raise TensorError(f"index {idx} and value {val!r} must be integers")
                 if val == 0:
                     continue
                 if len(idx) != q or any(not 1 <= c <= w for c, w in zip(idx, shape)):
-                    raise InvalidIndex(f"index {idx} invalid for shape {shape}")
+                    raise TensorError(f"index {idx} invalid for shape {shape}")
                 clean[idx] = val
         self._set(shape, clean)
 
@@ -127,10 +109,10 @@ def contract(t: IntTensor, u: IntTensor, over: int) -> IntTensor:
     """
     qt, qu = len(t.shape), len(u.shape)
     if not 0 <= over <= min(qt, qu):
-        raise ShapeMismatch(f"cannot contract over {over} modes of shapes {t.shape}, {u.shape}")
+        raise TensorError(f"cannot contract over {over} modes of shapes {t.shape}, {u.shape}")
     a = qt - over
     if t.shape[a:] != u.shape[:over]:
-        raise ShapeMismatch(
+        raise TensorError(
             f"shared modes disagree: {t.shape[a:]} vs {u.shape[:over]}"
         )
     by_head: dict[Index, list[tuple[Index, int]]] = {}
@@ -151,7 +133,7 @@ def contract(t: IntTensor, u: IntTensor, over: int) -> IntTensor:
 def _check_selector(sel: Iterable[int], q: int) -> tuple[int, ...]:
     sel = tuple(int(m) for m in sel)
     if any(not 1 <= m <= q for m in sel):
-        raise InvalidSelector(f"selector {sel} out of range for {q} modes")
+        raise TensorError(f"selector {sel} out of range for {q} modes")
     return sel
 
 
@@ -217,13 +199,13 @@ def dumps_st(t: IntTensor) -> str:
 
 def loads_st(text: str) -> IntTensor:
     if not isinstance(text, str):
-        raise StFormatError(f".st payload must be a string, got {type(text).__name__}")
+        raise TensorError(f".st payload must be a string, got {type(text).__name__}")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
 
     def fail(msg: str):
-        raise StFormatError(msg)
+        raise TensorError(msg)
 
     def numbers(toks: list[str]) -> list[int] | None:
         """The ints the tokens spell, or None unless each is canonical: ASCII

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from crystalforge.certificate_desk import DimensionMismatch, NotAHomomorphism, ZaffCertificate
-from crystalforge.crystal_mill import BadDimension
+from crystalforge.certificate_desk import ZaffCertificate
 from crystalforge.digraph_lab import Digraph, refines
-from crystalforge.tensor_core import Index
+from crystalforge.tensor_core import Index, TensorError
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,9 @@ def uniform_qconv_map(x_graph: Digraph, n: int, k: int) -> QconvMap:
     distribution on the value tuples pattern-equivalent to its vertex
     tuple, with mass 1 / (n falling-factorial |x|)."""
     if k > n:
-        raise BadDimension(f"need k <= n, got k={k}, n={n}")
+        raise TensorError(f"need k <= n, got k={k}, n={n}")
     if not x_graph.is_loopless():
-        raise NotAHomomorphism("instance digraph must be loopless")
+        raise TensorError("instance digraph must be loopless")
     xi: dict[Index, dict] = {}
     for x in itertools.product(range(1, x_graph.vertex_count + 1), repeat=k):
         d = len(set(x))
@@ -51,7 +50,7 @@ def uniform_qconv_map(x_graph: Digraph, n: int, k: int) -> QconvMap:
 def check_refinement(zeta: ZaffCertificate, xi: QconvMap) -> bool:
     """Support inclusion supp(zeta(x)) <= supp(xi(x)) for every x."""
     if zeta.k != xi.k or zeta.template.vertex_count != xi.n:
-        raise DimensionMismatch("certificate and rational map disagree on k or n")
+        raise TensorError("certificate and rational map disagree on k or n")
     for x, t in zeta.zeta.items():
         pos = xi.xi[x]
         if any(a not in pos for a in t.entries):

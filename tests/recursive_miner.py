@@ -6,16 +6,16 @@ It builds H_k from H_{k-1} through ``crystalise`` and ``quartz`` from
 realiser that ``crystalise`` calls.
 """
 
-from crystalforge.crystal_mill import BadDimension, NotCubical, crystalise, quartz
-from crystalforge.tensor_core import IntTensor
+from crystalforge.crystal_mill import crystalise, quartz
+from crystalforge.tensor_core import IntTensor, TensorError
 
 
 def pad(c, layers):
     """Grow every mode by ``layers`` zero layers, keeping entries in place."""
     if not c.is_cubical():
-        raise NotCubical(f"shape {c.shape} is not cubical")
+        raise TensorError(f"shape {c.shape} is not cubical")
     if layers < 0:
-        raise BadDimension("layers must be >= 0")
+        raise TensorError("layers must be >= 0")
     if c.dim == 0:
         return c
     w = c.shape[0] + layers
@@ -28,7 +28,7 @@ def recursive_miner(k):
     then subtract one quartz per support cell, anchored at the fresh
     coordinates (n̂+1, ..., n), to relocate every tie into the padding."""
     if k < 1:
-        raise BadDimension("k must be >= 1")
+        raise TensorError("k must be >= 1")
     if k == 1:
         return IntTensor._raw((1,), {(1,): 1})
     u = recursive_miner(k - 1)

@@ -18,7 +18,6 @@ from crystalforge.relaxation_engine import (
     _MAX_COLUMNS,
     _MAX_LEVEL,
     LinearSystem,
-    SystemTooLarge,
     _Reduced,
 )
 
@@ -68,10 +67,10 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     x_edges = x_graph.sorted_edges()
     a_edges = a_graph.sorted_edges()
     if k > _MAX_LEVEL:
-        raise SystemTooLarge(f"level {k} is over the budget of {_MAX_LEVEL}")
+        raise DigraphError(f"level {k} is over the budget of {_MAX_LEVEL}")
     columns = (n * m) ** k + len(x_edges) * len(a_edges)
     if columns > _MAX_COLUMNS:
-        raise SystemTooLarge(
+        raise DigraphError(
             f"the level-{k} system has {n}^{k}*{m}^{k} + {len(x_edges)}*{len(a_edges)} = "
             f"{columns} columns, over the budget of {_MAX_COLUMNS}"
         )

@@ -9,16 +9,10 @@ from hypothesis import given, settings, strategies as st
 from crystalforge import certificate_desk as cd
 from crystalforge import crystal_mill as cm
 from crystalforge.tensor_core import IntTensor, TensorError, is_affine, project, total
-from crystalforge.crystal_mill import BadDimension, mine_hollow_shadowed_crystal
+from crystalforge.crystal_mill import mine_hollow_shadowed_crystal
 from crystalforge.digraph_lab import Digraph, clique, digraph_to_json, line_digraph
 from crystalforge.relaxation_engine import integer_feasible
 from crystalforge.certificate_desk import (
-    DimensionMismatch,
-    EmptyLineTemplate,
-    NotAffine,
-    NotAHomomorphism,
-    SupportConditionViolated,
-    TooFewDimensions,
     ZaffCertificate,
     certificate_from_crystal,
     certificate_from_json,
@@ -53,12 +47,12 @@ def test_from_crystal_and_verify():
 
 def test_from_crystal_preconditions():
     c = mine_hollow_shadowed_crystal(2, 4)
-    with pytest.raises(TooFewDimensions):
+    with pytest.raises(TensorError, match="^crystal has 2 modes; needs at least 4$"):
         certificate_from_crystal(mine_hollow_shadowed_crystal(2, 2), clique(4), 2)
-    with pytest.raises(NotAffine):
+    with pytest.raises(TensorError, match="^crystal entries must sum to 1$"):
         certificate_from_crystal(IntTensor(c.shape, {i: 2 * v for i, v in c.entries.items()}),
                                  clique(4), 2)
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(TensorError, match="^instance digraph must be loopless$"):
         certificate_from_crystal(c, Digraph(2, frozenset({(1, 1)})), 2)
 
 
@@ -67,18 +61,18 @@ def test_from_crystal_rejects_level_below_two():
     # written to be answered NO
     c = mine_hollow_shadowed_crystal(2, 4)
     for k in (0, 1, -1):
-        with pytest.raises(BadDimension):
+        with pytest.raises(TensorError, match=f"^certificate level must be >= 2, got k={k}$"):
             certificate_from_crystal(c, clique(4), k)
 
 
 def test_from_crystal_rejects_a_non_crystal_and_a_tied_shadow():
     # one entry at (1, 2, 3): affine, but its 2-projections differ; the
     # words are crystal_mill.shadow's
-    with pytest.raises(cd.NotACrystal,
+    with pytest.raises(TensorError,
                        match=r"^not a 2-crystal; projections differ at \(\(1, 2\), \(1, 3\)\)$"):
         certificate_from_crystal(IntTensor((3, 3, 3), {(1, 2, 3): 1}), clique(3), 2)
     # one entry at (1, 1, 1): a 2-crystal whose shadow is tied at (1, 1)
-    with pytest.raises(cd.NotHollowShadow):
+    with pytest.raises(TensorError, match="^the k-shadow has a tie$"):
         certificate_from_crystal(IntTensor((1, 1, 1), {(1, 1, 1): 1}), clique(3), 2)
 
 
@@ -87,7 +81,8 @@ def test_from_crystal_refuses_over_the_crystal_check_budget(monkeypatch):
     # and 2 at k = 4
     for c, x, k, w in ((mine_hollow_shadowed_crystal(2, 4), clique(4), 2, 1),
                        (mine_hollow_shadowed_crystal(4, 5), cycle(3), 4, 2)):
-        reads = math.comb(c.dim, k) * (len(c.entries) * w + 25)
+        n, q = len(c.entries), c.dim
+        reads = math.comb(q, k) * (n * w + 25)
         want = certificate_from_crystal(c, x, k)
         monkeypatch.setattr(cm, "_MAX_CRYSTAL_READS", reads)
         assert certificate_from_crystal(c, x, k) == want
@@ -97,8 +92,10 @@ def test_from_crystal_refuses_over_the_crystal_check_budget(monkeypatch):
             raise AssertionError("is_crystal ran on a tensor over the budget")
 
         monkeypatch.setattr(cm, "is_crystal", unreached)
-        with pytest.raises(BadDimension,
-                           match=rf"= {reads} reads, over the budget of {reads - 1}$"):
+        with pytest.raises(TensorError, match=rf"^checking the {k}-projections of {n} entries "
+                                              rf"in q = {q} modes takes C\({q},{k}\)\*\({n}\*{w}"
+                                              rf"\+25\) = {reads} reads, "
+                                              rf"over the budget of {reads - 1}$"):
             certificate_from_crystal(c, x, k)
         monkeypatch.undo()
 
@@ -107,7 +104,7 @@ def test_certificate_totality_enforced():
     cert = k4_cert()
     zeta = dict(cert.zeta)
     zeta.pop((1, 1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TensorError, match="^zeta must be total over instance vertex k-tuples$"):
         ZaffCertificate(2, cert.instance, cert.template, zeta, cert.template_clique)
 
 
@@ -139,7 +136,8 @@ def tamper(cert, x, tensor):
 
 def test_certificate_image_shape_enforced():
     cert = k4_cert()
-    with pytest.raises(DimensionMismatch, match=r"image at \(1, 2\) has shape \(2, 2\)"):
+    with pytest.raises(TensorError,
+                       match=r"^image at \(1, 2\) has shape \(2, 2\), expected \(3, 3\)$"):
         tamper(cert, (1, 2), IntTensor((2, 2), {(1, 2): 1}))
 
 
@@ -236,9 +234,9 @@ def test_uniform_qconv_map_masses():
 
 
 def test_uniform_qconv_map_refusals():
-    with pytest.raises(BadDimension, match="need k <= n, got k=3, n=2"):
+    with pytest.raises(TensorError, match="^need k <= n, got k=3, n=2$"):
         uniform_qconv_map(clique(4), 2, 3)
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(TensorError, match="^instance digraph must be loopless$"):
         uniform_qconv_map(Digraph(2, frozenset({(1, 1), (1, 2)})), 3, 2)
 
 
@@ -250,7 +248,7 @@ def test_check_refinement():
     xi.xi[(1, 2)].pop(next(iter(cert.zeta[(1, 2)].entries)))
     assert not check_refinement(cert, xi)
     for n, k in ((4, 2), (3, 3)):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(TensorError, match="^certificate and rational map disagree on k or n$"):
             check_refinement(cert, uniform_qconv_map(clique(4), n, k))
 
 
@@ -262,8 +260,29 @@ def test_homomorphism_transport_preserves_validity():
     pushed = transform_certificate_homomorphism(cert, {1: 2, 2: 3, 3: 4}, clique(5))
     ok, why = verify_clique_certificate(pushed, clique(4), 5)
     assert ok, why
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(TensorError, match="^f is not a homomorphism between the templates$"):
         transform_certificate_homomorphism(cert, {1: 1, 2: 1, 3: 3}, clique(5))
+
+
+@pytest.mark.parametrize("f, message", [
+    ({1: 1, 2: 2.0, 3: 3}, r"^f must map vertex numbers to vertex numbers, got 2: 2\.0$"),
+    ({1.0: 1, 2: 2, 3: 3}, r"^f must map vertex numbers to vertex numbers, got 1\.0: 1$"),
+    ({1: 1, 2: 2, 3: True}, r"^f must map vertex numbers to vertex numbers, got 3: True$"),
+    ({1: 1, 2: 2, 3: 3, 4: 9}, r"^f maps 4, which is not a template vertex \(1\.\.3\)$"),
+    ({-1: 0, 1: 1, 2: 2, 3: 3}, r"^f maps -1, which is not a template vertex \(1\.\.3\)$"),
+    # a missing vertex is no homomorphism, as before
+    ({1: 1, 2: 2}, r"^f is not a homomorphism between the templates$"),
+])
+def test_homomorphism_transport_refuses_a_map_that_is_not_of_the_template_vertices(f, message):
+    cert = k4_cert()  # over K3
+    with pytest.raises(TensorError, match=message):
+        transform_certificate_homomorphism(cert, f, clique(4))
+
+
+def test_homomorphism_json_refuses_a_repeated_key():
+    with pytest.raises(TensorError, match=r'^bad homomorphism JSON \(want an object of vertex '
+                                          r'pairs\): key "2" appears twice$'):
+        homomorphism_from_json('{"1": 1, "2": 2, "3": 3, "2": 3}')
 
 
 def test_homomorphism_transport_names_a_clique_target_without_building_one():
@@ -289,7 +308,7 @@ def test_homomorphism_transport_rejects_map_leaving_target():
     img = IntTensor((3, 3), {(1, 2): 1})
     zeta = {x: img for x in [(1, 1), (1, 2), (2, 1), (2, 2)]}
     cert = ZaffCertificate(2, Digraph(2, frozenset()), template, zeta)
-    with pytest.raises(NotAHomomorphism):
+    with pytest.raises(TensorError, match="^f is not a homomorphism between the templates$"):
         transform_certificate_homomorphism(cert, {1: 1, 2: 2, 3: 99}, clique(3))
 
 
@@ -307,15 +326,13 @@ def test_line_digraph_transport():
 
 def test_line_digraph_transport_rejects_odd_level():
     cert = k4_cert()
-    from crystalforge.crystal_mill import BadDimension
-
     bad = ZaffCertificate(
         1,
         cert.instance,
         cert.template,
         {(v,): project(cert.zeta[(v, v)], (1,)) for v in range(1, 5)},
     )
-    with pytest.raises(BadDimension):
+    with pytest.raises(TensorError, match="^certificate level must be even and >= 2$"):
         transform_certificate_line_digraph(bad)
 
 
@@ -331,7 +348,8 @@ def test_line_digraph_transport_support_condition():
         for t in itertools.product((1, 2), repeat=2)
     }
     cert = ZaffCertificate(2, one_edge, path, zeta)
-    with pytest.raises(SupportConditionViolated):
+    with pytest.raises(TensorError, match=r"^image of \(1, 2\) has mass at \(1, 3\), whose "
+                                          r"pair \(1, 3\) is not a template edge$"):
         transform_certificate_line_digraph(cert)
     # moving the mass onto an actual edge makes the regrouping go through
     good = ZaffCertificate(
@@ -354,7 +372,7 @@ def test_line_digraph_transport_empty_template():
         t: IntTensor((2, 2), {(1, 2): 1}) for t in itertools.product((1, 2), repeat=2)
     }
     cert = ZaffCertificate(2, one_edge, one_edge, zeta)
-    with pytest.raises(EmptyLineTemplate):
+    with pytest.raises(TensorError, match="^the template's line digraph has no edges$"):
         transform_certificate_line_digraph(cert)
 
 
@@ -365,7 +383,8 @@ def test_line_digraph_transport_needs_instance_edges():
     lonely = Digraph(1, frozenset())
     zeta = {(1, 1): IntTensor((3, 3), {(1, 2): 1})}
     cert = ZaffCertificate(2, lonely, path, zeta)
-    with pytest.raises(EmptyLineTemplate):
+    with pytest.raises(TensorError,
+                       match="^the instance's line digraph has no labelled vertices$"):
         transform_certificate_line_digraph(cert)
 
 

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import re
@@ -5,10 +7,12 @@ import runpy
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
 from crystalforge.cli import run
+from crystalforge.crystal_mill import crystalise, mine_hollow_crystal
 from crystalforge.digraph_lab import Digraph, clique, digraph_from_json, digraph_to_json
 from crystalforge.shadow_realiser import increasing_tuples, ShadowSystem, system_to_json
 from crystalforge.tensor_core import IntTensor, dumps_st, loads_st, project
@@ -698,3 +702,95 @@ def test_output_into_missing_directory_is_a_usage_error(tmp_path, capsys):
         "",
         f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n",
     )
+
+
+# maps that stray off the K3 template's vertices 1..3: a key that is no
+# vertex, and a repeated key, of which json.loads alone keeps the last
+OFF_TEMPLATE_MAPS = {
+    "extra-key": ('{"1": 1, "2": 2, "3": 3, "4": 9}',
+                  "f maps 4, which is not a template vertex (1..3)"),
+    "negative-key": ('{"1": 1, "2": 2, "3": 3, "4": 4, "-1": 0}',
+                     "f maps -1, which is not a template vertex (1..3)"),
+    "repeated-key": ('{"1": 2, "1": 1, "2": 2, "3": 3}', "bad homomorphism JSON "
+                     '(want an object of vertex pairs): key "1" appears twice'),
+}
+
+
+@pytest.mark.parametrize("text, reason", OFF_TEMPLATE_MAPS.values(), ids=list(OFF_TEMPLATE_MAPS))
+def test_cert_push_hom_refuses_a_map_off_the_template_vertices(tmp_path, capsys, text, reason):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(k4_certificate_doc(tmp_path, capsys)))
+    k4 = write_graph(tmp_path / "k4.json", clique(4))
+    fmap = tmp_path / "f.json"
+    fmap.write_text(text)
+    assert invoke(capsys, "cert", "push-hom", str(cert), str(fmap), k4) == (
+        2, "", f"error: {reason}\n")
+
+
+DIGRAPH_FAULTS = {
+    "repeated-edge": ('{"vertices": 3, "edges": [[1, 2], [2, 3], [1, 2]]}',
+                      "edge [1, 2] is listed twice"),
+    "other-key": ('{"vertices": 3, "edges": [[1, 2]], "name": "path"}', 'unexpected key "name"'),
+}
+
+
+@pytest.mark.parametrize("text, reason", DIGRAPH_FAULTS.values(), ids=list(DIGRAPH_FAULTS))
+def test_digraph_json_with_a_repeated_edge_or_another_key_is_a_format_error(
+        tmp_path, capsys, text, reason):
+    g = tmp_path / "g.json"
+    g.write_text(text)
+    for argv in (("digraph", "linegraph", str(g)), ("hom", str(g), str(g))):
+        assert invoke(capsys, *argv) == (2, "", f"error: bad digraph JSON: {reason}\n")
+
+
+# every budget that ``crystalforge.refuse_over`` checks: its module and
+# name, a verb whose input counts ``count`` against it, what the refusal
+# names and the exit code at the budget
+H2Q4 = crystalise(mine_hollow_crystal(2), 4)
+H2Q4_N = len(H2Q4.entries)
+H2Q4_READS = math.comb(4, 2) * (H2Q4_N + 25)
+BUDGETS = {
+    "columns": ("relaxation_engine", "_MAX_COLUMNS",
+                ("relax", "ba", "--k", "2", "k2.json", "k2.json"),
+                20, "the level-2 system has 2^2*2^2 + 2*2 = 20 columns", 0),
+    "clique-edges": ("digraph_lab", "_MAX_EDGES", ("digraph", "clique", "--q", "4"),
+                     12, "K_4 has 4*3 = 12 edges", 0),
+    "line-edges": ("digraph_lab", "_MAX_EDGES", ("digraph", "linegraph", "k3.json"),
+                   12, "the line digraph has 12 edges", 0),
+    "shift-edges": ("digraph_lab", "_MAX_EDGES", ("digraph", "shift", "--q", "3", "--i", "1"),
+                    12, "S_{3,1} has 3*2^2 edges", 0),
+    "domain-cells": ("digraph_lab", "_MAX_DOMAIN_CELLS", ("hom", "k4.json", "k3.json"),
+                     12, "the search has 4*3 = 12 domain cells", 1),
+    "crystal-reads": ("crystal_mill", "_MAX_CRYSTAL_READS",
+                      ("crystal", "shadow", "--k", "2", "h2q4.st"),
+                      H2Q4_READS, f"checking the 2-projections of {H2Q4_N} entries in q = 4 "
+                      f"modes takes C(4,2)*({H2Q4_N}*1+25) = {H2Q4_READS} reads", 0),
+    "realise-reads": ("shadow_realiser", "_MAX_REALISE_READS",
+                      ("crystal", "crystalise", "--q", "3", "h2.st"),
+                      84, "lifting 3 entries of dimension 2 to q = 3 takes 84 reads", 0),
+}
+
+
+@pytest.mark.parametrize("case", BUDGETS.values(), ids=list(BUDGETS))
+def test_each_budget_takes_its_count_and_refuses_one_more(tmp_path, capsys, monkeypatch, case):
+    module, budget, argv, count, what, code = case
+    for n in (2, 3, 4):
+        write_graph(tmp_path / f"k{n}.json", clique(n))
+    (tmp_path / "h2.st").write_text(dumps_st(mine_hollow_crystal(2)))
+    (tmp_path / "h2q4.st").write_text(dumps_st(H2Q4))
+    monkeypatch.chdir(tmp_path)
+    mod = importlib.import_module(f"crystalforge.{module}")
+    monkeypatch.setattr(mod, budget, count)
+    got, _, err = invoke(capsys, *argv)
+    assert (got, err) == (code, "")
+    monkeypatch.setattr(mod, budget, count - 1)
+    assert invoke(capsys, *argv) == (2, "", f"error: {what}, over the budget of {count - 1}\n")
+
+
+def test_the_budget_sweep_covers_every_refuse_over_call():
+    src = Path(__file__).resolve().parents[1] / "src" / "crystalforge"
+    calls = sorted((path.stem, node.args[1].id) for path in src.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "refuse_over")
+    assert calls == sorted((module, budget) for module, budget, *_ in BUDGETS.values())

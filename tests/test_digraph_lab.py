@@ -10,8 +10,6 @@ from crystalforge.digraph_lab import (
     ChromaticParams,
     Digraph,
     DigraphError,
-    DigraphTooLarge,
-    InvalidParams,
     check_homomorphism,
     clique,
     digraph_from_doc,
@@ -53,7 +51,7 @@ def test_digraph_validation():
 
 
 def test_digraph_is_an_immutable_value():
-    g = Digraph(3, [(1, 2), ("2", 3)])
+    g = Digraph(3, [(1, 2), (2, 3)])
     assert g.edges == frozenset({(1, 2), (2, 3)})
     assert g == Digraph(vertex_count=3, edges=frozenset({(2, 3), (1, 2)}))
     assert hash(g) == hash(Digraph(3, frozenset({(1, 2), (2, 3)})))
@@ -63,6 +61,18 @@ def test_digraph_is_an_immutable_value():
         g.vertex_count = 4
     with pytest.raises(AttributeError):
         del g.edges
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, frozenset({(1.7, 2.2)})), r"^edge ends must be integers, got \(1\.7, 2\.2\)$"),
+    ((3, [(1, 2), ("2", 3)]), r"^edge ends must be integers, got \('2', 3\)$"),
+    ((3, [(True, 2)]), r"^edge ends must be integers, got \(True, 2\)$"),
+    ((3.0, []), r"^the vertex count must be an integer, got 3\.0$"),
+    ((True, []), r"^the vertex count must be an integer, got True$"),
+])
+def test_digraph_refuses_a_number_that_is_not_an_int(args, message):
+    with pytest.raises(DigraphError, match=message):
+        Digraph(*args)
 
 
 def test_clique_edge_count():
@@ -115,7 +125,7 @@ def test_clique_refuses_over_the_edge_budget(monkeypatch):
     monkeypatch.setattr(dg, "_MAX_EDGES", 12)
     assert len(clique(4).edges) == 12
     monkeypatch.setattr(dg, "_MAX_EDGES", 11)
-    with pytest.raises(DigraphTooLarge, match=r"^K_4 has 4\*3 = 12 edges, over the budget of 11$"):
+    with pytest.raises(DigraphError, match=r"^K_4 has 4\*3 = 12 edges, over the budget of 11$"):
         clique(4)
 
 
@@ -126,10 +136,11 @@ def test_shift_digraph_refuses_over_the_edge_budget(monkeypatch):
     monkeypatch.setattr(dg, "_MAX_EDGES", 12)
     assert len(shift_digraph(3, 1).edges) == 12
     monkeypatch.setattr(dg, "_MAX_EDGES", 11)
-    with pytest.raises(DigraphTooLarge, match=r"^S_\{3,1\} has 3\*2\^2 edges, over the budget of 11$"):
+    with pytest.raises(DigraphError, match=r"^S_\{3,1\} has 3\*2\^2 edges, over the budget of 11$"):
         shift_digraph(3, 1)
     monkeypatch.undo()
-    with pytest.raises(DigraphTooLarge, match=r"^S_\{3,10+\} has 3\*2\^10+1 edges"):
+    with pytest.raises(DigraphError, match=r"^S_\{3,10+\} has 3\*2\^10+1 edges, "
+                                           r"over the budget of 1000000$"):
         shift_digraph(3, 10**40)
 
 
@@ -147,13 +158,13 @@ def test_line_digraph_refuses_over_the_edge_budget(monkeypatch):
     monkeypatch.setattr(dg, "_MAX_EDGES", 20)
     assert len(line_digraph(g)[0].edges) == 20
     monkeypatch.setattr(dg, "_MAX_EDGES", 19)
-    with pytest.raises(DigraphTooLarge,
+    with pytest.raises(DigraphError,
                        match=r"^the line digraph has 20 edges, over the budget of 19$"):
         line_digraph(g)
     monkeypatch.undo()
     # 1,001 edges in and 1,001 out of one vertex: refused before listing
-    with pytest.raises(DigraphTooLarge, match=r"^the line digraph has 1002001 edges, "
-                                              r"over the budget of 1000000$"):
+    with pytest.raises(DigraphError, match=r"^the line digraph has 1002001 edges, "
+                                           r"over the budget of 1000000$"):
         line_digraph(hub(1001, 1001))
 
 
@@ -178,8 +189,8 @@ def test_hom_refuses_over_the_domain_budget(monkeypatch):
     monkeypatch.setattr(dg, "_MAX_DOMAIN_CELLS", 12)
     assert homomorphism_exists(clique(4), clique(3)) is None
     monkeypatch.setattr(dg, "_MAX_DOMAIN_CELLS", 11)
-    with pytest.raises(DigraphTooLarge, match=r"^the search has 4\*3 = 12 domain cells, "
-                                              "over the budget of 11$"):
+    with pytest.raises(DigraphError, match=r"^the search has 4\*3 = 12 domain cells, "
+                                           "over the budget of 11$"):
         homomorphism_exists(clique(4), clique(3))
 
 
@@ -248,16 +259,17 @@ def test_iterates():
     assert iterate_b(4, 1) == 6
     assert iterate_b(4, 2) == 20
     assert iterate_b(4, 3) == 184756
-    with pytest.raises(InvalidParams):
+    with pytest.raises(DigraphError, match=r"^need p >= 1 and i >= 0$"):
         iterate_a(0, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(DigraphError, match=r"^need p >= 1 and i >= 0$"):
         iterate_b(1, -1)
 
 
 def test_iterate_a_refuses_a_tower_it_cannot_build():
     # a^(3)(4) = 2^65536 is the last iterate; the next exponent is too large
     assert iterate_a(4, 3) == 2 ** 65536
-    with pytest.raises(InvalidParams, match="tower of height 4"):
+    with pytest.raises(DigraphError, match=r"^a\^\(4\)\(4\) exceeds representable size "
+                                           r"\(tower of height 4\)$"):
         iterate_a(4, 4)
 
 
@@ -272,15 +284,19 @@ def test_iterate_b_refuses_before_taking_b_of_a_large_argument(monkeypatch):
 
     monkeypatch.setattr(math, "comb", comb)
     for p in (14_001, 15_000, 10 ** 7):
-        with pytest.raises(InvalidParams, match=rf"b\^\(1\)\({p}\) exceeds representable size"):
+        with pytest.raises(DigraphError, match=rf"^b\^\(1\)\({p}\) exceeds representable size "
+                                               rf"\(b of {p} > 14000\)$"):
             iterate_b(p, 1)
     # the fourth step would take b(184756)
-    with pytest.raises(InvalidParams, match=r"b\^\(4\)\(4\) .*\(b of 184756 > 14000\)"):
+    with pytest.raises(DigraphError, match=r"^b\^\(4\)\(4\) exceeds representable size "
+                                           r"\(b of 184756 > 14000\)$"):
         iterate_b(4, 4)
-    with pytest.raises(InvalidParams, match=r"b\^\(1\)\(15000\)"):
+    with pytest.raises(DigraphError, match=r"^b\^\(1\)\(15000\) exceeds representable size "
+                                           r"\(b of 15000 > 14000\)$"):
         fooling_parameters(15_000, 15_000, 2)
     # the tower a^(4)(4) is refused before b(184756) is taken
-    with pytest.raises(InvalidParams, match=r"a\^\(4\)\(4\) .*\(tower of height 4\)"):
+    with pytest.raises(DigraphError, match=r"^a\^\(4\)\(4\) exceeds representable size "
+                                           r"\(tower of height 4\)$"):
         fooling_parameters(4, 4, 215)
 
 
@@ -314,14 +330,16 @@ def test_fooling_parameters_small_q():
 
 
 def test_fooling_parameters_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(DigraphError,
+                       match=r"^c must be >= 4 \(smaller c needs a separate reduction\)$"):
         fooling_parameters(3, 4, 2)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(DigraphError, match=r"^need d >= c and k >= 2$"):
         fooling_parameters(4, 3, 2)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(DigraphError, match=r"^need d >= c and k >= 2$"):
         fooling_parameters(4, 4, 1)
     # k large enough to force i = 4: the tower 2^2^2^2^d is not representable
-    with pytest.raises(InvalidParams):
+    with pytest.raises(DigraphError, match=r"^a\^\(4\)\(4\) exceeds representable size "
+                                           r"\(tower of height 4\)$"):
         fooling_parameters(4, 4, 215)
 
 
@@ -345,6 +363,18 @@ def test_digraph_doc_is_the_parsed_json():
         digraph_from_doc({"vertices": 3, "edges": [[1, 2.5]]})
     with pytest.raises(DigraphError, match=r"^bad digraph JSON: 'vertices'$"):
         digraph_from_doc({})
+
+
+def test_digraph_doc_refuses_a_repeated_edge_and_any_other_key():
+    with pytest.raises(DigraphError, match=r"^bad digraph JSON: edge \[2, 3\] is listed twice$"):
+        digraph_from_doc({"vertices": 3, "edges": [[2, 3], [1, 2], [2, 3], [1, 2]]})
+    with pytest.raises(DigraphError, match=r'^bad digraph JSON: unexpected key "name"$'):
+        digraph_from_doc({"vertices": 3, "edges": [], "name": "x", "vertex": 3})
+    # the old faults keep their words: a missing key, then the range check
+    with pytest.raises(DigraphError, match=r"^bad digraph JSON: 'edges'$"):
+        digraph_from_doc({"vertices": 3, "name": "x"})
+    with pytest.raises(DigraphError, match=r"^edge \(1,4\) out of range$"):
+        digraph_from_doc({"vertices": 3, "edges": [[1, 4], [1, 4]], "name": "x"})
 
 
 def test_digraph_json_malformed():

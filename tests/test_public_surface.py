@@ -1,4 +1,5 @@
-"""Every public name in ``src/crystalforge`` is used by something that runs.
+"""Every public name in ``src/crystalforge`` is used by something that runs,
+and every public exception class is one that some caller tells apart.
 
 A public top-level function or class, or a public method, must be named
 by other ``src/`` code, hooked by the benchmark tracer (an attribute path
@@ -14,9 +15,16 @@ as used wherever an attribute of its name is read.  So ``set.add`` does
 not use a function ``add``, but any ``.add`` uses a method ``add``.  A
 read inside the definition itself, or inside a definition that is unused
 and not kept, does not count, so dead code cannot keep dead code alive.
+
+An exception class is told apart where an ``except`` clause names it or
+the CLI looks it up (``_raised(exc, module, name)``) to pick an exit code.
+A class that no caller tells apart is one name too many: raise its base
+with the same message instead.  The few exempt are in ``UNCAUGHT``, each
+with its reason.
 """
 
 import ast
+import builtins
 from collections import defaultdict
 from pathlib import Path
 
@@ -34,6 +42,13 @@ KEPT = {
         "VarKey boundary: the LP witness keyed by variable",
     "relaxation_engine.diophantine_feasible":
         "VarKey boundary: the integer witness keyed by variable, zeroing VarKeys",
+}
+
+# public exception classes that nothing tells apart, and why each stays
+UNCAUGHT = {
+    "relaxation_engine.Infeasible":
+        "relative_interior_support's signal that the polytope is empty: an answer about "
+        "the system, not a refused input, so no exit code is picked by it",
 }
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -146,3 +161,47 @@ def test_every_public_name_is_used_or_kept_for_a_reason():
 
 def test_every_kept_name_is_still_defined_and_unused():
     assert sorted(set(KEPT) - unused_names()) == []
+
+
+def exception_classes(trees):
+    """The qualified names of the public classes that derive, through
+    classes of the package, from a builtin exception."""
+    bases = {node.name: (module, [b.id for b in node.bases if isinstance(b, ast.Name)])
+             for module, tree in trees.items() for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name):
+        if name in bases:
+            return any(is_exception(b) for b in bases[name][1])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return {f"{module}.{name}" for name, (module, _) in bases.items()
+            if not name.startswith("_") and is_exception(name)}
+
+
+def told_apart(trees):
+    """Every class name an ``except`` clause or a CLI ``_raised`` lookup names."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names |= {getattr(t, "attr", getattr(t, "id", None)) for t in kinds}
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_raised":
+                names.add(node.args[2].value)
+    return names
+
+
+def uncaught_exceptions():
+    trees = {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
+    caught = told_apart(trees)
+    return {qual for qual in exception_classes(trees) if qual.rsplit(".", 1)[1] not in caught}
+
+
+def test_every_public_exception_class_is_told_apart_or_exempt():
+    assert sorted(uncaught_exceptions() - set(UNCAUGHT)) == []
+
+
+def test_every_exempt_exception_class_is_still_defined_and_uncaught():
+    assert sorted(set(UNCAUGHT) - uncaught_exceptions()) == []

@@ -13,7 +13,6 @@ from crystalforge.digraph_lab import Digraph, DigraphError, clique
 from crystalforge.relaxation_engine import (
     Infeasible,
     LinearSystem,
-    SystemTooLarge,
     build_ip_system,
     decide_aip,
     decide_ba,
@@ -299,14 +298,15 @@ def test_build_ip_system_refuses_over_the_column_budget(monkeypatch):
     monkeypatch.setattr(rx, "_MAX_COLUMNS", 20)
     assert len(build_ip_system(clique(2), clique(2), 2).variables) == 20
     monkeypatch.setattr(rx, "_MAX_COLUMNS", 19)
-    with pytest.raises(SystemTooLarge, match=r"2\^2\*2\^2 \+ 2\*2 = 20 columns, over the budget of 19$"):
+    with pytest.raises(DigraphError, match=r"^the level-2 system has 2\^2\*2\^2 \+ 2\*2 = 20 "
+                                           r"columns, over the budget of 19$"):
         build_ip_system(clique(2), clique(2), 2)
 
 
 def test_build_ip_system_refuses_a_level_over_the_budget():
     point = Digraph(1, frozenset({(1, 1)}))
     assert len(build_ip_system(point, point, 64).variables) == 2
-    with pytest.raises(SystemTooLarge, match="^level 65 is over the budget of 64$"):
+    with pytest.raises(DigraphError, match="^level 65 is over the budget of 64$"):
         build_ip_system(point, point, 65)
 
 

@@ -82,17 +82,15 @@ def test_shadow_system_is_an_immutable_value():
 
 def test_realise_refuses_over_the_read_budget(monkeypatch):
     import crystalforge.shadow_realiser as sr
-    from crystalforge.tensor_core import BadDimension
-
     c = IntTensor((2, 2, 2), {(1, 2, 1): 3, (2, 1, 2): -1})
     sys = system_of(c, 2)  # 3 shadows of 2 entries
     # C(3,2) * (2+1) * (C(3,0) + C(3,1) + C(3,2)) = 3 * 3 * 7
     monkeypatch.setattr(sr, "_MAX_REALISE_READS", 63)
     assert verify_realisation(realise(sys), sys)
     monkeypatch.setattr(sr, "_MAX_REALISE_READS", 62)
-    with pytest.raises(BadDimension, match="^realising 3 shadows of dimension 2 and at most 2 "
-                                           "entries on q = 3 modes takes 63 reads, over the "
-                                           "budget of 62$"):
+    with pytest.raises(TensorError, match="^realising 3 shadows of dimension 2 and at most 2 "
+                                          "entries on q = 3 modes takes 63 reads, over the "
+                                          "budget of 62$"):
         realise(sys)
     # an unrealistic system is still a verified NO, and at p = q the
     # shadow comes back as it is, with no reads
