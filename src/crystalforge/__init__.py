@@ -15,6 +15,26 @@ def json_int(value) -> int:
     return value
 
 
+def json_once(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of every JSON loader of the package: the
+    object of ``pairs``, with a key that appears twice refused with
+    ``ValueError`` (``json.loads`` alone keeps the last)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set = set()
+        dup = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"key {json.dumps(dup)} appears twice")
+    return doc
+
+
+def json_keys(doc: dict, keys: set) -> None:
+    """Refuse with ``ValueError`` a JSON object with a key outside ``keys``,
+    naming the least such key."""
+    extra = sorted(doc.keys() - keys)
+    if extra:
+        raise ValueError(f"unexpected key {json.dumps(extra[0])}")
+
+
 def refuse_over(count: int, budget: int, what: str, error: type) -> None:
     """Raise ``error("<what>, over the budget of <budget>")`` when ``count``
     is over ``budget``.  Every budget on a count of things to be listed

@@ -16,7 +16,7 @@ import itertools
 import json
 from typing import Mapping, Optional
 
-from . import Immutable, json_int
+from . import Immutable, json_int, json_keys, json_once
 from .tensor_core import (
     Index,
     IntTensor,
@@ -61,6 +61,9 @@ class ZaffCertificate(Immutable):
         never listed.  With two or more vertices |V(X)|^k > k, so a zeta
         with fewer than k keys is refused before the power is taken, and
         a short zeta is refused at once at any k."""
+        if type(k) is not int or type(template_clique) not in (int, type(None)):
+            raise TensorError(f"k must be an integer and template_clique an integer or None, "
+                              f"got k={k!r}, template_clique={template_clique!r}")
         if k < 0:
             raise TensorError(f"certificate level must be >= 0, got k={k}")
         n = template.vertex_count
@@ -326,19 +329,9 @@ def homomorphism_from_json(text: str) -> dict[int, int]:
     number spelled as ``str`` spells it (no ``+``, space, ``_`` or leading
     0) and appear once, and a value must be a JSON integer; anything else
     is a ``TensorError``."""
-
-    def once(pairs):
-        # ``json.loads`` alone would keep the last of a repeated key
-        doc = dict(pairs)
-        if len(doc) < len(pairs):
-            seen = set()
-            dup = next(u for u, _ in pairs if u in seen or seen.add(u))
-            raise ValueError(f"key {json.dumps(dup)} appears twice")
-        return doc
-
     try:
         f = {}
-        for u, v in json.loads(text, object_pairs_hook=once).items():
+        for u, v in json.loads(text, object_pairs_hook=json_once).items():
             if str(int(u)) != u:
                 raise ValueError(f"expected a vertex number, got {json.dumps(u)}")
             f[int(u)] = json_int(v)
@@ -349,8 +342,13 @@ def homomorphism_from_json(text: str) -> dict[int, int]:
 
 
 def certificate_from_json(text: str) -> ZaffCertificate:
+    """The certificate of a JSON document.  A repeated key, or a key other
+    than ``k``, ``instance``, ``template`` and ``zeta`` (``x`` and
+    ``tensor`` in a zeta entry), is refused with the other format faults:
+    a ``TensorError`` starting ``bad certificate JSON``.  The keys are
+    checked after everything else is read."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=json_once)
         k = json_int(doc["k"])
         instance = digraph_from_doc(doc["instance"])
         tmpl = doc["template"]
@@ -367,6 +365,9 @@ def certificate_from_json(text: str) -> ZaffCertificate:
             if x in zeta:
                 raise ValueError(f"duplicate zeta entry for x={x}")
             zeta[x] = loads_st(blob["tensor"])
+        json_keys(doc, {"k", "instance", "template", "zeta"})
+        for blob in doc["zeta"]:
+            json_keys(blob, {"x", "tensor"})
     except (KeyError, TypeError, ValueError) as exc:
         raise TensorError(f"bad certificate JSON: {exc}") from exc
     return ZaffCertificate(k, instance, template, zeta, template_clique=template_clique)

@@ -16,7 +16,7 @@ import json
 import math
 from typing import NamedTuple, Optional
 
-from . import Immutable, json_int, refuse_over
+from . import Immutable, json_int, json_keys, json_once, refuse_over
 
 Edge = tuple[int, int]
 
@@ -328,9 +328,10 @@ def digraph_from_doc(doc) -> Digraph:
     except (KeyError, TypeError, ValueError) as exc:
         raise DigraphError(f"bad digraph JSON: {exc}") from exc
     g = Digraph(n, pairs)
-    extra = sorted(doc.keys() - {"vertices", "edges"})
-    if extra:
-        raise DigraphError(f"bad digraph JSON: unexpected key {json.dumps(extra[0])}")
+    try:
+        json_keys(doc, {"vertices", "edges"})
+    except ValueError as exc:
+        raise DigraphError(f"bad digraph JSON: {exc}") from exc
     if len(g.edges) < len(pairs):
         seen: set[Edge] = set()
         dup = next(e for e in pairs if e in seen or seen.add(e))
@@ -340,7 +341,7 @@ def digraph_from_doc(doc) -> Digraph:
 
 def digraph_from_json(text: str) -> Digraph:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=json_once)
     except ValueError as exc:
         raise DigraphError(f"bad digraph JSON: {exc}") from exc
     return digraph_from_doc(doc)

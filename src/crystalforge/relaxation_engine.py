@@ -14,6 +14,15 @@ forced-zero variables.  ``build_ip_system`` gives the argument that this
 is exact for BLP, AIP, BA and the relative-interior support.  Systems over
 a fixed size budget are refused before they are built.
 
+All of a system but its mu rows and columns depends only on (|V(X)|,
+|V(A)|, k): the lambda VarKeys, the forced-zero lambda columns, ``alias``
+and the normalization and collapse rows.  ``_lambda_block`` builds that
+block, and the process holds one, the last built: a call with the same
+(|V(X)|, |V(A)|, k) adds only the edge rows to it.  A call with another
+key drops the held block before it builds its own, so two are never
+alive together; a refused call neither builds nor drops one.  The block
+is immutable, and the systems built on it share its read-only ``alias``.
+
 Variables are numbered columns, and ``variables[j]`` names column j.
 The solver core takes rows in the shape of ``LinearSystem.equations``:
 ``_lp_pass`` (presolve and phase 1), ``_dead_columns`` (the columns 0 on
@@ -55,6 +64,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 _Q = Fraction  # the rational type of witnesses and optima
@@ -65,12 +75,17 @@ from .digraph_lab import Digraph, DigraphError, refines
 VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
 
 # the most columns ``build_ip_system`` lists: the 248,904 of K4 -> K3 at
-# k = 5 build in 0.16 s at 65 MB peak RSS, and the benchmark's largest
-# system has 20,808
+# k = 5 build in 0.17 s at 67 MB peak RSS.  Their lambda block (36 MB
+# under tracemalloc) stays held after the call returns, and RSS stays at
+# 67 MB; a build of K2 -> K2 at k = 2 drops it, to 34 MB RSS.  The
+# benchmark's largest system has 20,808
 _MAX_COLUMNS = 10**6
 # the highest level it takes: past it (n*m)^k > 2^64 unless n = m = 1,
 # and then the one lambda column is still a pair of k-tuples
 _MAX_LEVEL = 64
+# the lambda block of the last (n, m, k) built, with its key, as one
+# ((n, m, k), block) pair: see ``build_ip_system``
+_held: Optional[tuple] = None
 
 
 class Infeasible(ValueError):
@@ -95,7 +110,8 @@ class LinearSystem(Immutable):
     The boundary functions read an alias's value, support and zeroing
     through its representative; the solver core, which sees only the
     rows, never meets one.  It is empty at k = 1 and in a hand-built
-    system.  It takes part in ``==`` but not in ``hash``.
+    system, and read-only in a built one.  It takes part in ``==`` but not
+    in ``hash``.
     """
 
     __slots__ = ("variables", "equations", "forced_zero", "alias")
@@ -163,7 +179,9 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     a system keyed by VarKeys.  A system of more than ``_MAX_COLUMNS``
     columns, n^k*m^k + |E(X)|*|E(A)|, or a level above ``_MAX_LEVEL`` is
     refused with ``DigraphError`` before anything is listed, and so is a
-    level below 1.
+    level below 1.  Everything but the mu rows and columns comes from the
+    held lambda block of (n, m, k) (see the module docstring and
+    ``_lambda_block``).
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
@@ -236,14 +254,63 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     columns = (n * m) ** k + len(x_edges) * len(a_edges)
     refuse_over(columns, _MAX_COLUMNS, f"the level-{k} system has {n}^{k}*{m}^{k} + "
                 f"{len(x_edges)}*{len(a_edges)} = {columns} columns", DigraphError)
+    global _held
+    held = _held
+    if held is None or held[0] != (n, m, k):
+        held = _held = None  # drop the old block before building the new one
+        held = _held = ((n, m, k), _lambda_block(n, m, k))
+    lvars, lforced, alias, lrows, live = held[1]
+    mk = m**k
+    mu0 = len(lvars)
+    variables = lvars + tuple([("m", y, b) for y in x_edges for b in a_edges])
+
+    # mu marginality: the i-projection of an edge's mu slice reproduces
+    # the lambda slice of the projected vertex tuple; a live lambda column
+    # sorts before every mu column, so it leads its row, negated to +1.  A
+    # mu row is no lambda row: it has a mu column, or it is one lambda
+    # column = 0, and every lambda row has rhs 1 or two columns.
+    forced: list[int] = []
+    equations: dict = {}  # the mu rows, each canonical, as keys (deduplicated)
+    for iy, y in enumerate(x_edges):
+        by0 = mu0 + iy * len(a_edges)
+        for i in _mu_generators(k):
+            ryi = _rank(map(y.__getitem__, i), n)
+            by_a: dict[int, list[int]] = {}
+            for ib, b in enumerate(a_edges):
+                if k >= 2 and not refines(y, b):
+                    forced.append(by0 + ib)
+                    continue
+                by_a.setdefault(_rank(map(b.__getitem__, i), m), []).append(by0 + ib)
+            for ra in live[ryi]:
+                j = ryi * mk + ra
+                row = ((alias.get(j, j), 1),) + tuple([(v, -1) for v in by_a.pop(ra, ())])
+                equations[(row, 0)] = None
+            for cols in by_a.values():
+                equations[(tuple([(v, 1) for v in cols]), 0)] = None
+
+    # the lambda rows come sorted, so this sort merges in the mu rows
+    eq_tuple = tuple(sorted(lrows + tuple(equations)))
+    return LinearSystem(variables, eq_tuple, lforced.union(forced), alias)
+
+
+def _lambda_block(n: int, m: int, k: int) -> tuple:
+    """The part of the level-k system of n instance and m template
+    vertices that reads no edge: ``(variables, forced, alias, rows,
+    live)``, where ``variables`` are the lambda VarKeys, ``forced`` the
+    forced-zero lambda columns, ``alias`` a read-only view of the whole
+    system's alias map (an alias is a lambda column), ``rows`` the
+    normalization and collapse rows, sorted, and ``live[rank(x)]`` the
+    ranks of the value tuples compatible with the pattern of x,
+    ascending.  Every part is immutable, so the block can be held across
+    calls and shared by the systems built on it.
+
+    A collapse row has two columns at least: its two sides lie in the
+    slices of x and x.c, whose representatives differ unless x.c = x,
+    and then every term cancels and the row is not emitted."""
     xs = list(itertools.product(range(1, n + 1), repeat=k))
     avals = list(itertools.product(range(1, m + 1), repeat=k))
     mk = len(avals)
-    mu0 = len(xs) * mk
-    variables = tuple(
-        [("l", x, a) for x in xs for a in avals]
-        + [("m", y, b) for y in x_edges for b in a_edges]
-    )
+    variables = tuple([("l", x, a) for x in xs for a in avals])
 
     # Everything below depends on x only through its equality pattern, its
     # rank and the order of its values, so the value-tuple work is done
@@ -258,7 +325,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
         if bl not in tables:
             comp = [(a, _rank(a, m)) for a in (tuple(vals[b] for b in bl)
                     for vals in itertools.product(range(1, m + 1), repeat=nb))]
-            live = [ra for _a, ra in comp]
+            live = tuple([ra for _a, ra in comp])
             tables[bl] = (comp, live, set(range(mk)).difference(live), {})
         return tables[bl]
 
@@ -314,29 +381,8 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
                 if coeffs:
                     equations[_canon(coeffs, 0)] = None
 
-    # mu marginality: the i-projection of an edge's mu slice reproduces
-    # the lambda slice of the projected vertex tuple; a live lambda column
-    # sorts before every mu column, so it leads its row, negated to +1
-    for iy, y in enumerate(x_edges):
-        by0 = mu0 + iy * len(a_edges)
-        for i in _mu_generators(k):
-            yi = tuple(y[q] for q in i)
-            byi = _rank(yi, n) * mk
-            by_a: dict[int, list[int]] = {}
-            for ib, b in enumerate(a_edges):
-                if k >= 2 and not refines(y, b):
-                    forced.add(by0 + ib)
-                    continue
-                by_a.setdefault(_rank(map(b.__getitem__, i), m), []).append(by0 + ib)
-            for ra in table(yi)[1]:
-                j = byi + ra
-                row = ((alias.get(j, j), 1),) + tuple([(v, -1) for v in by_a.pop(ra, ())])
-                equations[(row, 0)] = None
-            for cols in by_a.values():
-                equations[(tuple([(v, 1) for v in cols]), 0)] = None
-
-    eq_tuple = tuple(sorted(equations))
-    return LinearSystem(variables, eq_tuple, frozenset(forced), alias)
+    live = tuple([tab[1] for tab in tabs])
+    return variables, frozenset(forced), MappingProxyType(alias), tuple(sorted(equations)), live
 
 
 # ---------------------------------------------------------------------------

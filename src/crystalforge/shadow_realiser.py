@@ -42,7 +42,7 @@ import math
 import os
 from typing import Mapping, Optional
 
-from . import Immutable, json_int, refuse_over
+from . import Immutable, json_int, json_keys, json_once, refuse_over
 from .tensor_core import (
     Index,
     IntTensor,
@@ -80,6 +80,8 @@ class ShadowSystem(Immutable):
         """Refuse keys other than the C(q,p) increasing p-tuples over [q]
         without listing those: each key must be one, and then their
         number must be C(q,p)."""
+        if type(p) is not int:
+            raise TensorError(f"p must be an integer, got {p!r}")
         q = len(shape)
         if not 1 <= p <= q:
             raise TensorError(f"need 1 <= p <= q, got p={p}, q={q}")
@@ -251,8 +253,13 @@ def system_to_json(sys: ShadowSystem) -> str:
 
 
 def system_from_json(text: str, base_dir: str | None = None) -> ShadowSystem:
+    """The shadow system of a JSON document.  A repeated key, or a key
+    other than ``p``, ``widths`` and ``shadows`` (``axes`` and ``tensor``
+    in a shadow), is refused with the other format faults: a
+    ``TensorError`` starting ``bad shadow-system JSON``.  The keys are
+    checked after everything else is read."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=json_once)
         p = json_int(doc["p"])
         shape = tuple(json_int(w) for w in doc["widths"])
         shadows = {}
@@ -267,6 +274,9 @@ def system_from_json(text: str, base_dir: str | None = None) -> ShadowSystem:
                 path = payload if base_dir is None else os.path.join(base_dir, payload)
                 with open(path, "r", encoding="utf-8") as fh:
                     shadows[axes] = loads_st(fh.read())
+        json_keys(doc, {"p", "widths", "shadows"})
+        for blob in doc["shadows"]:
+            json_keys(blob, {"axes", "tensor"})
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise TensorError(f"bad shadow-system JSON: {exc}") from exc
     return ShadowSystem(p, shape, shadows)

@@ -439,6 +439,41 @@ def test_certificate_json_names_the_fault_of_a_nested_digraph():
     assert str(info.value) == "bad certificate JSON: bad digraph JSON: expected an integer, got 2.5"
 
 
+# a repeated key (``json.loads`` kept the last) or a key the format does
+# not have (it was ignored): at the top level, in a zeta entry and in a
+# nested digraph
+CERT_KEY_FAULTS = {
+    "repeated-k": (lambda t: t.replace('"k": 2,', '"k": 3, "k": 2,', 1), 'key "k" appears twice'),
+    "repeated-x": (lambda t: t.replace('"x": [1, 1],', '"x": [1, 1], "x": [1, 1],', 1),
+                   'key "x" appears twice'),
+    "repeated-vertices": (lambda t: t.replace('"vertices": 4,', '"vertices": 9, "vertices": 4,', 1),
+                          'key "vertices" appears twice'),
+    "other-key": (lambda t: t.replace('"k": 2,', '"k": 2, "extra": 0,', 1), 'unexpected key "extra"'),
+    "other-zeta-key": (lambda t: t.replace('"x": [1, 1],', '"x": [1, 1], "note": "x",', 1),
+                       'unexpected key "note"'),
+}
+
+
+@pytest.mark.parametrize("edit, reason", CERT_KEY_FAULTS.values(), ids=list(CERT_KEY_FAULTS))
+def test_certificate_json_refuses_a_repeated_or_unknown_key(edit, reason):
+    text = json.dumps(json.loads(certificate_to_json(k4_cert())))
+    assert certificate_from_json(text) == k4_cert()
+    with pytest.raises(TensorError) as info:
+        certificate_from_json(edit(text))
+    assert str(info.value) == f"bad certificate JSON: {reason}"
+
+
+@pytest.mark.parametrize("k, template_clique", [(2.0, 3), (True, None), (2, 3.0), (2, True)],
+                         ids=["k-float", "k-bool", "clique-float", "clique-bool"])
+def test_certificate_refuses_a_level_or_clique_that_is_not_an_int(k, template_clique):
+    cert = k4_cert()
+    assert cd.ZaffCertificate(2, cert.instance, cert.template, cert.zeta, 3) == cert
+    with pytest.raises(TensorError) as info:
+        cd.ZaffCertificate(k, cert.instance, cert.template, cert.zeta, template_clique)
+    assert str(info.value) == ("k must be an integer and template_clique an integer or None, "
+                               f"got k={k!r}, template_clique={template_clique!r}")
+
+
 def test_homomorphism_json_reads_canonical_vertex_numbers():
     assert homomorphism_from_json('{"1": 2, "10": 3, "-1": 0}') == {1: 2, 10: 3, -1: 0}
     assert homomorphism_from_json("{}") == {}

@@ -153,6 +153,17 @@ def test_shadows_number_that_is_not_an_integer_is_a_format_error(tmp_path, capsy
 
 
 @pytest.mark.parametrize("verb", ["check", "realise"])
+@pytest.mark.parametrize("key, reason", [("p", 'key "p" appears twice'), ("typo", 'unexpected key "typo"')])
+def test_shadows_repeated_or_unknown_key_is_a_format_error(tmp_path, capsys, verb, key, reason):
+    text = system_to_json(ShadowSystem(1, (2, 2), {
+        (1,): IntTensor((2,), {(1,): 1}), (2,): IntTensor((2,), {(2,): 1})}))
+    f = tmp_path / "sys.json"
+    f.write_text(text.replace('"p": 1,', f'"{key}": 2, "p": 1,', 1))
+    assert invoke(capsys, "shadows", verb, str(f)) == (
+        2, "", f"error: bad shadow-system JSON: {reason}\n")
+
+
+@pytest.mark.parametrize("verb", ["check", "realise"])
 @pytest.mark.parametrize("name", ["missing.st", "sub"], ids=["missing", "directory"])
 def test_shadows_unreadable_tensor_file_is_a_format_error(tmp_path, capsys, verb, name):
     (tmp_path / "sub").mkdir()
@@ -387,6 +398,15 @@ def test_cert_verify_negative_level_is_a_format_error(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     code, stdout, err = invoke(capsys, "cert", "verify", str(cert))
     assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("key, reason", [("k", 'key "k" appears twice'), ("extra", 'unexpected key "extra"')])
+def test_cert_verify_repeated_or_unknown_key_is_a_format_error(tmp_path, capsys, key, reason):
+    text = json.dumps(k4_certificate_doc(tmp_path, capsys))
+    cert = tmp_path / "bad.json"
+    cert.write_text(text.replace('"k": 2,', f'"{key}": 3, "k": 2,', 1))
+    assert invoke(capsys, "cert", "verify", str(cert)) == (
+        2, "", f"error: bad certificate JSON: {reason}\n")
 
 
 def test_cert_verify_short_zeta_is_refused_before_listing_tuples(tmp_path, capsys):
@@ -731,6 +751,8 @@ DIGRAPH_FAULTS = {
     "repeated-edge": ('{"vertices": 3, "edges": [[1, 2], [2, 3], [1, 2]]}',
                       "edge [1, 2] is listed twice"),
     "other-key": ('{"vertices": 3, "edges": [[1, 2]], "name": "path"}', 'unexpected key "name"'),
+    "repeated-key": ('{"vertices": 9, "vertices": 3, "edges": [[1, 2]]}',
+                     'key "vertices" appears twice'),
 }
 
 

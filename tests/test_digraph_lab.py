@@ -377,6 +377,12 @@ def test_digraph_doc_refuses_a_repeated_edge_and_any_other_key():
         digraph_from_doc({"vertices": 3, "edges": [[1, 4], [1, 4]], "name": "x"})
 
 
+def test_digraph_json_refuses_a_repeated_key():
+    # json.loads alone would read a 2-vertex digraph
+    with pytest.raises(DigraphError, match=r'^bad digraph JSON: key "vertices" appears twice$'):
+        digraph_from_json('{"vertices": 9, "vertices": 2, "edges": [[1, 2]]}')
+
+
 def test_digraph_json_malformed():
     with pytest.raises(DigraphError):
         digraph_from_json("{}")

@@ -9,16 +9,23 @@ and integer mode with BA's dead set.  The instances are the 138 pairs of
 the relax sweep (every loopless digraph on 1-3 vertices against K2 and
 K3 at k = |V(X)|), the clique ladder up to K4 -> K3 at k = 5, and 300
 seeded random pairs with loops.
+
+``build_ip_system`` holds the lambda block of the last (|V(X)|, |V(A)|,
+k) it built, so the sweep and random systems are also built in other
+call orders, and the held block is checked to be immutable, kept over a
+refused call and dropped before the next one is built.
 """
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 import reference_level_k as ref
 
 from crystalforge import relaxation_engine as rx
-from crystalforge.digraph_lab import Digraph, clique
+from crystalforge.digraph_lab import Digraph, DigraphError, clique
 
 
 def _sweep():
@@ -70,15 +77,106 @@ def test_instances_cover_the_sweep_and_the_random_pairs():
     assert any(u == v for x, a, _k in RANDOM for g in (x, a) for u, v in g.edges)
 
 
+def _assert_same_system(got, want):
+    assert got.variables == want.variables
+    assert got.equations == want.equations
+    assert got.forced_zero == want.forced_zero
+    assert got.alias == want.alias
+    assert list(got.alias.items()) == list(want.alias.items())
+
+
 @pytest.mark.parametrize("instances", CASES)
 def test_build_gives_the_reference_system(instances):
     for x, a, k in instances:
-        got, want = rx.build_ip_system(x, a, k), ref.build_ip_system(x, a, k)
-        assert got.variables == want.variables
-        assert got.equations == want.equations
-        assert got.forced_zero == want.forced_zero
-        assert got.alias == want.alias
-        assert list(got.alias.items()) == list(want.alias.items())
+        _assert_same_system(rx.build_ip_system(x, a, k), ref.build_ip_system(x, a, k))
+
+
+def _key(case):
+    x, a, k = case
+    return x.vertex_count, a.vertex_count, k
+
+
+# the sweep and random cases as (position, case), in four call orders:
+# as listed (the sweep runs of one key), reversed, shuffled (keys rarely
+# repeat), and grouped by key with each case built twice in a row
+MIXED = list(enumerate(SWEEP + RANDOM))
+ORDERS = {
+    "listed": MIXED,
+    "reversed": MIXED[::-1],
+    "shuffled": random.Random(2501).sample(MIXED, len(MIXED)),
+    "twice-by-key": [c for c in sorted(MIXED, key=lambda c: _key(c[1])) for _ in range(2)],
+}
+
+
+@pytest.fixture(scope="module")
+def reference_systems():
+    return [ref.build_ip_system(x, a, k) for _i, (x, a, k) in MIXED]
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=list(ORDERS))
+def test_build_gives_the_reference_system_in_any_call_order(order, reference_systems):
+    for i, (x, a, k) in order:
+        _assert_same_system(rx.build_ip_system(x, a, k), reference_systems[i])
+        assert rx._held[0] == _key((x, a, k))
+
+
+def test_a_refused_build_keeps_the_held_block(monkeypatch):
+    rx.build_ip_system(clique(3), clique(2), 2)
+    held = rx._held
+    assert held[0] == (3, 2, 2)
+    monkeypatch.setattr(rx, "_MAX_COLUMNS", 100)
+    # a level below 1, over the column budget (3^3*2^3 = 216 lambda
+    # columns, or another key's 4^2*3^2 = 144) and over the level budget
+    for x, a, k in [(clique(3), clique(2), 0), (clique(3), clique(2), 3),
+                    (clique(4), clique(3), 2), (clique(1), clique(1), rx._MAX_LEVEL + 1)]:
+        with pytest.raises(DigraphError):
+            rx.build_ip_system(x, a, k)
+        assert rx._held is held
+
+
+def test_the_held_block_cannot_be_changed_through_a_system():
+    x, a, k = clique(3), clique(2), 3
+    first = rx.build_ip_system(x, a, k)
+    assert first.alias
+    with pytest.raises(TypeError):
+        first.alias[next(iter(first.alias))] = 0
+    with pytest.raises(AttributeError):
+        first.forced_zero.add(0)
+    lvars, forced, alias, rows, live = rx._held[1]
+    assert type(lvars) is tuple and type(rows) is tuple and type(live) is tuple
+    assert type(forced) is frozenset and all(type(t) is tuple for t in live)
+    with pytest.raises(TypeError):
+        alias[0] = 0
+    # a hit shares the alias view and builds the same system
+    second = rx.build_ip_system(x, a, k)
+    assert second.alias is first.alias
+    _assert_same_system(second, ref.build_ip_system(x, a, k))
+
+
+def test_one_block_is_held_and_dropped_before_the_next_is_built():
+    """Building K4 -> K3 at k = 4 holds its block (megabytes); building a
+    block of the same size for K3 -> K4 peaks near one build, not one
+    build plus the held block; and building K2 -> K2 at k = 2 gives the
+    memory back."""
+    rx.build_ip_system(clique(1), clique(1), 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rx.build_ip_system(clique(4), clique(3), 4)
+        gc.collect()
+        held, first_peak = (v - before for v in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        rx.build_ip_system(clique(3), clique(4), 4)
+        second_peak = tracemalloc.get_traced_memory()[1] - before
+        rx.build_ip_system(clique(2), clique(2), 2)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held > 2_000_000
+    assert second_peak < first_peak + held / 2
+    assert after < 100_000
 
 
 @pytest.mark.parametrize("instances", CASES)

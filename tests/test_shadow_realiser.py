@@ -471,3 +471,35 @@ def test_json_refuses_a_number_that_is_not_an_integer(change, got):
     with pytest.raises(TensorError) as info:
         system_from_json(json.dumps(doc))
     assert str(info.value) == f"bad shadow-system JSON: expected an integer, got {got}"
+
+
+# a repeated key (``json.loads`` kept the last) or a key the format does
+# not have (it was ignored), at the top level and in a shadow
+SHADOW_KEY_FAULTS = {
+    "repeated-p": (lambda t: t.replace('"p": 1,', '"p": 2, "p": 1,', 1), 'key "p" appears twice'),
+    "repeated-axes": (lambda t: t.replace('"axes": [2],', '"axes": [1], "axes": [2],', 1),
+                      'key "axes" appears twice'),
+    "other-key": (lambda t: t.replace('"p": 1,', '"typo": 3, "p": 1,', 1), 'unexpected key "typo"'),
+    "other-shadow-key": (lambda t: t.replace('"axes": [2],', '"axes": [2], "note": "x",', 1),
+                         'unexpected key "note"'),
+}
+
+
+@pytest.mark.parametrize("edit, reason", SHADOW_KEY_FAULTS.values(), ids=list(SHADOW_KEY_FAULTS))
+def test_json_refuses_a_repeated_or_unknown_key(edit, reason):
+    import json
+
+    text = json.dumps(json.loads(system_to_json(system_of(IntTensor((2, 2), {(1, 2): 1}), 1))))
+    assert system_from_json(text) == system_of(IntTensor((2, 2), {(1, 2): 1}), 1)
+    with pytest.raises(TensorError) as info:
+        system_from_json(edit(text))
+    assert str(info.value) == f"bad shadow-system JSON: {reason}"
+
+
+@pytest.mark.parametrize("p", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_shadow_system_refuses_a_p_that_is_not_an_int(p):
+    shadows = {(1,): IntTensor((2,), {(1,): 1}), (2,): IntTensor((2,), {(2,): 1})}
+    assert ShadowSystem(1, (2, 2), shadows).p == 1
+    with pytest.raises(TensorError) as info:
+        ShadowSystem(p, (2, 2), shadows)
+    assert str(info.value) == f"p must be an integer, got {p!r}"
