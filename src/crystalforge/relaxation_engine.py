@@ -1,40 +1,38 @@
 """Level-k lift-and-project systems over digraphs and their exact deciders.
 
-``build_ip_system`` materializes the equation system with one lambda
-variable per (vertex-tuple, value-tuple) pair and one mu variable per
-(instance edge, template edge) pair.  Marginality for a generating set of
-position maps (a transposition, a k-cycle and a rank-(k-1) collapse) spans
+``build_ip_system`` builds the equation system with one lambda column
+per (vertex-tuple, value-tuple) pair and one mu column per (instance
+edge, template edge) pair.  Marginality for a generating set of position
+maps (a transposition, a k-cycle and a rank-(k-1) collapse) spans
 marginality for all k^k maps, and the transposition and k-cycle rows say
 that every solution is constant on the orbits of position permutations.
 So the system is built on those orbits: one representative column per
 orbit, the others recorded as its aliases, and the rows are normalization,
 collapse marginality and mu marginality (for one map that uses both edge
 ends) over the representatives; pattern vanishing is realized as
-forced-zero variables.  ``build_ip_system`` gives the argument that this
-is exact for BLP, AIP, BA and the relative-interior support.  Systems over
-a fixed size budget are refused before they are built.
+forced-zero columns, which no row names.  ``build_ip_system`` gives the
+argument that this is exact for BLP, AIP, BA and the relative-interior
+support.  Systems over a fixed size budget are refused before they are
+built.
 
 All of a system but its mu rows and columns depends only on (|V(X)|,
-|V(A)|, k): the lambda VarKeys, the forced-zero lambda columns, ``alias``
-and the normalization and collapse rows.  ``_lambda_block`` builds that
-block, and the process holds one, the last built: a call with the same
-(|V(X)|, |V(A)|, k) adds only the edge rows to it.  A call with another
-key drops the held block before it builds its own, so two are never
-alive together; a refused call neither builds nor drops one.  The block
-is immutable, and the systems built on it share its read-only ``alias``.
+|V(A)|, k): ``alias`` and the normalization and collapse rows.
+``_lambda_block`` builds that block, and the process holds one, the last
+built: a call with the same (|V(X)|, |V(A)|, k) adds only the edge rows
+to it.  A call with another key drops the held block before it builds
+its own, so two are never alive together; a refused call neither builds
+nor drops one.  The block is immutable, and the systems built on it share
+its read-only ``alias``.
 
-Variables are numbered columns, and ``variables[j]`` names column j.
-The solver core takes rows in the shape of ``LinearSystem.equations``:
-``_lp_pass`` (presolve and phase 1), ``_dead_columns`` (the columns 0 on
-the whole polytope, found by maximizing on the tableau ``_lp_pass``
-leaves) and ``integer_feasible`` (the one integer solver, with a set of
-columns fixed to 0).  One ``_check_witness`` checks every witness they
-return against the rows.  Only ``build_ip_system`` and the public
-boundary functions (``lp_feasible``, ``diophantine_feasible``,
-``relative_interior_support``) read ``variables``, ``forced_zero`` and
-``alias``; there results cross back to VarKeys, and an alias takes its
-representative's value.  The deciders and the certificate edge systems
-hand the core their rows as they are.
+Variables are numbered columns, from the build to every answer.  The
+solver core takes rows in the shape of ``LinearSystem.equations``:
+``_lp_pass`` (presolve and phase 1), ``relative_interior_support`` (the
+columns positive somewhere on the polytope, found by maximizing on the
+tableau ``_lp_pass`` leaves) and ``integer_feasible`` (the one integer
+solver, with a set of columns fixed to 0).  One ``_check_witness`` checks
+every witness they return against the rows.  The deciders hand the core
+their rows as they are; no answer reads a column's name, which
+``LinearSystem`` decodes only on request.
 
 Three deciders share the infrastructure:
 
@@ -65,19 +63,17 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 _Q = Fraction  # the rational type of witnesses and optima
 
 from . import Immutable, refuse_over
 from .digraph_lab import Digraph, DigraphError, refines
 
-VarKey = tuple  # ('l', x_tuple, a_tuple) or ('m', x_edge, a_edge)
-
-# the most columns ``build_ip_system`` lists: the 248,904 of K4 -> K3 at
-# k = 5 build in 0.17 s at 67 MB peak RSS.  Their lambda block (36 MB
+# the most columns ``build_ip_system`` numbers: the 248,904 of K4 -> K3
+# at k = 5 build in 0.13 s, RSS 17 -> 26 MB.  Their lambda block (4.7 MB
 # under tracemalloc) stays held after the call returns, and RSS stays at
-# 67 MB; a build of K2 -> K2 at k = 2 drops it, to 34 MB RSS.  The
+# 26 MB; a build of K2 -> K2 at k = 2 drops it, to 23 MB RSS.  The
 # benchmark's largest system has 20,808
 _MAX_COLUMNS = 10**6
 # the highest level it takes: past it (n*m)^k > 2^64 unless n = m = 1,
@@ -88,48 +84,45 @@ _MAX_LEVEL = 64
 _held: Optional[tuple] = None
 
 
-class Infeasible(ValueError):
-    pass
-
-
 class LinearSystem(Immutable):
-    """A sparse integer equation system over numbered columns.
+    """The level-k system ``build_ip_system`` builds, over numbered columns.
 
-    ``variables[j]`` is the VarKey that names column j.  ``equations`` and
-    ``forced_zero`` refer to columns by their int index, so presolve,
-    sorting and lookups hash small ints instead of nested tuples.  Each
-    equation is ``(((column, coeff), ...), rhs)`` with its columns
-    ascending.  Keys appear only at the boundary: the witnesses of
-    ``lp_feasible`` and ``diophantine_feasible``, the set returned by
-    ``relative_interior_support`` and the ``forced_zero=`` argument of
-    ``diophantine_feasible`` are VarKeys.
+    Each of ``equations`` is ``(((column, coeff), ...), rhs)`` with its
+    columns ascending; the solver core reads nothing else.  ``alias`` maps
+    a column that is equal to another in every solution, and appears in
+    no equation, to that column, its representative (one per orbit of
+    position permutations).  It is empty at k = 1 and read-only.
 
-    ``alias`` maps a column that is equal to another in every solution,
-    and appears in no equation, to that column, its representative
-    (``build_ip_system`` gives each orbit of position permutations one).
-    The boundary functions read an alias's value, support and zeroing
-    through its representative; the solver core, which sees only the
-    rows, never meets one.  It is empty at k = 1 and in a hand-built
-    system, and read-only in a built one.  It takes part in ``==`` but not
-    in ``hash``.
+    ``shape`` is (|V(X)|, |V(A)|, k) and ``x_edges`` and ``a_edges`` the
+    sorted edges; from them ``variables`` and ``forced_zero`` are decoded
+    on request, by the column numbering of ``build_ip_system``.
+    ``variables[j]`` names column j: ``('l', x, a)`` or ``('m', y, b)``.
+    ``forced_zero`` holds the columns that vanish by pattern, in no row:
+    a lambda column whose a does not refine x and, at k >= 2, a mu column
+    whose b does not refine y.  No decider reads either.  ``alias`` takes
+    part in ``==`` but not in ``hash``.
     """
 
-    __slots__ = ("variables", "equations", "forced_zero", "alias")
+    __slots__ = ("equations", "alias", "shape", "x_edges", "a_edges")
 
-    def __init__(
-        self,
-        variables: tuple[VarKey, ...],
-        equations: tuple[tuple[tuple[tuple[int, int], ...], int], ...],
-        forced_zero: frozenset[int],
-        alias: Optional[dict[int, int]] = None,
-    ):
-        self._set(variables, equations, forced_zero, {} if alias is None else alias)
+    def __init__(self, equations: tuple, alias, shape: tuple, x_edges: tuple, a_edges: tuple):
+        self._set(equations, alias, shape, x_edges, a_edges)
 
     def __hash__(self):
-        return hash((self.variables, self.equations, self.forced_zero))
+        return hash((self.equations, self.shape, self.x_edges, self.a_edges))
 
-    def live_columns(self) -> list[int]:
-        return [j for j in range(len(self.variables)) if j not in self.forced_zero]
+    @property
+    def variables(self) -> tuple:
+        n, m, k = self.shape
+        avals = list(itertools.product(range(1, m + 1), repeat=k))
+        lam = [("l", x, a) for x in itertools.product(range(1, n + 1), repeat=k) for a in avals]
+        return tuple(lam + [("m", y, b) for y in self.x_edges for b in self.a_edges])
+
+    @property
+    def forced_zero(self) -> frozenset:
+        k = self.shape[2]
+        return frozenset([j for j, (kind, t, u) in enumerate(self.variables)
+                          if (kind == "l" or k >= 2) and not refines(t, u)])
 
 
 def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
@@ -174,18 +167,18 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     With n = |V(X)|, m = |V(A)| and tuples ranked in ``itertools.product``
     order, lambda (x, a) is column rank(x)*m^k + rank(a) and mu (y, b) is
     column n^k*m^k + idx(y)*|E(A)| + idx(b), where idx is the position in
-    the sorted edge list.  Column order is the sorted order of the VarKeys,
-    so the sorted equations and everything computed from them are those of
-    a system keyed by VarKeys.  A system of more than ``_MAX_COLUMNS``
-    columns, n^k*m^k + |E(X)|*|E(A)|, or a level above ``_MAX_LEVEL`` is
-    refused with ``DigraphError`` before anything is listed, and so is a
-    level below 1.  Everything but the mu rows and columns comes from the
+    the sorted edge list.  Column order is the sorted order of the column
+    names (``LinearSystem.variables``), so the sorted equations and
+    everything computed from them are those of a system keyed by name.  A
+    system of more than ``_MAX_COLUMNS`` columns, n^k*m^k + |E(X)|*|E(A)|,
+    or a level above ``_MAX_LEVEL`` is refused with ``DigraphError``
+    before anything is listed, and so is a level below 1.  Everything but the mu rows and columns comes from the
     held lambda block of (n, m, k) (see the module docstring and
     ``_lambda_block``).
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
-    uniform in k.  Forced-zero variables (pattern vanishing) are eliminated
-    up front: they are declared but never appear in an equation.  The
+    uniform in k.  Forced-zero columns (pattern vanishing) are eliminated
+    up front: they are numbered but never appear in an equation.  The
     normalization and mu rows are emitted canonical, columns ascending and
     lead positive; only the collapse rows are sorted by ``_canon``.
 
@@ -238,7 +231,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
       L_{p o c}(x, .), a different map, so no x can be skipped;
     * M_i0 at every edge.
 
-    Forced-zero variables do not break these identities: every emitted
+    Forced-zero columns do not break these identities: every emitted
     row is a full row with the forced-zero columns deleted (a row whose a
     is incompatible with the pattern of x.i or y.i becomes 0 = 0), and
     deleting columns commutes with adding rows; the forced-zero set is a
@@ -259,17 +252,15 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     if held is None or held[0] != (n, m, k):
         held = _held = None  # drop the old block before building the new one
         held = _held = ((n, m, k), _lambda_block(n, m, k))
-    lvars, lforced, alias, lrows, live = held[1]
+    alias, lrows, live = held[1]
     mk = m**k
-    mu0 = len(lvars)
-    variables = lvars + tuple([("m", y, b) for y in x_edges for b in a_edges])
+    mu0 = n**k * mk
 
     # mu marginality: the i-projection of an edge's mu slice reproduces
     # the lambda slice of the projected vertex tuple; a live lambda column
     # sorts before every mu column, so it leads its row, negated to +1.  A
     # mu row is no lambda row: it has a mu column, or it is one lambda
     # column = 0, and every lambda row has rhs 1 or two columns.
-    forced: list[int] = []
     equations: dict = {}  # the mu rows, each canonical, as keys (deduplicated)
     for iy, y in enumerate(x_edges):
         by0 = mu0 + iy * len(a_edges)
@@ -278,8 +269,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
             by_a: dict[int, list[int]] = {}
             for ib, b in enumerate(a_edges):
                 if k >= 2 and not refines(y, b):
-                    forced.append(by0 + ib)
-                    continue
+                    continue  # forced zero
                 by_a.setdefault(_rank(map(b.__getitem__, i), m), []).append(by0 + ib)
             for ra in live[ryi]:
                 j = ryi * mk + ra
@@ -290,27 +280,24 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
 
     # the lambda rows come sorted, so this sort merges in the mu rows
     eq_tuple = tuple(sorted(lrows + tuple(equations)))
-    return LinearSystem(variables, eq_tuple, lforced.union(forced), alias)
+    return LinearSystem(eq_tuple, alias, (n, m, k), tuple(x_edges), tuple(a_edges))
 
 
 def _lambda_block(n: int, m: int, k: int) -> tuple:
     """The part of the level-k system of n instance and m template
-    vertices that reads no edge: ``(variables, forced, alias, rows,
-    live)``, where ``variables`` are the lambda VarKeys, ``forced`` the
-    forced-zero lambda columns, ``alias`` a read-only view of the whole
-    system's alias map (an alias is a lambda column), ``rows`` the
-    normalization and collapse rows, sorted, and ``live[rank(x)]`` the
-    ranks of the value tuples compatible with the pattern of x,
-    ascending.  Every part is immutable, so the block can be held across
-    calls and shared by the systems built on it.
+    vertices that reads no edge: ``(alias, rows, live)``, where ``alias``
+    is a read-only view of the whole system's alias map (an alias is a
+    lambda column), ``rows`` the normalization and collapse rows, sorted,
+    and ``live[rank(x)]`` the ranks of the value tuples compatible with
+    the pattern of x, ascending; the other value tuples of x's slice are
+    its forced-zero columns.  Every part is immutable, so the block can be
+    held across calls and shared by the systems built on it.
 
     A collapse row has two columns at least: its two sides lie in the
     slices of x and x.c, whose representatives differ unless x.c = x,
     and then every term cancels and the row is not emitted."""
     xs = list(itertools.product(range(1, n + 1), repeat=k))
-    avals = list(itertools.product(range(1, m + 1), repeat=k))
-    mk = len(avals)
-    variables = tuple([("l", x, a) for x in xs for a in avals])
+    mk = m**k
 
     # Everything below depends on x only through its equality pattern, its
     # rank and the order of its values, so the value-tuple work is done
@@ -320,26 +307,25 @@ def _lambda_block(n: int, m: int, k: int) -> tuple:
     def table(t: tuple) -> tuple:
         """For the pattern of t: (a, rank(a)) for the value tuples a compatible
         with it and their ranks (the live ones), ascending as the vals do,
-        the other ranks (the forced ones) and a cache of its marginals."""
+        and a cache of its marginals."""
         bl, nb = _blocks(t)
         if bl not in tables:
             comp = [(a, _rank(a, m)) for a in (tuple(vals[b] for b in bl)
                     for vals in itertools.product(range(1, m + 1), repeat=nb))]
             live = tuple([ra for _a, ra in comp])
-            tables[bl] = (comp, live, set(range(mk)).difference(live), {})
+            tables[bl] = (comp, live, {})
         return tables[bl]
 
     def marginal(tab: tuple, i: tuple) -> list[tuple[int, list[int]]]:
         """The lambda terms of L_i(x, .) on the x-slice: each rank(ahat.i)
         with the ranks of its ahat compatible with the pattern."""
-        if i not in tab[3]:
+        if i not in tab[2]:
             terms: dict[int, list[int]] = {}
             for a, ra in tab[0]:
                 terms.setdefault(_rank(map(a.__getitem__, i), m), []).append(ra)
-            tab[3][i] = list(terms.items())
-        return tab[3][i]
+            tab[2][i] = list(terms.items())
+        return tab[2][i]
 
-    forced: set[int] = set()
     alias: dict[int, int] = {}
     equations: dict = {}  # the rows, each canonical, as keys (deduplicated)
 
@@ -347,7 +333,6 @@ def _lambda_block(n: int, m: int, k: int) -> tuple:
     tabs = [table(x) for x in xs]
     for rank_x, x in enumerate(xs):
         bx = rank_x * mk
-        forced.update([bx + ra for ra in tabs[rank_x][2]])
         # the positions in the order that makes x non-increasing (stable)
         p = tuple(sorted(identity, key=x.__getitem__, reverse=True))
         if p == identity:
@@ -382,7 +367,7 @@ def _lambda_block(n: int, m: int, k: int) -> tuple:
                     equations[_canon(coeffs, 0)] = None
 
     live = tuple([tab[1] for tab in tabs])
-    return variables, frozenset(forced), MappingProxyType(alias), tuple(sorted(equations)), live
+    return MappingProxyType(alias), tuple(sorted(equations)), live
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +438,7 @@ class _Reduced:
         return positive
 
 
-def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:
+def _reduce(equations, nonneg: bool, zero: Collection = frozenset()) -> _Reduced:
     """Presolve rows ``((column, coeff), ...), rhs`` with every column in
     ``zero`` fixed to 0; a row left as 0 = 0 is dropped on entry."""
     red = _Reduced()
@@ -919,13 +904,13 @@ def _check_witness(rows, values: dict) -> None:
             raise AssertionError("witness failed re-substitution")
 
 
-def integer_feasible(rows, zero: frozenset = frozenset()) -> Optional[dict]:
+def integer_feasible(rows, zero: Collection = frozenset()) -> Optional[dict]:
     """Solve a sparse integer equality system exactly.
 
     ``rows`` is a sequence of ``(((column, coeff), ...), rhs)``, the shape
-    of ``LinearSystem.equations``; columns may be any sortable keys.  Every
-    column in ``zero`` is fixed to 0.  Returns an integer solution as
-    {column: value}, an absent column being 0, or None.
+    of ``LinearSystem.equations``, each column a column number.  Every
+    column in the set ``zero`` is fixed to 0.  Returns an integer solution
+    as {column: value}, an absent column being 0, or None.
     """
     red = _reduce(rows, nonneg=False, zero=zero)
     if red.infeasible:
@@ -984,43 +969,17 @@ def _lp_pass(rows):
     return witness, red, sx
 
 
-def lp_feasible(sys: LinearSystem) -> Optional[dict]:
-    """A nonnegative exact-rational solution keyed by VarKey, or None
-    (phase-1 optimum > 0).  An alias takes its representative's value."""
-    lp = _lp_pass(sys.equations)
-    if lp is None:
-        return None
-    witness, alias = lp[0], sys.alias
-    return {sys.variables[j]: _Q(witness.get(alias.get(j, j), 0)) for j in sys.live_columns()}
-
-
-def diophantine_feasible(sys: LinearSystem, forced_zero: Iterable[VarKey] = ()) -> Optional[dict]:
-    """An integer solution keyed by VarKey, with the given variables zeroed.
-
-    An alias equals its representative in every solution, so zeroing
-    either zeroes both."""
-    alias = sys.alias
-    zero = frozenset(forced_zero)
-    if zero:
-        col = {v: j for j, v in enumerate(sys.variables)}
-        zero = frozenset(alias.get(col[v], col[v]) for v in zero)
-    sol = integer_feasible(sys.equations, zero)
-    if sol is None:
-        return None
-    return {v: sol.get(alias.get(j, j), 0) for j, v in enumerate(sys.variables)}
-
-
-def _dead_columns(lp) -> frozenset:
-    """The columns of the rows that are 0 on the whole feasible polytope,
-    given ``lp``, the ``(witness, reduced, simplex)`` that ``_lp_pass``
-    returned for them.
+def relative_interior_support(lp) -> set:
+    """The columns the presolve kept or eliminated that are positive
+    somewhere on the feasible polytope, given ``lp``, the ``(witness,
+    reduced, simplex)`` that ``_lp_pass`` returned for the rows.  A column
+    it left in no row without eliminating it is free, so positive
+    somewhere too; it is not listed, and no caller may zero it.
 
     The support is found by maximizing the columns one at a time
     (warm-started on a shared tableau); a column unbounded above is
     trivially positive somewhere, and every witness encountered marks all
-    its positive columns, so most columns never need their own run.  A
-    column the presolve left in no row and did not eliminate is free, so
-    positive somewhere, and is not dead.
+    its positive columns, so most columns never need their own run.
     """
     _witness, red, sx = lp
     positive = {j for j, val in sx.solution().items() if val > 0}
@@ -1031,19 +990,7 @@ def _dead_columns(lp) -> frozenset:
         if opt is None or opt > 0:
             positive.add(j)
             positive.update(w for w, val in sx.solution().items() if val > 0)
-    return frozenset((red.live | red.subs.keys()) - red.support_status(positive))
-
-
-def relative_interior_support(sys: LinearSystem) -> set[VarKey]:
-    """Variables positive somewhere on the feasible polytope (raises
-    ``Infeasible`` when it is empty).  Columns in no row are unconstrained,
-    hence in the support; forced-zero columns are not; an alias is in it
-    when its representative is."""
-    lp = _lp_pass(sys.equations)
-    if lp is None:
-        raise Infeasible("system has no nonnegative rational solution")
-    dead, alias = _dead_columns(lp), sys.alias
-    return {sys.variables[j] for j in sys.live_columns() if alias.get(j, j) not in dead}
+    return red.support_status(positive)
 
 
 def decide_blp(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
@@ -1059,7 +1006,8 @@ def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     column that is 0 on the whole polytope zeroed.  One presolve and one
     phase 1 serve both steps: ``_lp_pass`` runs them, checks its witness
     against every row and for nonnegativity, and hands its tableau on to
-    ``_dead_columns``.
+    ``relative_interior_support``; the columns the presolve kept or
+    eliminated that are outside the support are the dead ones.
 
     An integral witness ends the decision with YES, before the support
     loop and the integer step.  It satisfies every row and is nonnegative,
@@ -1073,4 +1021,6 @@ def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
         return False
     if all(val.denominator == 1 for val in lp[0].values()):
         return True
-    return integer_feasible(rows, _dead_columns(lp)) is not None
+    red = lp[1]
+    dead = (red.live | red.subs.keys()) - relative_interior_support(lp)
+    return integer_feasible(rows, dead) is not None

@@ -1,23 +1,25 @@
 """The level-k build and the presolve as they were before they were made
 lean, kept as the oracle that pins the new ones exactly.
 
-``build_ip_system`` must give the same ``LinearSystem`` (``variables``,
-``equations``, ``forced_zero`` and ``alias``) and ``_reduce`` the same
+``build_ip_system`` must give the same system (the ``variables`` and
+``forced_zero`` a ``LinearSystem`` decodes, its ``equations`` and its
+``alias``, here listed in a ``KeyedSystem``) and ``_reduce`` the same
 ``_Reduced``: ``infeasible``, the rows in order with each dict's item
 order, the substitutions in elimination order with each ``lin``'s item
 order, and ``live``.  Then every tableau, pivot, witness and answer built
 on them is unchanged.  The helpers are copied too, so the oracle shares no
-code with what it checks beyond the record classes and ``refines``.
+code with what it checks beyond ``_Reduced`` and ``refines``.
 """
 
 import itertools
 import math
 
+from keyed_systems import KeyedSystem
+
 from crystalforge.digraph_lab import Digraph, DigraphError, refines
 from crystalforge.relaxation_engine import (
     _MAX_COLUMNS,
     _MAX_LEVEL,
-    LinearSystem,
     _Reduced,
 )
 
@@ -58,7 +60,7 @@ def _mu_generators(k: int) -> list[tuple[int, ...]]:
     return [(0,) + (1,) * (k - 1)]
 
 
-def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
+def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> KeyedSystem:
     """``relaxation_engine.build_ip_system`` as it was before its build was
     tabulated per equality pattern (see that docstring for the system)."""
     if k < 1:
@@ -176,7 +178,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
                 emit(coeffs, 0)
 
     eq_tuple = tuple(sorted(equations))
-    return LinearSystem(variables, eq_tuple, frozenset(forced), alias)
+    return KeyedSystem(variables, eq_tuple, frozenset(forced), alias)
 
 
 def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:

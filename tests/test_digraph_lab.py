@@ -1,11 +1,15 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crystalforge.digraph_lab as dg
+from crystalforge.cli import run
 from crystalforge.digraph_lab import (
     ChromaticParams,
     Digraph,
@@ -409,3 +413,79 @@ NOT_JSON_INTS = {
 def test_digraph_json_refuses_a_number_that_is_not_an_integer(text):
     with pytest.raises(DigraphError, match="bad digraph JSON: expected an integer, got "):
         digraph_from_json(text)
+
+
+# -- JSON properties ----------------------------------------------------------
+
+
+@st.composite
+def digraphs(draw):
+    """Digraphs on 1-4 vertices, loops allowed."""
+    n = draw(st.integers(1, 4))
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    return Digraph(n, frozenset(draw(st.sets(st.sampled_from(pairs)))))
+
+
+NUMBER_SPELLINGS = {
+    "float": lambda v: st.sampled_from([f"{v}.0", f"{v}.5", f"{v}e0"]),
+    "bool": lambda v: st.sampled_from(["true", "false"]),
+    "string": lambda v: st.just(f'"{v}"'),
+    "sign-or-zero": lambda v: st.sampled_from([f"+{v}", f"0{v}", f"-0{v}"]),
+}
+
+
+@st.composite
+def mutated_digraph_json(draw):
+    """The JSON of a valid digraph with one fault: a number spelled as a
+    float, a bool, a string, with a ``+`` or a leading zero; a repeated
+    key; an unknown key; or an edge listed twice."""
+    g = draw(digraphs())
+    doc = digraph_to_doc(g)
+    edges = doc["edges"]
+    pairs = [("vertices", doc["vertices"]), ("edges", edges)]
+    kind = draw(st.sampled_from([*NUMBER_SPELLINGS, "repeated-key", "unknown-key", "duplicate-edge"]))
+    spelled = None
+    if kind in NUMBER_SPELLINGS:
+        # one number, the vertex count or an edge end, is written another way
+        place = draw(st.sampled_from([None] + [(i, end) for i in range(len(edges)) for end in (0, 1)]))
+        value = doc["vertices"] if place is None else edges[place[0]][place[1]]
+        spelled = draw(NUMBER_SPELLINGS[kind](value))
+        if place is None:
+            pairs[0] = ("vertices", "NUMBER")
+        else:
+            edges[place[0]][place[1]] = "NUMBER"
+    elif kind == "repeated-key":
+        pairs.insert(draw(st.integers(0, 2)), draw(st.sampled_from(pairs)))
+    elif kind == "unknown-key":
+        key = draw(st.text(max_size=4).filter(lambda key: key not in ("vertices", "edges")))
+        pairs.insert(draw(st.integers(0, 2)), (key, draw(st.none() | st.integers(0, 3))))
+    else:
+        edge = draw(st.sampled_from(edges)) if edges else [1, 1]
+        edges.insert(draw(st.integers(0, len(edges))), list(edge))
+        if len(edges) == 1:
+            edges.append([1, 1])
+    text = "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+    return text if spelled is None else text.replace('"NUMBER"', spelled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs())
+def test_digraph_json_round_trips(g):
+    assert digraph_from_json(digraph_to_json(g)) == g
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("digraph-json") / "g.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_digraph_json())
+def test_a_mutated_digraph_json_exits_2_and_never_3(json_path, text):
+    with pytest.raises(DigraphError, match="^bad digraph JSON: "):
+        digraph_from_json(text)
+    json_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["digraph", "linegraph", str(json_path)])
+    assert code == 2, err.getvalue()

@@ -16,13 +16,20 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from keyed_systems import keyed_system, orbit_max
+from keyed_systems import (
+    Infeasible,
+    diophantine_feasible,
+    keyed_system,
+    live_columns,
+    lp_feasible,
+    orbit_max,
+    relative_interior_support,
+)
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.certificate_desk import _lambda_generators
 from crystalforge.digraph_lab import Digraph, clique
 from crystalforge.relaxation_engine import (
-    Infeasible,
     _blocks,
     _canon,
     _mu_generators,
@@ -30,10 +37,7 @@ from crystalforge.relaxation_engine import (
     decide_aip,
     decide_ba,
     decide_blp,
-    diophantine_feasible,
-    lp_feasible,
     refines,
-    relative_interior_support,
 )
 
 
@@ -158,8 +162,9 @@ def instances(draw):
 def renamed(sys):
     """The equations and forced-zero set of ``sys`` with every column
     renamed to the VarKey that names it."""
-    eqs = tuple((tuple((sys.variables[j], c) for j, c in items), rhs) for items, rhs in sys.equations)
-    return eqs, frozenset(sys.variables[j] for j in sys.forced_zero)
+    variables = sys.variables
+    eqs = tuple((tuple((variables[j], c) for j, c in items), rhs) for items, rhs in sys.equations)
+    return eqs, frozenset(variables[j] for j in sys.forced_zero)
 
 
 def through_orbits(equations) -> tuple:
@@ -311,12 +316,12 @@ def test_witness_check_guards_every_decider():
             decide_aip(clique(3), clique(3), 2)
 
 
-# -- keys at the boundary ---------------------------------------------------
+# -- answers keyed by VarKey ------------------------------------------------
 
 
 def test_results_are_keyed_by_varkey():
     sys = build_ip_system(clique(3), clique(3), 2)
-    live = [sys.variables[j] for j in sys.live_columns()]
+    live = [sys.variables[j] for j in live_columns(sys)]
     assert list(lp_feasible(sys)) == live
     support = relative_interior_support(sys)
     assert support <= set(live)

@@ -19,18 +19,12 @@ from typing import Optional
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
+from keyed_systems import Infeasible, KeyedSystem, lp_feasible, relative_interior_support
 from test_presolve import integer_systems, level_k_systems, presolved_level_k_rows, redundant_systems
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import clique, line_digraph
-from crystalforge.relaxation_engine import (
-    Infeasible,
-    LinearSystem,
-    build_ip_system,
-    decide_ba,
-    lp_feasible,
-    relative_interior_support,
-)
+from crystalforge.relaxation_engine import build_ip_system, decide_ba
 
 _Q = Fraction
 
@@ -248,12 +242,13 @@ def tableau_run(cls, eqs, variables):
 
 
 def as_system(case):
-    """``redundant_systems`` rows as a ``LinearSystem`` over their columns."""
+    """``redundant_systems`` rows as a ``KeyedSystem`` over their columns."""
     eqs, variables = case
-    return LinearSystem(
+    return KeyedSystem(
         tuple(("l", (j,), (0,)) for j in variables),
         tuple((tuple(sorted(coeffs.items())), rhs) for coeffs, rhs in eqs),
         frozenset(),
+        {},
     )
 
 

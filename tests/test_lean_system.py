@@ -14,25 +14,25 @@ import itertools
 
 import sympy
 from hypothesis import assume, given, settings, strategies as st
-from keyed_systems import keyed_system, orbit, orbit_max
-
-from crystalforge import relaxation_engine as rx
-from crystalforge.digraph_lab import Digraph, clique
-from crystalforge.relaxation_engine import (
+from keyed_systems import (
     Infeasible,
-    LinearSystem,
-    _blocks,
-    _canon,
-    build_ip_system,
-    decide_ba,
+    KeyedSystem,
+    dead_columns,
     diophantine_feasible,
+    keyed_system,
+    live_columns,
     lp_feasible,
-    refines,
+    orbit,
+    orbit_max,
     relative_interior_support,
 )
 
+from crystalforge import relaxation_engine as rx
+from crystalforge.digraph_lab import Digraph, clique
+from crystalforge.relaxation_engine import _blocks, _canon, build_ip_system, decide_ba, refines
 
-def full_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
+
+def full_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> KeyedSystem:
     """The level-k system with marginality for every position map."""
     xv = list(range(1, x_graph.vertex_count + 1))
     av = list(range(1, a_graph.vertex_count + 1))
@@ -117,7 +117,7 @@ def instances(draw):
     return graphs[0], graphs[1], k
 
 
-def augmented_rows(sys: LinearSystem, columns: dict) -> list[list[int]]:
+def augmented_rows(sys, columns: dict) -> list[list[int]]:
     rows = []
     for items, rhs in sys.equations:
         row = [0] * (len(columns) + 1)
@@ -128,13 +128,14 @@ def augmented_rows(sys: LinearSystem, columns: dict) -> list[list[int]]:
     return rows
 
 
-def orbit_rows(sys: LinearSystem, columns: dict) -> list[list[int]]:
+def orbit_rows(sys, columns: dict) -> list[list[int]]:
     """l(v) - l(orbit_max(v)) = 0 for every live lambda key v, computed
     from the keys, not from ``sys.alias``."""
-    col = {v: j for j, v in enumerate(sys.variables)}
+    variables = sys.variables
+    col = {v: j for j, v in enumerate(variables)}
     rows = []
-    for j in sys.live_columns():
-        r = col[orbit_max(sys.variables[j])]
+    for j in live_columns(sys):
+        r = col[orbit_max(variables[j])]
         if r != j:
             row = [0] * (len(columns) + 1)
             row[columns[j]], row[columns[r]] = 1, -1
@@ -146,10 +147,11 @@ def rank(rows) -> int:
     return sympy.Matrix(rows).rank() if rows else 0
 
 
-def satisfies(sys: LinearSystem, values: dict) -> bool:
+def satisfies(sys, values: dict) -> bool:
     """Every row of ``sys`` holds at ``values`` (VarKey -> number)."""
+    variables = sys.variables
     return all(
-        sum(c * values[sys.variables[j]] for j, c in items) == rhs
+        sum(c * values[variables[j]] for j, c in items) == rhs
         for items, rhs in sys.equations
     )
 
@@ -162,7 +164,7 @@ def test_lean_and_full_systems_have_the_same_row_space(case):
     assert lean.variables == full.variables
     assert lean.forced_zero == full.forced_zero
     # span(lean rows and orbit equalities) = span(full rows)
-    columns = {j: c for c, j in enumerate(lean.live_columns())}
+    columns = {j: c for c, j in enumerate(live_columns(lean))}
     lean_rows = augmented_rows(lean, columns) + orbit_rows(lean, columns)
     full_rows = augmented_rows(full, columns)
     assert rank(full_rows) == rank(lean_rows) == rank(lean_rows + full_rows)
@@ -173,15 +175,16 @@ def test_lean_and_full_systems_have_the_same_row_space(case):
 def test_each_orbit_has_its_largest_column_as_representative(case):
     x, a, k = case
     sys = build_ip_system(x, a, k)
-    col = {v: j for j, v in enumerate(sys.variables)}
+    variables, forced = sys.variables, sys.forced_zero
+    col = {v: j for j, v in enumerate(variables)}
     used = {j for items, _ in sys.equations for j, _ in items}
-    for j, v in enumerate(sys.variables):
+    for j, v in enumerate(variables):
         if v[0] == "m":
             assert j not in sys.alias
             continue
         members = {col[w] for w in orbit(v)}
-        if j in sys.forced_zero:
-            assert members <= sys.forced_zero  # the forced-zero set is orbit-closed
+        if j in forced:
+            assert members <= forced  # the forced-zero set is orbit-closed
             assert j not in sys.alias
             continue
         rep = max(members)
@@ -200,7 +203,7 @@ def test_expanded_witnesses_satisfy_every_full_row(case):
     lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
     witness = lp_feasible(lean)
     if witness is not None:
-        assert list(witness) == [full.variables[j] for j in full.live_columns()]
+        assert list(witness) == [full.variables[j] for j in live_columns(full)]
         assert all(val >= 0 for val in witness.values())
         assert satisfies(full, witness)  # forced-zero columns are in no row
     solution = diophantine_feasible(lean)
@@ -214,7 +217,7 @@ def test_expanded_witnesses_satisfy_every_full_row(case):
 def test_zeroing_a_set_that_is_not_orbit_closed_matches_the_full_system(case, data):
     x, a, k = case
     lean, full = build_ip_system(x, a, k), full_ip_system(x, a, k)
-    keys = [lean.variables[j] for j in lean.live_columns()]
+    keys = [lean.variables[j] for j in live_columns(lean)]
     live = [v for v in keys if v[0] == "l" and len(orbit(v)) > 1]
     assume(live)
     zero = data.draw(st.sets(st.sampled_from(live), min_size=1))
@@ -239,7 +242,8 @@ def test_lean_and_full_systems_give_the_same_answers(case):
         assert lp_feasible(full) is None
         return
     assert relative_interior_support(full) == support
-    dead = [lean.variables[j] for j in lean.live_columns() if lean.variables[j] not in support]
+    keys = [lean.variables[j] for j in live_columns(lean)]
+    dead = [v for v in keys if v not in support]
     assert (diophantine_feasible(lean, dead) is None) == (diophantine_feasible(full, dead) is None)
 
 
@@ -297,7 +301,9 @@ def test_lp_pass_takes_rows_and_values_only_their_columns():
 
 def test_dead_columns_are_columns_of_the_rows():
     sys = build_ip_system(clique(4), clique(3), 3)
-    dead = rx._dead_columns(rx._lp_pass(sys.equations))
+    lp = rx._lp_pass(sys.equations)
+    assert rx.relative_interior_support(lp) <= row_columns(sys.equations)
+    dead = dead_columns(lp)
     assert dead <= row_columns(sys.equations)
     support = relative_interior_support(sys)
     assert {sys.variables[j] for j in dead}.isdisjoint(support)

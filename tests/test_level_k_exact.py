@@ -3,17 +3,17 @@ versions in ``reference_level_k`` gave.
 
 ``test_presolve`` pins the presolve's decisions up to positive scaling of
 its rows; here the systems and the presolves are pinned byte for byte:
-the same ``LinearSystem``, and the same ``_Reduced`` with its rows,
-substitutions and their item orders, in nonnegative mode, integer mode
-and integer mode with BA's dead set.  The instances are the 138 pairs of
-the relax sweep (every loopless digraph on 1-3 vertices against K2 and
-K3 at k = |V(X)|), the clique ladder up to K4 -> K3 at k = 5, and 300
-seeded random pairs with loops.
+the same system, its decoded ``variables`` and ``forced_zero`` included,
+and the same ``_Reduced`` with its rows, substitutions and their item
+orders, in nonnegative mode, integer mode and integer mode with BA's dead
+set.  The instances are the 138 pairs of the relax sweep (every loopless
+digraph on 1-3 vertices against K2 and K3 at k = |V(X)|), the clique
+ladder up to K4 -> K3 at k = 5, and 300 seeded random pairs with loops.
 
 ``build_ip_system`` holds the lambda block of the last (|V(X)|, |V(A)|,
 k) it built, so the sweep and random systems are also built in other
 call orders, and the held block is checked to be immutable, kept over a
-refused call and dropped before the next one is built.
+refused call, dropped before the next one is built and small.
 """
 
 import gc
@@ -23,6 +23,7 @@ import tracemalloc
 
 import pytest
 import reference_level_k as ref
+from keyed_systems import dead_columns
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, DigraphError, clique
@@ -142,9 +143,9 @@ def test_the_held_block_cannot_be_changed_through_a_system():
         first.alias[next(iter(first.alias))] = 0
     with pytest.raises(AttributeError):
         first.forced_zero.add(0)
-    lvars, forced, alias, rows, live = rx._held[1]
-    assert type(lvars) is tuple and type(rows) is tuple and type(live) is tuple
-    assert type(forced) is frozenset and all(type(t) is tuple for t in live)
+    alias, rows, live = rx._held[1]
+    assert type(rows) is tuple and type(live) is tuple
+    assert all(type(t) is tuple for t in live)
     with pytest.raises(TypeError):
         alias[0] = 0
     # a hit shares the alias view and builds the same system
@@ -154,7 +155,7 @@ def test_the_held_block_cannot_be_changed_through_a_system():
 
 
 def test_one_block_is_held_and_dropped_before_the_next_is_built():
-    """Building K4 -> K3 at k = 4 holds its block (megabytes); building a
+    """Building K4 -> K3 at k = 4 holds its block (1.1 MB); building a
     block of the same size for K3 -> K4 peaks near one build, not one
     build plus the held block; and building K2 -> K2 at k = 2 gives the
     memory back."""
@@ -174,9 +175,27 @@ def test_one_block_is_held_and_dropped_before_the_next_is_built():
         after = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held > 2_000_000
+    assert held > 600_000
     assert second_peak < first_peak + held / 2
     assert after < 100_000
+
+
+def test_the_largest_block_is_held_in_under_6_mb():
+    """K4 -> K3 at k = 5, the largest system under the column budget: its
+    block holds ``alias``, the lambda rows and the live ranks, and no
+    column names or forced-zero set."""
+    rx.build_ip_system(clique(1), clique(1), 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rx.build_ip_system(clique(4), clique(3), 5)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rx._held[0] == (4, 3, 5)
+    assert held < 6_000_000
 
 
 @pytest.mark.parametrize("instances", CASES)
@@ -187,7 +206,7 @@ def test_reduce_gives_the_reference_presolve(instances):
         calls = [(True, frozenset()), (False, frozenset())]
         lp = rx._lp_pass(rows)
         if lp is not None:
-            calls.append((False, rx._dead_columns(lp)))
+            calls.append((False, dead_columns(lp)))
         for nonneg, zero in calls:
             got = _presolved(rx._reduce(rows, nonneg, zero))
             assert got == _presolved(ref._reduce(rows, nonneg, zero)), (x, a, k, nonneg, zero)

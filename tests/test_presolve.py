@@ -19,19 +19,18 @@ from unittest import mock
 
 import sympy
 from hypothesis import given, settings, strategies as st
-from keyed_systems import keyed_system
+from keyed_systems import (
+    Infeasible,
+    KeyedSystem,
+    keyed_system,
+    lp_feasible,
+    relative_interior_support,
+)
 from sympy.solvers.simplex import linprog
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph
-from crystalforge.relaxation_engine import (
-    Infeasible,
-    LinearSystem,
-    build_ip_system,
-    integer_feasible,
-    lp_feasible,
-    relative_interior_support,
-)
+from crystalforge.relaxation_engine import build_ip_system, integer_feasible
 
 
 class ReferenceReduced:
@@ -218,7 +217,7 @@ def support_or_none(sys):
         return None
 
 
-def assert_matches_reference(sys: LinearSystem):
+def assert_matches_reference(sys):
     red = rx._reduce(sys.equations, nonneg=True)
     ref = reference_reduce(sys.equations)
     assert red.infeasible == ref.infeasible
@@ -305,7 +304,7 @@ def test_presolve_scales_by_non_unit_pivots():
     assert_matches_reference(sys)
 
 
-def sympy_feasible(sys: LinearSystem) -> bool:
+def sympy_feasible(sys) -> bool:
     """Decide Ax = b, x >= 0 with sympy's exact ``linprog``.
 
     With the rows signed so that b >= 0, the system is feasible exactly
@@ -480,7 +479,7 @@ def anchored_chain(m):
     col = [m - 1 - i for i in range(m)]
     rows = [(((col[0], 1),), 1)]
     rows += [(tuple(sorted(((col[i + 1], 1), (col[i], -1)))), 0) for i in range(m - 1)]
-    return LinearSystem(tuple(("l", (j,), (0,)) for j in range(m)), tuple(rows), frozenset())
+    return KeyedSystem(tuple(("l", (j,), (0,)) for j in range(m)), tuple(rows), frozenset(), {})
 
 
 def test_lp_feasible_resolves_a_long_anchored_chain(recursion_limit_1000):

@@ -38,18 +38,14 @@ KEPT = {
         "a layer the north star times, and the paper's lower-bound chain may call it",
     "shadow_realiser.system_to_json":
         "writes the shadow-system JSON that the CLI reads; its round-trip tests need it",
-    "relaxation_engine.lp_feasible":
-        "VarKey boundary: the LP witness keyed by variable",
-    "relaxation_engine.diophantine_feasible":
-        "VarKey boundary: the integer witness keyed by variable, zeroing VarKeys",
+    "relaxation_engine.LinearSystem.forced_zero":
+        "the forced-zero columns, decoded on request (and through it ``variables``, the "
+        "column names): the tracer's _system_sizes counts both, and the oracle "
+        "comparisons read both",
 }
 
 # public exception classes that nothing tells apart, and why each stays
-UNCAUGHT = {
-    "relaxation_engine.Infeasible":
-        "relative_interior_support's signal that the polytope is empty: an answer about "
-        "the system, not a refused input, so no exit code is picked by it",
-}
+UNCAUGHT: dict = {}
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 

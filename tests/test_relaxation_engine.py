@@ -5,23 +5,25 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from keyed_systems import keyed_system
+from keyed_systems import (
+    Infeasible,
+    diophantine_feasible,
+    keyed_system,
+    lp_feasible,
+    relative_interior_support,
+)
 from two_step_ba import two_step_ba
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, DigraphError, clique
 from crystalforge.relaxation_engine import (
-    Infeasible,
     LinearSystem,
     build_ip_system,
     decide_aip,
     decide_ba,
     decide_blp,
-    diophantine_feasible,
     integer_feasible,
-    lp_feasible,
     refines,
-    relative_interior_support,
     smith_normal_form,
 )
 
@@ -267,21 +269,27 @@ def test_build_ip_system_shapes():
     forced = {sys2.variables[j] for j in sys2.forced_zero}
     assert ("l", (1, 1), (1, 2)) in forced
     assert ("l", (1, 2), (1, 1)) not in forced
+    # and so does mu on an edge y whose b does not refine it
+    loop = Digraph(1, frozenset({(1, 1)}))
+    sys3 = build_ip_system(loop, clique(2), 2)
+    forced = {sys3.variables[j] for j in sys3.forced_zero}
+    assert {v for v in forced if v[0] == "m"} == {("m", (1, 1), (1, 2)), ("m", (1, 1), (2, 1))}
 
 
 def test_linear_system_is_an_immutable_value():
-    keys, rows = tuple(V[:2]), ((((0, 1),), 1),)
-    a = LinearSystem(keys, rows, frozenset())
-    assert a.alias == {} and a.alias is not LinearSystem(keys, rows, frozenset()).alias
-    assert a == LinearSystem(variables=keys, equations=rows, forced_zero=frozenset(), alias={})
-    assert a != LinearSystem(keys, rows, frozenset({1}))
+    a = build_ip_system(clique(2), clique(2), 1)
+    assert a.alias == {}
+    assert a == build_ip_system(clique(2), clique(2), 1)
+    assert a != build_ip_system(clique(2), Digraph(2, frozenset({(1, 2)})), 1)
     # the alias takes part in == but not in hash
-    b = LinearSystem(keys, rows, frozenset(), {1: 0})
+    b = LinearSystem(a.equations, {1: 0}, a.shape, a.x_edges, a.a_edges)
     assert a != b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.alias = {1: 0}
     with pytest.raises(AttributeError):
         del a.alias
+    with pytest.raises(AttributeError):
+        a.variables = ()
 
 
 def test_build_ip_system_needs_level_at_least_one():
@@ -391,7 +399,7 @@ def counted_ba_steps(monkeypatch):
             return real(*args)
         return call
 
-    for name in ("_dead_columns", "integer_feasible"):
+    for name in ("relative_interior_support", "integer_feasible"):
         monkeypatch.setattr(rx, name, counting(name, getattr(rx, name)))
     return calls
 
@@ -423,7 +431,7 @@ def test_ba_skips_its_integer_step_on_an_integral_witness(monkeypatch):
     assert calls == []
     # K4 -> K3 at k = 2 has a fractional witness
     assert decide_ba(clique(4), clique(3), 2) is True
-    assert calls == ["_dead_columns", "integer_feasible"]
+    assert calls == ["relative_interior_support", "integer_feasible"]
     calls.clear()
     shortcuts = 0
     for x, a, k in sweep_instances():

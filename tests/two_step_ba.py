@@ -1,8 +1,10 @@
 """BA as two steps, kept as the oracle for ``decide_ba``'s integral-witness
-shortcut: the support loop (``_dead_columns``) after the LP pass, then
-``integer_feasible`` with the dead set zeroed, whatever the phase-1
-witness is.
+shortcut: the support loop (``relative_interior_support``, through
+``dead_columns``) after the LP pass, then ``integer_feasible`` with the
+dead set zeroed, whatever the phase-1 witness is.
 """
+
+from keyed_systems import dead_columns
 
 from crystalforge import relaxation_engine as rx
 
@@ -12,4 +14,4 @@ def two_step_ba(x_graph, a_graph, k):
     lp = rx._lp_pass(rows)
     if lp is None:
         return False
-    return rx.integer_feasible(rows, rx._dead_columns(lp)) is not None
+    return rx.integer_feasible(rows, dead_columns(lp)) is not None
