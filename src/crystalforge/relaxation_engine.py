@@ -29,10 +29,12 @@ solver core takes rows in the shape of ``LinearSystem.equations``:
 ``_lp_pass`` (presolve and phase 1), ``relative_interior_support`` (the
 columns positive somewhere on the polytope, found by maximizing on the
 tableau ``_lp_pass`` leaves) and ``integer_feasible`` (the one integer
-solver, with a set of columns fixed to 0).  One ``_check_witness`` checks
-every witness they return against the rows.  The deciders hand the core
-their rows as they are; no answer reads a column's name, which
-``LinearSystem`` decodes only on request.
+solver, with a set of columns fixed to 0).  A witness is integers from
+the tableau to the check: one positive denominator D and a numerator N
+per column, worth N / D (D = 1 for an integer witness).  One
+``_check_witness`` checks every witness against the rows.  The deciders
+hand the core their rows as they are; no answer reads a column's name,
+which ``LinearSystem`` decodes only on request.
 
 Three deciders share the infrastructure:
 
@@ -53,7 +55,7 @@ Three deciders share the infrastructure:
   with the dead set zeroed, which is what the integer step looks for.
 
 Everything is exact: the only number types are arbitrary-precision
-integers and, for witness values and optima only, ``Fraction``.
+integers and, for optima only, ``Fraction``.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Collection, Iterable, Optional
 
-_Q = Fraction  # the rational type of witnesses and optima
+_Q = Fraction  # the rational type of optima
 
 from . import Immutable, refuse_over
 from .digraph_lab import Digraph, DigraphError, refines
@@ -94,13 +96,15 @@ class LinearSystem(Immutable):
     position permutations).  It is empty at k = 1 and read-only.
 
     ``shape`` is (|V(X)|, |V(A)|, k) and ``x_edges`` and ``a_edges`` the
-    sorted edges; from them ``variables`` and ``forced_zero`` are decoded
+    sorted edges; from them ``variables`` and ``forced_zero`` are computed
     on request, by the column numbering of ``build_ip_system``.
     ``variables[j]`` names column j: ``('l', x, a)`` or ``('m', y, b)``.
     ``forced_zero`` holds the columns that vanish by pattern, in no row:
     a lambda column whose a does not refine x and, at k >= 2, a mu column
-    whose b does not refine y.  No decider reads either.  ``alias`` takes
-    part in ``==`` but not in ``hash``.
+    whose b does not refine y.  It is computed without naming a column:
+    which value tuples refine x depends only on the equality pattern of
+    x, so their ranks are found once per pattern.  No decider reads
+    either.  ``alias`` takes part in ``==`` but not in ``hash``.
     """
 
     __slots__ = ("equations", "alias", "shape", "x_edges", "a_edges")
@@ -120,9 +124,22 @@ class LinearSystem(Immutable):
 
     @property
     def forced_zero(self) -> frozenset:
-        k = self.shape[2]
-        return frozenset([j for j, (kind, t, u) in enumerate(self.variables)
-                          if (kind == "l" or k >= 2) and not refines(t, u)])
+        n, m, k = self.shape
+        mk = m**k
+        by_pattern: dict = {}  # the ranks of the value tuples that do not refine a pattern
+        out = []
+        for rank_x, x in enumerate(itertools.product(range(1, n + 1), repeat=k)):
+            bl, nb = _blocks(x)
+            if bl not in by_pattern:
+                live = {ra for _a, ra in _compatible(bl, nb, m)}
+                by_pattern[bl] = [ra for ra in range(mk) if ra not in live]
+            bx = rank_x * mk
+            out += [bx + ra for ra in by_pattern[bl]]
+        if k >= 2:
+            mu0, ne = n**k * mk, len(self.a_edges)
+            out += [mu0 + iy * ne + ib for iy, y in enumerate(self.x_edges)
+                    for ib, b in enumerate(self.a_edges) if not refines(y, b)]
+        return frozenset(out)
 
 
 def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
@@ -142,6 +159,13 @@ def _rank(t: Iterable[int], base: int) -> int:
     for v in t:
         r = r * base + v - 1
     return r
+
+
+def _compatible(bl: tuple, nb: int, m: int) -> list[tuple[tuple, int]]:
+    """(a, rank(a)) for the value tuples a over 1..m compatible with the
+    equality pattern ``bl`` of ``nb`` blocks, ascending."""
+    return [(a, _rank(a, m)) for a in (tuple(vals[b] for b in bl)
+            for vals in itertools.product(range(1, m + 1), repeat=nb))]
 
 
 def _canon(coeffs: dict, rhs: int):
@@ -172,9 +196,10 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     everything computed from them are those of a system keyed by name.  A
     system of more than ``_MAX_COLUMNS`` columns, n^k*m^k + |E(X)|*|E(A)|,
     or a level above ``_MAX_LEVEL`` is refused with ``DigraphError``
-    before anything is listed, and so is a level below 1.  Everything but the mu rows and columns comes from the
-    held lambda block of (n, m, k) (see the module docstring and
-    ``_lambda_block``).
+    before anything is listed, and so is a level below 1.
+
+    Everything but the mu rows and columns comes from the held lambda
+    block of (n, m, k) (see the module docstring and ``_lambda_block``).
 
     At k = 1 the mu pattern-vanishing family is dropped; everything else is
     uniform in k.  Forced-zero columns (pattern vanishing) are eliminated
@@ -310,8 +335,7 @@ def _lambda_block(n: int, m: int, k: int) -> tuple:
         and a cache of its marginals."""
         bl, nb = _blocks(t)
         if bl not in tables:
-            comp = [(a, _rank(a, m)) for a in (tuple(vals[b] for b in bl)
-                    for vals in itertools.product(range(1, m + 1), repeat=nb))]
+            comp = _compatible(bl, nb, m)
             live = tuple([ra for _a, ra in comp])
             tables[bl] = (comp, live, {})
         return tables[bl]
@@ -406,6 +430,14 @@ class _Reduced:
     order reads only settled columns, and neither ``resolve`` nor
     ``support_status`` recurses, however long a substitution chain is.
     Every row in ``eqs`` has at least two columns.
+
+    ``resolve`` works in integers: every value is a numerator over one
+    common denominator D.  The substitution c*v + sum(cw*w) = rhs gives
+    v = t / (c*D) with t = rhs*D - sum(cw*N_w), so v's numerator is t / c.
+    When c does not divide t (only a non-unit pivot of the nonnegative
+    presolve can fail to), D, t and every numerator so far are first
+    scaled by |c| / gcd(t, c), which makes the quotient exact.  The
+    integer presolve pivots only on units, so there D stays 1.
     """
 
     __slots__ = ("infeasible", "eqs", "subs", "live")
@@ -416,18 +448,22 @@ class _Reduced:
         self.subs: dict = {}  # var -> (c, rhs, {w: cw}): c*var + sum(cw*w) = rhs
         self.live: set = set()
 
-    def resolve(self, assignment: dict) -> dict:
-        """Extend an assignment of live variables to all eliminated ones."""
+    def resolve(self, den: int, assignment: dict) -> tuple[int, dict]:
+        """Extend an assignment of live columns, each worth its numerator
+        over ``den`` > 0, to every eliminated column: ``(D, {column: N})``,
+        each column worth N / D, where D is a multiple of ``den``."""
         out = dict.fromkeys(self.live, 0)
         out.update(assignment)
         for v, (c, rhs, lin) in reversed(self.subs.items()):
-            val = rhs - sum(cw * out.get(w, 0) for w, cw in lin.items())
-            if c == -1:
-                val = -val
-            elif c != 1:
-                val = _Q(val) / c
-            out[v] = val
-        return out
+            num = rhs * den - sum(cw * out.get(w, 0) for w, cw in lin.items())
+            if num % c:
+                scale = abs(c) // math.gcd(num, c)
+                den *= scale
+                num *= scale
+                for w, n in out.items():
+                    out[w] = n * scale
+            out[v] = num // c
+        return den, out
 
     def support_status(self, positive_live: set) -> set:
         """Variables that can be positive, given the live ones that can."""
@@ -442,83 +478,103 @@ def _reduce(equations, nonneg: bool, zero: Collection = frozenset()) -> _Reduced
     """Presolve rows ``((column, coeff), ...), rhs`` with every column in
     ``zero`` fixed to 0; a row left as 0 = 0 is dropped on entry."""
     red = _Reduced()
-    eqs: dict[int, tuple[dict, int]] = {}
+    subs = red.subs
+    rows: list = []  # rows[eid] = [coeffs, rhs], or None once deleted
     occ: defaultdict[object, set[int]] = defaultdict(set)
     for items, rhs in equations:
-        coeffs = {v: c for v, c in items if c and v not in zero}
+        if zero:
+            coeffs = {v: c for v, c in items if c and v not in zero}
+        else:
+            coeffs = dict(items)
+            if 0 in coeffs.values() or len(coeffs) < len(items):  # a 0, or a column twice
+                coeffs = {v: c for v, c in items if c}
         if not coeffs and not rhs:
             continue
-        eid = len(eqs)
-        eqs[eid] = (coeffs, rhs)
+        eid = len(rows)
+        rows.append([coeffs, rhs])
         for v in coeffs:
             occ[v].add(eid)
-    work = list(eqs)
-    in_work = set(work)
+    work = list(range(len(rows)))
+    queued = [True] * len(rows)
 
     def substitute(v, c, rhs, lin):
         """Eliminate v through the row c*v + sum(lin) = rhs."""
-        red.subs[v] = (c, rhs, lin)
+        subs[v] = (c, rhs, lin)
         scale = abs(c)
+        lin_items = lin.items()
+        gcd = math.gcd
         for eid in occ.pop(v, ()):
-            if eid not in eqs:
+            row = rows[eid]
+            if row is None:
                 continue
-            coeffs, erhs = eqs[eid]
+            coeffs, erhs = row
             d = coeffs.pop(v)
             if c < 0:
                 d = -d
             if scale != 1:
-                for w in coeffs:
-                    coeffs[w] *= scale
+                for w, cw in coeffs.items():
+                    coeffs[w] = cw * scale
                 erhs *= scale
             if rhs:
                 erhs -= d * rhs
-            for w, cw in lin.items():
-                nc = coeffs.get(w, 0) - d * cw
-                if nc:
-                    coeffs[w] = nc
+            get = coeffs.get
+            for w, cw in lin_items:
+                old = get(w)
+                if old is None:  # d and cw are nonzero
+                    coeffs[w] = -d * cw
                     occ[w].add(eid)
                 else:
-                    del coeffs[w]
-                    occ[w].discard(eid)
+                    nc = old - d * cw
+                    if nc:
+                        coeffs[w] = nc
+                    else:
+                        del coeffs[w]
+                        occ[w].discard(eid)
             if nonneg:
-                g = math.gcd(erhs, *coeffs.values())
+                vals = coeffs.values()
+                g = 1 if 1 in vals or -1 in vals else gcd(erhs, *vals)
                 if g > 1:
-                    for w in coeffs:
-                        coeffs[w] //= g
+                    for w, cw in coeffs.items():
+                        coeffs[w] = cw // g
                     erhs //= g
-            eqs[eid] = (coeffs, erhs)
-            if eid not in in_work:
+            row[1] = erhs
+            if not queued[eid]:
                 work.append(eid)
-                in_work.add(eid)
+                queued[eid] = True
 
     while work:
         eid = work.pop()
-        in_work.discard(eid)
-        coeffs, rhs = eqs[eid]
+        queued[eid] = False
+        coeffs, rhs = rows[eid]
         if not coeffs:
             if rhs != 0:
                 red.infeasible = True
                 return red
-            del eqs[eid]
+            rows[eid] = None
             continue
         if len(coeffs) == 1 and not nonneg:
             (v, c), = coeffs.items()
             if rhs % c:
                 red.infeasible = True
                 return red
-            del eqs[eid]
+            rows[eid] = None
             substitute(v, 1, rhs // c, {})
             continue
+        # the candidate in the fewest rows, the first in the row on ties
+        cand = None
         if nonneg:
-            npos = 0
-            for c in coeffs.values():
+            npos = nneg = 0
+            for v, c in coeffs.items():
                 if c > 0:
                     npos += 1
-            nneg = len(coeffs) - npos
+                    vpos = v
+                else:
+                    nneg += 1
+                    vneg = v
             if not npos or not nneg:
                 if rhs == 0:
                     vs = list(coeffs)
-                    del eqs[eid]
+                    rows[eid] = None
                     for v in vs:
                         substitute(v, 1, 0, {})
                     continue
@@ -527,18 +583,26 @@ def _reduce(equations, nonneg: bool, zero: Collection = frozenset()) -> _Reduced
                     return red
             # v := (rhs - sum(cw*w)) / c has only nonnegative terms exactly
             # when rhs*c >= 0 and v is the row's only variable with the
-            # sign of c
-            candidates = [
-                (v, c) for v, c in coeffs.items()
-                if (c > 0 and npos == 1 and rhs >= 0) or (c < 0 and nneg == 1 and rhs <= 0)
-            ] if npos == 1 or nneg == 1 else ()
+            # sign of c; both qualify only in a two-column row with rhs 0
+            if npos == 1 and rhs >= 0:
+                cand = vpos
+            if nneg == 1 and rhs <= 0:
+                if cand is None:
+                    cand = vneg
+                else:
+                    use_pos, use_neg = len(occ[vpos]), len(occ[vneg])
+                    if use_neg < use_pos or (use_neg == use_pos and next(iter(coeffs)) == vneg):
+                        cand = vneg
         else:
-            candidates = [(v, c) for v, c in coeffs.items() if c in (1, -1)]
-        # the candidate in the fewest rows, the first on ties
-        cand = min(candidates, key=lambda vc: len(occ[vc[0]]), default=None)
+            for v, c in coeffs.items():
+                if c == 1 or c == -1:
+                    use = len(occ[v])
+                    if cand is None or use < best:
+                        cand, best = v, use
         if cand is not None:
-            v, c = cand
-            del eqs[eid]
+            v = cand
+            c = coeffs[v]
+            rows[eid] = None
             for w in coeffs:
                 occ[w].discard(eid)
             del coeffs[v]  # the row, less v, is the substitution's lin
@@ -548,7 +612,10 @@ def _reduce(equations, nonneg: bool, zero: Collection = frozenset()) -> _Reduced
     # to a nonzero multiple share the primitive row with a positive lead
     seen = set()
     final = []
-    for coeffs, rhs in eqs.values():
+    for row in rows:
+        if row is None:
+            continue
+        coeffs, rhs = row
         g = math.gcd(*coeffs.values())
         if not nonneg:
             if rhs % g:
@@ -593,7 +660,10 @@ class _Simplex:
     numerator, and the ratio test compares rhs_i / a_ik by
     cross-multiplying (the row denominator cancels).  The pivots, optima
     and witnesses are therefore those of the same simplex on ``Fraction``
-    entries; ``solution()`` and the optima come back as ``_Q`` values.
+    entries.  The optima come back as ``_Q`` values; the basic solution
+    stays in integers: ``witness()`` gives it over the lcm of the row
+    denominators, and ``positive()`` reads its positive columns off the
+    signs of the rhs.
 
     ``__init__`` lays the rows out once (the columns of ``variables``, then
     the rhs) and row-reduces them with ``_pivot`` itself, one row at a
@@ -767,11 +837,17 @@ class _Simplex:
         cost[self.col[var]] = 1
         return self._run(cost)
 
-    def solution(self) -> dict:
-        out = {}
-        for i, b in enumerate(self._basis):
-            out[self.vars[b]] = _Q(self._tab[i][-1], self._den[i])
-        return out
+    def witness(self) -> tuple[int, dict]:
+        """The basic solution as ``(D, {basic column: N})``, each worth
+        N / D, with D the lcm of the row denominators."""
+        d = math.lcm(*self._den)
+        return d, {self.vars[b]: row[-1] * (d // e)
+                   for row, b, e in zip(self._tab, self._basis, self._den)}
+
+    def positive(self) -> set:
+        """The columns positive in the basic solution: the basic columns
+        of the rows with a positive rhs (every denominator is positive)."""
+        return {self.vars[b] for row, b in zip(self._tab, self._basis) if row[-1] > 0}
 
 
 def _lowest_terms(row: list, d: int, first=()) -> int:
@@ -892,15 +968,14 @@ def _independent_integer_rows(eqs, variables):
     return mat, [rhs for _coeffs, rhs in eqs]
 
 
-def _check_witness(rows, values: dict) -> None:
-    """Raise ``AssertionError`` unless ``values`` (ints or ``Fraction``s,
-    an absent column reading 0) satisfies every row.  The check is in
-    integers: with D the lcm of the denominators (1 for an int) and
-    N_j = D * value_j, each row must give sum(c * N_j) = rhs * D."""
-    den = math.lcm(*(val.denominator for val in values.values()))
-    num = {j: val.numerator * (den // val.denominator) for j, val in values.items()}
+def _check_witness(rows, den: int, num: dict) -> None:
+    """Raise ``AssertionError`` unless the witness that gives column j the
+    value ``num[j] / den`` (an absent column reading 0) satisfies every
+    row.  The check is in integers: each row must give
+    sum(c * num[j]) = rhs * den."""
+    get = num.get
     for items, rhs in rows:
-        if sum(c * num.get(j, 0) for j, c in items) != rhs * den:
+        if sum(c * get(j, 0) for j, c in items) != rhs * den:
             raise AssertionError("witness failed re-substitution")
 
 
@@ -934,10 +1009,10 @@ def integer_feasible(rows, zero: Collection = frozenset()) -> Optional[dict]:
                 y[i] = c[i] // d
         xs = [sum(V[i][j] * y[j] for j in range(n)) for i in range(n)]
         assignment = dict(zip(live, xs))
-    # integer presolve substitutes through unit pivots, so the values are
-    # ints; zeroed columns are absent and read as 0
-    out = red.resolve(assignment)
-    _check_witness(rows, out)
+    # integer presolve substitutes through unit pivots, so the denominator
+    # stays 1; zeroed columns are absent and read as 0
+    _one, out = red.resolve(1, assignment)
+    _check_witness(rows, 1, out)
     return out
 
 
@@ -950,11 +1025,13 @@ def _lp_pass(rows):
     """Nonnegative presolve and simplex phase 1, with a checked witness.
 
     Returns ``(witness, reduced, simplex)``, or None when the rows have no
-    nonnegative rational solution.  The witness maps every column of the
-    presolved rows and every eliminated column to its value; a column in
-    no row reads 0.  It is checked against every row (``_check_witness``)
-    and for nonnegativity before it is returned.  The simplex is left on
-    that feasible basis for ``maximize``.
+    nonnegative rational solution.  The witness is ``(D, {column: N})``,
+    in integers: the phase-1 basic solution over the lcm D of the row
+    denominators, extended by ``_Reduced.resolve`` to every eliminated
+    column, each column worth N / D; a column in no row reads 0.  It is
+    checked against every row (``_check_witness``) and for nonnegativity
+    (every N >= 0, as D > 0) before it is returned.  The simplex is left
+    on that feasible basis for ``maximize``.
     """
     red = _reduce(rows, nonneg=True)
     if red.infeasible:
@@ -962,9 +1039,9 @@ def _lp_pass(rows):
     sx = _Simplex(red.eqs, sorted(red.live))
     if not sx.feasible():
         return None
-    witness = red.resolve(sx.solution())
-    _check_witness(rows, witness)
-    if any(val < 0 for val in witness.values()):
+    den, num = witness = red.resolve(*sx.witness())
+    _check_witness(rows, den, num)
+    if any(n < 0 for n in num.values()):
         raise AssertionError("rational witness not nonnegative")
     return witness, red, sx
 
@@ -978,18 +1055,19 @@ def relative_interior_support(lp) -> set:
 
     The support is found by maximizing the columns one at a time
     (warm-started on a shared tableau); a column unbounded above is
-    trivially positive somewhere, and every witness encountered marks all
-    its positive columns, so most columns never need their own run.
+    trivially positive somewhere, and every basic solution encountered
+    marks all its positive columns (``_Simplex.positive``, read off the
+    signs of the tableau's rhs), so most columns never need their own run.
     """
     _witness, red, sx = lp
-    positive = {j for j, val in sx.solution().items() if val > 0}
+    positive = sx.positive()
     for j in sx.vars:
         if j in positive:
             continue
         opt = sx.maximize(j)
         if opt is None or opt > 0:
             positive.add(j)
-            positive.update(w for w, val in sx.solution().items() if val > 0)
+            positive.update(sx.positive())
     return red.support_status(positive)
 
 
@@ -1009,17 +1087,19 @@ def decide_ba(x_graph: Digraph, a_graph: Digraph, k: int) -> bool:
     ``relative_interior_support``; the columns the presolve kept or
     eliminated that are outside the support are the dead ones.
 
-    An integral witness ends the decision with YES, before the support
-    loop and the integer step.  It satisfies every row and is nonnegative,
-    so it lies in the polytope.  A dead column is 0 at every point of the
-    polytope, so it is 0 in the witness.  So the witness is an integer
-    solution of the rows with the dead set zeroed, which is exactly what
-    ``integer_feasible(rows, dead)`` looks for."""
+    An integral witness (D divides every numerator) ends the decision
+    with YES, before the support loop and the integer step.  It satisfies
+    every row and is nonnegative, so it lies in the polytope.  A dead
+    column is 0 at every point of the polytope, so it is 0 in the
+    witness.  So the witness is an integer solution of the rows with the
+    dead set zeroed, which is exactly what ``integer_feasible(rows, dead)``
+    looks for."""
     rows = build_ip_system(x_graph, a_graph, k).equations
     lp = _lp_pass(rows)
     if lp is None:
         return False
-    if all(val.denominator == 1 for val in lp[0].values()):
+    den, num = lp[0]
+    if all(n % den == 0 for n in num.values()):
         return True
     red = lp[1]
     dead = (red.live | red.subs.keys()) - relative_interior_support(lp)

@@ -8,7 +8,8 @@ column j and renames every key in the equations and in ``forced_zero``
 to its column.  ``lp_feasible``, ``diophantine_feasible`` and
 ``relative_interior_support`` take either kind, run the row core on its
 equations and key their results by ``variables``; an alias takes its
-representative's value, support and zeroing.  ``orbit`` and
+representative's value, support and zeroing.  ``witness_values`` reads
+an integer LP witness ``(D, {column: N})`` as ``Fraction``s.  ``orbit`` and
 ``orbit_max`` act on lambda keys by permuting positions, for the tests
 of the orbit quotient.
 """
@@ -48,14 +49,20 @@ def live_columns(sys) -> list[int]:
     return [j for j in range(len(sys.variables)) if j not in forced]
 
 
+def witness_values(witness) -> dict:
+    """The values N / D of an integer witness ``(D, {column: N})``."""
+    den, num = witness
+    return {j: Fraction(n, den) for j, n in num.items()}
+
+
 def lp_feasible(sys):
     """A nonnegative exact-rational solution keyed by variable, or None
     (phase-1 optimum > 0)."""
     lp = rx._lp_pass(sys.equations)
     if lp is None:
         return None
-    witness, alias, variables = lp[0], sys.alias, sys.variables
-    return {variables[j]: Fraction(witness.get(alias.get(j, j), 0)) for j in live_columns(sys)}
+    values, alias, variables = witness_values(lp[0]), sys.alias, sys.variables
+    return {variables[j]: values.get(alias.get(j, j), Fraction(0)) for j in live_columns(sys)}
 
 
 def diophantine_feasible(sys, forced_zero=()):

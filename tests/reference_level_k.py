@@ -1,5 +1,5 @@
-"""The level-k build and the presolve as they were before they were made
-lean, kept as the oracle that pins the new ones exactly.
+"""The level-k build, the presolve and the LP witness as they were before
+they were made lean, kept as the oracle that pins the new ones exactly.
 
 ``build_ip_system`` must give the same system (the ``variables`` and
 ``forced_zero`` a ``LinearSystem`` decodes, its ``equations`` and its
@@ -7,12 +7,21 @@ lean, kept as the oracle that pins the new ones exactly.
 ``_Reduced``: ``infeasible``, the rows in order with each dict's item
 order, the substitutions in elimination order with each ``lin``'s item
 order, and ``live``.  Then every tableau, pivot, witness and answer built
-on them is unchanged.  The helpers are copied too, so the oracle shares no
-code with what it checks beyond ``_Reduced`` and ``refines``.
+on them is unchanged.
+
+``_lp_pass`` is the LP pass as it was when its witness went through
+``Fraction``: the basic solution read off the tableau as ``Fraction``s,
+resolved through the substitutions in ``Fraction``s, and checked over
+the lcm of the denominators.  The integer witness ``(D, {column: N})``
+of ``relaxation_engine._lp_pass`` must give every column the value this
+one gives.  The helpers are copied too, so the oracle shares no code
+with what it checks beyond ``refines`` and the simplex, ``_Simplex``,
+which ``test_integer_tableau`` pins against a ``Fraction`` tableau.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 from keyed_systems import KeyedSystem
 
@@ -20,7 +29,7 @@ from crystalforge.digraph_lab import Digraph, DigraphError, refines
 from crystalforge.relaxation_engine import (
     _MAX_COLUMNS,
     _MAX_LEVEL,
-    _Reduced,
+    _Simplex,
 )
 
 
@@ -179,6 +188,65 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> KeyedSystem:
 
     eq_tuple = tuple(sorted(equations))
     return KeyedSystem(variables, eq_tuple, frozenset(forced), alias)
+
+
+class _Reduced:
+    """A presolved system: the rows left (``eqs``), the columns in them
+    (``live``) and the eliminated columns (``subs``, in elimination order);
+    ``resolve`` works in ``Fraction``s where a pivot is not a unit."""
+
+    __slots__ = ("infeasible", "eqs", "subs", "live")
+
+    def __init__(self):
+        self.infeasible = False
+        self.eqs: list[tuple[dict, int]] = []
+        self.subs: dict = {}  # var -> (c, rhs, {w: cw}): c*var + sum(cw*w) = rhs
+        self.live: set = set()
+
+    def resolve(self, assignment: dict) -> dict:
+        """Extend an assignment of live variables to all eliminated ones."""
+        out = dict.fromkeys(self.live, 0)
+        out.update(assignment)
+        for v, (c, rhs, lin) in reversed(self.subs.items()):
+            val = rhs - sum(cw * out.get(w, 0) for w, cw in lin.items())
+            if c == -1:
+                val = -val
+            elif c != 1:
+                val = Fraction(val) / c
+            out[v] = val
+        return out
+
+
+def _solution(sx: _Simplex) -> dict:
+    """The basic solution of the tableau, as ``Fraction``s."""
+    return {sx.vars[b]: Fraction(sx._tab[i][-1], sx._den[i]) for i, b in enumerate(sx._basis)}
+
+
+def _check_witness(rows, values: dict) -> None:
+    """Raise ``AssertionError`` unless ``values`` (ints or ``Fraction``s,
+    an absent column reading 0) satisfies every row, checked in integers
+    over the lcm of the denominators."""
+    den = math.lcm(*(val.denominator for val in values.values()))
+    num = {j: val.numerator * (den // val.denominator) for j, val in values.items()}
+    for items, rhs in rows:
+        if sum(c * num.get(j, 0) for j, c in items) != rhs * den:
+            raise AssertionError("witness failed re-substitution")
+
+
+def _lp_pass(rows):
+    """``(witness, reduced, simplex)`` with the witness a ``Fraction`` (or
+    int) per column, or None when the rows have no nonnegative solution."""
+    red = _reduce(rows, nonneg=True)
+    if red.infeasible:
+        return None
+    sx = _Simplex(red.eqs, sorted(red.live))
+    if not sx.feasible():
+        return None
+    witness = red.resolve(_solution(sx))
+    _check_witness(rows, witness)
+    if any(val < 0 for val in witness.values()):
+        raise AssertionError("rational witness not nonnegative")
+    return witness, red, sx
 
 
 def _reduce(equations, nonneg: bool, zero: frozenset = frozenset()) -> _Reduced:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from json_faults import NUMBER_SPELLINGS
 
 import crystalforge.digraph_lab as dg
 from crystalforge.cli import run
@@ -424,14 +425,6 @@ def digraphs(draw):
     n = draw(st.integers(1, 4))
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     return Digraph(n, frozenset(draw(st.sets(st.sampled_from(pairs)))))
-
-
-NUMBER_SPELLINGS = {
-    "float": lambda v: st.sampled_from([f"{v}.0", f"{v}.5", f"{v}e0"]),
-    "bool": lambda v: st.sampled_from(["true", "false"]),
-    "string": lambda v: st.just(f'"{v}"'),
-    "sign-or-zero": lambda v: st.sampled_from([f"+{v}", f"0{v}", f"-0{v}"]),
-}
 
 
 @st.composite

@@ -273,11 +273,12 @@ def test_objective_row_on_the_clique_ladder():
 
 
 def resolving_to(change):
-    """Patch ``_Reduced.resolve`` so that ``change`` edits its result."""
+    """Patch ``_Reduced.resolve`` so that ``change`` edits its result, the
+    integer witness ``(D, {column: N})``."""
     resolve = rx._Reduced.resolve
 
-    def patched(self, assignment):
-        return change(resolve(self, assignment))
+    def patched(self, den, assignment):
+        return change(resolve(self, den, assignment))
 
     return mock.patch.object(rx._Reduced, "resolve", patched)
 
@@ -286,26 +287,42 @@ def test_witness_check_rejects_a_perturbed_witness():
     x, y = ("l", (0,), (0,)), ("l", (1,), (0,))
     sys = keyed_system((x, y), [(((x, 1), (y, 1)), 1)])
 
-    def perturb(values):
-        values[0] = values.get(0, 0) + Fraction(1, 3)
-        return values
+    def perturb(witness):
+        den, num = witness
+        return 3 * den, {0: 3 * num.get(0, 0) + den, 1: 3 * num.get(1, 0)}  # x + 1/3
 
     with resolving_to(perturb), pytest.raises(AssertionError, match="re-substitution"):
         lp_feasible(sys)
 
 
+@pytest.mark.parametrize("x, a, k", [(clique(3), clique(3), 2), (clique(4), clique(3), 2),
+                                     (clique(2), clique(2), 3)])
+def test_witness_check_rejects_any_numerator_off_by_one(x, a, k):
+    # every column of the witness is in some row with a nonzero coefficient
+    rows = build_ip_system(x, a, k).equations
+    den, num = rx._lp_pass(rows)[0]
+    rx._check_witness(rows, den, num)
+    for j in num:
+        for step in (1, -1):
+            with pytest.raises(AssertionError, match="re-substitution"):
+                rx._check_witness(rows, den, {**num, j: num[j] + step})
+
+
 def test_witness_check_rejects_a_negative_witness():
-    # x - y = 0 holds at x = y = -1, which is not nonnegative
+    # x - y = 0 holds at x = y = -1 and at x = y = -2/3, neither of them
+    # nonnegative
     x, y = ("l", (0,), (0,)), ("l", (1,), (0,))
     sys = keyed_system((x, y), [(((x, 1), (y, -1)), 0)])
-    with resolving_to(lambda values: {0: -1, 1: -1}), \
-            pytest.raises(AssertionError, match="not nonnegative"):
-        lp_feasible(sys)
+    for witness in ((1, {0: -1, 1: -1}), (3, {0: -2, 1: -2})):
+        with resolving_to(lambda _w, witness=witness: witness), \
+                pytest.raises(AssertionError, match="not nonnegative"):
+            lp_feasible(sys)
 
 
 def test_witness_check_guards_every_decider():
-    def perturb(values):
-        return {j: val + 1 for j, val in values.items()}
+    def perturb(witness):
+        den, num = witness
+        return den, {j: n + den for j, n in num.items()}  # every value + 1
 
     with resolving_to(perturb):
         for decide in (decide_blp, decide_ba):

@@ -5,8 +5,10 @@ replaced.
 ``Fraction``, the pivot row divided by its pivot and every other row
 updated by rational multiply and subtract.  ``_Simplex`` keeps int rows
 over one positive denominator per row and must make the same pivots, reach
-the same phase-1 verdict, optima and ``solution()`` values, and give the
-same ``lp_feasible`` witnesses and ``relative_interior_support`` sets, on
+the same phase-1 verdict and optima, leave the same basic solutions (its
+integer ``witness()`` read as ``Fraction``s, and its ``positive()``
+columns), and give the same ``lp_feasible`` witnesses and
+``relative_interior_support`` sets, on
 random systems, level-k systems, the clique ladder and BA on the line
 digraph of K3.  After every pivot each row must satisfy the invariants
 the ``_Simplex`` docstring states, and the objective row ``_run`` carries
@@ -19,7 +21,13 @@ from typing import Optional
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
-from keyed_systems import Infeasible, KeyedSystem, lp_feasible, relative_interior_support
+from keyed_systems import (
+    Infeasible,
+    KeyedSystem,
+    lp_feasible,
+    relative_interior_support,
+    witness_values,
+)
 from test_presolve import integer_systems, level_k_systems, presolved_level_k_rows, redundant_systems
 
 from crystalforge import relaxation_engine as rx
@@ -187,10 +195,28 @@ class ReferenceSimplex:
                 out[self.vars[b]] = self._tab[i][-1]
         return out
 
+    def witness(self) -> tuple[int, dict]:
+        """``solution()`` in the integer shape ``_lp_pass`` reads, over the
+        lcm of its denominators."""
+        values = self.solution()
+        d = math.lcm(*(val.denominator for val in values.values()))
+        return d, {v: int(val * d) for v, val in values.items()}
+
+    def positive(self) -> set:
+        return {v for v, val in self.solution().items() if val > 0}
+
+
+def basic_solution(sx) -> tuple[dict, set]:
+    """The basic solution either simplex leaves, as ``Fraction``s, and its
+    positive columns."""
+    if isinstance(sx, ReferenceSimplex):
+        return sx.solution(), sx.positive()
+    return witness_values(sx.witness()), sx.positive()
+
 
 def logged(cls, log):
     """``cls`` with every pivot, phase-1 verdict and ``maximize`` optimum
-    appended to ``log``, each with the ``solution()`` it leaves."""
+    appended to ``log``, each with the basic solution it leaves."""
 
     class Logged(cls):
         def _pivot(self, i, j):
@@ -199,12 +225,12 @@ def logged(cls, log):
 
         def feasible(self):
             ok = super().feasible()
-            log.append(("feasible", ok, self.solution() if ok else None))
+            log.append(("feasible", ok, basic_solution(self) if ok else None))
             return ok
 
         def maximize(self, var):
             opt = super().maximize(var)
-            log.append(("maximize", var, opt, self.solution()))
+            log.append(("maximize", var, opt, basic_solution(self)))
             return opt
 
     return Logged

@@ -293,9 +293,10 @@ def test_ba_zeroes_only_columns_of_the_rows(monkeypatch):
 def test_lp_pass_takes_rows_and_values_only_their_columns():
     sys = build_ip_system(clique(4), clique(3), 3)
     assert sys.alias and sys.forced_zero
-    witness, _red, _sx = rx._lp_pass(sys.equations)
-    assert witness.keys() <= row_columns(sys.equations)
-    assert all(val >= 0 for val in witness.values())
+    (den, num), _red, _sx = rx._lp_pass(sys.equations)
+    assert den > 0
+    assert num.keys() <= row_columns(sys.equations)
+    assert all(n >= 0 for n in num.values())
     assert rx._lp_pass([(((0, 1), (1, 1)), -1)]) is None
 
 

@@ -14,6 +14,14 @@ ladder up to K4 -> K3 at k = 5, and 300 seeded random pairs with loops.
 k) it built, so the sweep and random systems are also built in other
 call orders, and the held block is checked to be immutable, kept over a
 refused call, dropped before the next one is built and small.
+
+The presolve is also pinned on small raw systems that no build makes
+(explicit 0 coefficients, non-unit coefficients, negative rhs, one-column
+rows, rows whose two columns both qualify for elimination, random zero
+sets), and the integer LP witness ``(D, {column: N})`` is pinned to the
+``Fraction`` witness of the old LP pass: N / D is its value, column for
+column, on every LP-feasible decision of the sweep, the ladder up to
+k = 4 and the random pairs.
 """
 
 import gc
@@ -23,7 +31,8 @@ import tracemalloc
 
 import pytest
 import reference_level_k as ref
-from keyed_systems import dead_columns
+from hypothesis import example, given, settings, strategies as st
+from keyed_systems import dead_columns, witness_values
 
 from crystalforge import relaxation_engine as rx
 from crystalforge.digraph_lab import Digraph, DigraphError, clique
@@ -212,3 +221,62 @@ def test_reduce_gives_the_reference_presolve(instances):
             assert got == _presolved(ref._reduce(rows, nonneg, zero)), (x, a, k, nonneg, zero)
             modes += 1
     assert modes > 2 * len(instances)
+
+
+@st.composite
+def raw_systems(draw):
+    """Rows over at most 6 columns, each drawn as one of: random columns
+    in any order with coefficients in [-3, 3], explicit 0s kept in the row
+    and a column possibly listed twice (the last coefficient counts); one
+    column with a nonzero coefficient; or a*v - b*w = 0 with a, b > 0 in
+    either order, whose two columns both qualify in nonnegative mode.
+    With a random set of columns to zero."""
+    n = draw(st.integers(1, 6))
+    columns = st.integers(0, n - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "one-column", "two-signed") if n > 1 else
+                                    ("random", "one-column")))
+        if kind == "random":
+            picked = draw(st.lists(columns, min_size=1, max_size=n + 1))
+            rows.append((tuple((v, draw(st.integers(-3, 3))) for v in picked),
+                         draw(st.integers(-3, 3))))
+        elif kind == "one-column":
+            rows.append((((draw(columns), draw(st.integers(-3, 3).filter(bool))),),
+                         draw(st.integers(-3, 3))))
+        else:
+            v, w = draw(st.permutations(range(n)))[:2]
+            rows.append((((v, draw(st.integers(1, 3))), (w, -draw(st.integers(1, 3)))), 0))
+    return rows, frozenset(draw(st.sets(columns)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_systems())
+@example(([(((0, 0), (1, 1), (0, 2), (2, -1)), 5), (((0, 1), (1, 1), (2, 1), (3, 1)), 7)],
+          frozenset()))  # column 0 first as 0, then as 2: it goes after column 1
+def test_reduce_gives_the_reference_presolve_on_raw_systems(case):
+    rows, zero = case
+    for nonneg in (True, False):
+        for z in (frozenset(), zero):
+            assert _presolved(rx._reduce(rows, nonneg, z)) == _presolved(ref._reduce(rows, nonneg, z))
+
+
+WITNESS_CASES = [
+    pytest.param(SWEEP, id="sweep"),
+    pytest.param([case for case in LADDER if case[2] <= 4], id="ladder"),
+    pytest.param(RANDOM, id="random"),
+]
+
+
+@pytest.mark.parametrize("instances", WITNESS_CASES)
+def test_integer_witness_equals_the_fraction_oracle(instances):
+    feasible = 0
+    for x, a, k in instances:
+        rows = rx.build_ip_system(x, a, k).equations
+        lp, want = rx._lp_pass(rows), ref._lp_pass(rows)
+        assert (lp is None) == (want is None), (x, a, k)
+        if lp is not None:
+            assert lp[0][0] > 0
+            assert witness_values(lp[0]) == want[0], (x, a, k)
+            feasible += 1
+    assert feasible

@@ -40,8 +40,11 @@ class ReferenceReduced:
         self.subs = {}  # var -> (const, {var: coeff})
         self.live = set()
 
-    def resolve(self, assignment, cache=None):
-        cache = {} if cache is None else cache
+    def resolve(self, den, assignment):
+        """The values of every column, each live one worth its numerator
+        over ``den``, in ``Fraction``s by recursion; returned over their
+        lcm as the integer witness ``(D, {column: N})`` ``_lp_pass`` reads."""
+        cache = {}
 
         def value(v):
             if v not in cache:
@@ -49,10 +52,12 @@ class ReferenceReduced:
                     const, lin = self.subs[v]
                     cache[v] = const + sum(c * value(w) for w, c in lin.items())
                 else:
-                    cache[v] = assignment.get(v, 0)
+                    cache[v] = Fraction(assignment.get(v, 0), den)
             return cache[v]
 
-        return {v: value(v) for v in set(self.subs) | self.live | set(assignment)}
+        values = {v: value(v) for v in set(self.subs) | self.live | set(assignment)}
+        d = math.lcm(*(val.denominator for val in values.values()))
+        return d, {v: int(val * d) for v, val in values.items()}
 
     def support_status(self, positive_live):
         cache = {}
@@ -301,6 +306,13 @@ def test_presolve_scales_by_non_unit_pivots():
     assert red.subs == {0: (2, 1, {1: -3}), 1: (5, 1, {2: -4})}  # columns of x, y, z
     assert red.eqs == []
     assert lp_feasible(sys) == {x: Fraction(4, 5), y: Fraction(1, 5), z: 0}
+    # the integer witness: y = 1/5 does not divide, so D is scaled from 1
+    # to 5; x = (1*5 + 3*1) / 2 = 4/5 divides; z is free and absent
+    assert red.resolve(1, {}) == (5, {1: 1, 0: 4})
+    assert rx._lp_pass(sys.equations)[0] == (5, {1: 1, 0: 4})
+    # the scaling also applies to the numerators resolved before it: with
+    # z live at 1/3, y = (1 + 4/3)/5 = 7/15 and x = (1 + 7/5)/2 = 6/5
+    assert red.resolve(3, {2: 1}) == (15, {2: 5, 1: 7, 0: 18})
     assert_matches_reference(sys)
 
 
@@ -455,10 +467,10 @@ def test_phase_one_drives_a_leftover_artificial_out():
     assert sx.feasible() is True
     assert after_phase_one == [[2, 7]]
     assert all(b < n for b in sx._basis)
-    x = sx.solution()
-    assert all(v >= 0 for v in x.values())
+    den, x = sx.witness()
+    assert den > 0 and all(v >= 0 for v in x.values())
     for coeffs, rhs in eqs:
-        assert sum(c * x.get(j, 0) for j, c in coeffs.items()) == rhs
+        assert sum(c * x.get(j, 0) for j, c in coeffs.items()) == rhs * den
 
 # -- no recursion in presolve resolution -------------------------------------
 

@@ -39,9 +39,11 @@ KEPT = {
     "shadow_realiser.system_to_json":
         "writes the shadow-system JSON that the CLI reads; its round-trip tests need it",
     "relaxation_engine.LinearSystem.forced_zero":
-        "the forced-zero columns, decoded on request (and through it ``variables``, the "
-        "column names): the tracer's _system_sizes counts both, and the oracle "
-        "comparisons read both",
+        "the forced-zero columns, computed on request: the tracer's _system_sizes "
+        "counts them, and the oracle comparisons read them",
+    "relaxation_engine.LinearSystem.variables":
+        "the column names, decoded on request: the tracer's _system_sizes counts them, "
+        "and the oracle comparisons and the keyed test helpers read them",
 }
 
 # public exception classes that nothing tells apart, and why each stays
