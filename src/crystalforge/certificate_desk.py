@@ -42,28 +42,19 @@ from .digraph_lab import (
 
 class ZaffCertificate(Immutable):
     """Immutable level-k certificate: ``zeta`` maps each k-tuple of
-    ``instance`` vertices to an integer tensor over ``template``'s vertices;
-    ``template_clique`` is n when the template is K_n."""
+    ``instance`` vertices to an integer tensor over ``template``'s vertices."""
 
-    __slots__ = ("k", "instance", "template", "zeta", "template_clique")
+    __slots__ = ("k", "instance", "template", "zeta")
 
-    def __init__(
-        self,
-        k: int,
-        instance: Digraph,
-        template: Digraph,
-        zeta: Mapping[Index, IntTensor],
-        template_clique: Optional[int] = None,
-    ):
+    def __init__(self, k: int, instance: Digraph, template: Digraph, zeta: Mapping[Index, IntTensor]):
         """Refuse a negative level and a zeta that is not total over the
         instance vertex k-tuples.  Distinct keys, |V(X)|^k of them, each a
         k-tuple of instance vertices, are all the tuples, so the tuples are
         never listed.  With two or more vertices |V(X)|^k > k, so a zeta
         with fewer than k keys is refused before the power is taken, and
         a short zeta is refused at once at any k."""
-        if type(k) is not int or type(template_clique) not in (int, type(None)):
-            raise TensorError(f"k must be an integer and template_clique an integer or None, "
-                              f"got k={k!r}, template_clique={template_clique!r}")
+        if type(k) is not int:
+            raise TensorError(f"k must be an integer, got k={k!r}")
         if k < 0:
             raise TensorError(f"certificate level must be >= 0, got k={k}")
         n = template.vertex_count
@@ -75,7 +66,15 @@ class ZaffCertificate(Immutable):
         for x, t in zeta.items():
             if t.shape != (n,) * k:
                 raise TensorError(f"image at {x} has shape {t.shape}, expected {(n,) * k}")
-        self._set(k, instance, template, zeta, template_clique)
+        self._set(k, instance, template, zeta)
+
+    @property
+    def template_clique(self) -> Optional[int]:
+        """n when the template is K_n, else None.  A loopless digraph on n
+        vertices with n(n-1) edges is K_n, so K_n is never built to tell."""
+        a = self.template
+        n = a.vertex_count
+        return n if len(a.edges) == n * (n - 1) and a.is_loopless() else None
 
 
 def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCertificate:
@@ -110,7 +109,7 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
         x: project(c, x)
         for x in itertools.product(range(1, x_graph.vertex_count + 1), repeat=k)
     }
-    return ZaffCertificate(k, x_graph, clique(n), zeta, template_clique=n)
+    return ZaffCertificate(k, x_graph, clique(n), zeta)
 
 
 def _edge_vector_exists(cert: ZaffCertificate, y: tuple[int, int]) -> bool:
@@ -190,7 +189,8 @@ def _check_common(cert: ZaffCertificate) -> Optional[str]:
 
 
 def verify_clique_certificate(cert: ZaffCertificate, x_graph: Digraph, n: int):
-    """Full certificate check against the clique template K_n.
+    """Full certificate check against the clique template K_n: the
+    certificate's ``template_clique`` must be n.
 
     Returns (ok, reason).  On top of the general checks, support indices
     must pattern-refine their vertex tuple (the hollowness condition).
@@ -199,7 +199,7 @@ def verify_clique_certificate(cert: ZaffCertificate, x_graph: Digraph, n: int):
         return False, f"need 2 <= k <= n, got k={cert.k}, n={n}"
     if not x_graph.is_loopless():
         return False, "instance digraph must be loopless"
-    if cert.instance != x_graph or cert.template != clique(n):
+    if cert.instance != x_graph or cert.template_clique != n:
         return False, "certificate instance/template mismatch"
     reason = _check_common(cert)
     if reason is not None:
@@ -252,9 +252,7 @@ def transform_certificate_homomorphism(
         return tuple([fmap[c] for c in idx])
 
     zeta = {x: pushforward(t, g, shape) for x, t in cert.zeta.items()}
-    # a loopless digraph on p vertices with p(p-1) edges is K_p
-    is_cl = b_graph.is_loopless() and len(b_graph.edges) == p * (p - 1)
-    return ZaffCertificate(k, cert.instance, b_graph, zeta, template_clique=p if is_cl else None)
+    return ZaffCertificate(k, cert.instance, b_graph, zeta)
 
 
 def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate:
@@ -299,7 +297,7 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
     for xbar in itertools.product(range(1, nx + 1), repeat=k):
         gam = tuple(c for v in xbar for c in x_labels[v - 1])
         zeta[xbar] = pushforward(cert.zeta[gam], beta, (m,) * k)
-    return ZaffCertificate(k, dx, da, zeta, template_clique=None)
+    return ZaffCertificate(k, dx, da, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +306,11 @@ def transform_certificate_line_digraph(cert: ZaffCertificate) -> ZaffCertificate
 
 
 def certificate_to_json(cert: ZaffCertificate) -> str:
-    if cert.template_clique is not None:
-        template_doc = {"clique": cert.template_clique}
-    else:
-        template_doc = digraph_to_doc(cert.template)
+    n = cert.template_clique
     doc = {
         "k": cert.k,
         "instance": digraph_to_doc(cert.instance),
-        "template": template_doc,
+        "template": digraph_to_doc(cert.template) if n is None else {"clique": n},
         "zeta": [
             {"x": list(x), "tensor": dumps_st(cert.zeta[x])}
             for x in sorted(cert.zeta)
@@ -353,12 +348,9 @@ def certificate_from_json(text: str) -> ZaffCertificate:
         instance = digraph_from_doc(doc["instance"])
         tmpl = doc["template"]
         if isinstance(tmpl, dict) and set(tmpl) == {"clique"}:
-            n = json_int(tmpl["clique"])
-            template = clique(n)
-            template_clique = n
+            template = clique(json_int(tmpl["clique"]))
         else:
             template = digraph_from_doc(tmpl)
-            template_clique = None
         zeta = {}
         for blob in doc["zeta"]:
             x = tuple(json_int(c) for c in blob["x"])
@@ -370,4 +362,4 @@ def certificate_from_json(text: str) -> ZaffCertificate:
             json_keys(blob, {"x", "tensor"})
     except (KeyError, TypeError, ValueError) as exc:
         raise TensorError(f"bad certificate JSON: {exc}") from exc
-    return ZaffCertificate(k, instance, template, zeta, template_clique=template_clique)
+    return ZaffCertificate(k, instance, template, zeta)

@@ -163,8 +163,9 @@ def _cmd_cert_from_crystal(args):
 def _cmd_cert_verify(args):
     from . import certificate_desk as cd
     cert = _load_certificate(args.certificate)
-    if cert.template_clique is not None:
-        return cd.verify_clique_certificate(cert, cert.instance, cert.template_clique)
+    n = cert.template_clique
+    if n is not None:
+        return cd.verify_clique_certificate(cert, cert.instance, n)
     return cd.verify_zaff_certificate_general(cert, cert.instance, cert.template)
 
 

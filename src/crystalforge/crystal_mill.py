@@ -121,10 +121,13 @@ def crystalise(s: IntTensor, q: int) -> IntTensor:
 def quartz(n: int, a: Index, b: Index) -> IntTensor:
     """The alternating-sign tensor on the box spanned by ``a`` and ``b``.
 
-    Requires a_i != b_i in every coordinate; the 2^k box vertices carry
+    Requires a_i != b_i in every coordinate, and n and every coordinate
+    an ``int`` that is not a ``bool``; the 2^k box vertices carry
     (-1)^(number of b-coordinates used).
     """
     a, b = tuple(a), tuple(b)
+    if not all(type(c) is int for c in (n, *a, *b)):
+        raise TensorError(f"n and the corners must be integers, got n={n!r}, a={a}, b={b}")
     k = len(a)
     if len(b) != k:
         raise TensorError(f"corner tuples differ in length: {a} vs {b}")

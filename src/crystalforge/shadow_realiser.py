@@ -72,7 +72,8 @@ def increasing_tuples(q: int, p: int) -> list[Index]:
 
 class ShadowSystem(Immutable):
     """Immutable system of shadows: one tensor per increasing p-tuple of
-    the q = len(shape) modes, of the widths those modes select."""
+    the q = len(shape) modes, of the widths those modes select.  p and
+    each width must be an ``int`` that is not a ``bool``."""
 
     __slots__ = ("p", "shape", "shadows")
 
@@ -80,12 +81,14 @@ class ShadowSystem(Immutable):
         """Refuse keys other than the C(q,p) increasing p-tuples over [q]
         without listing those: each key must be one, and then their
         number must be C(q,p)."""
+        shape = tuple(shape)
         if type(p) is not int:
             raise TensorError(f"p must be an integer, got {p!r}")
+        if not all(type(w) is int for w in shape):
+            raise TensorError(f"widths must be integers, got {shape}")
         q = len(shape)
         if not 1 <= p <= q:
             raise TensorError(f"need 1 <= p <= q, got p={p}, q={q}")
-        shape = tuple(shape)
         shadows = dict(shadows)
         extra = sorted(i for i in shadows if not (
             len(i) == p and 1 <= i[0] and i[-1] <= q and all(a < b for a, b in zip(i, i[1:]))))

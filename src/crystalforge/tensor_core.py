@@ -131,7 +131,9 @@ def contract(t: IntTensor, u: IntTensor, over: int) -> IntTensor:
 
 
 def _check_selector(sel: Iterable[int], q: int) -> tuple[int, ...]:
-    sel = tuple(int(m) for m in sel)
+    sel = tuple(sel)
+    if not all(type(m) is int for m in sel):
+        raise TensorError(f"selector {sel} must hold integers")
     if any(not 1 <= m <= q for m in sel):
         raise TensorError(f"selector {sel} out of range for {q} modes")
     return sel
@@ -157,7 +159,8 @@ def pushforward(t: IntTensor, fn: Callable[[Index], Index], shape: Iterable[int]
 
 
 def project(t: IntTensor, sel: Iterable[int]) -> IntTensor:
-    """Project ``t`` onto the modes selected by ``sel`` (1-based, may repeat).
+    """Project ``t`` onto the modes selected by ``sel`` (1-based, may repeat;
+    each an ``int`` that is not a ``bool``).
 
     Entry i of the result is the sum of all entries of ``t`` whose index j
     satisfies j_sel = i.  A permutation selector is a reflection (generalized
@@ -226,7 +229,7 @@ def loads_st(text: str) -> IntTensor:
 
     if len(lines) < 4:
         fail("truncated .st payload")
-    if lines[0] != "st 1":
+    if lines[0].split() != ["st", "1"]:
         fail(f"bad magic line: {lines[0]!r}")
     (q,) = header(1, "dims", 1)
     if q < 0:

@@ -105,16 +105,15 @@ def test_certificate_totality_enforced():
     zeta = dict(cert.zeta)
     zeta.pop((1, 1))
     with pytest.raises(TensorError, match="^zeta must be total over instance vertex k-tuples$"):
-        ZaffCertificate(2, cert.instance, cert.template, zeta, cert.template_clique)
+        ZaffCertificate(2, cert.instance, cert.template, zeta)
 
 
 def test_certificate_is_an_immutable_value():
     zeta = {(v,): IntTensor((2,), {(v,): 1}) for v in (1, 2)}
     cert = ZaffCertificate(1, clique(2), clique(2), zeta)
-    assert cert.template_clique is None
-    assert cert == ZaffCertificate(
-        k=1, instance=clique(2), template=clique(2), zeta=dict(zeta), template_clique=None)
-    assert cert != ZaffCertificate(1, clique(2), clique(2), zeta, template_clique=2)
+    assert cert.template_clique == 2
+    assert cert == ZaffCertificate(k=1, instance=clique(2), template=clique(2), zeta=dict(zeta))
+    assert ZaffCertificate.__slots__ == ("k", "instance", "template", "zeta")
     zeta.clear()  # the certificate keeps its own copy
     assert len(cert.zeta) == 2
     with pytest.raises(TypeError):
@@ -123,6 +122,8 @@ def test_certificate_is_an_immutable_value():
         cert.k = 2
     with pytest.raises(AttributeError):
         del cert.zeta
+    with pytest.raises(AttributeError):
+        cert.template_clique = 3
 
 
 # -- verification failures --------------------------------------------------
@@ -131,7 +132,7 @@ def test_certificate_is_an_immutable_value():
 def tamper(cert, x, tensor):
     zeta = dict(cert.zeta)
     zeta[x] = tensor
-    return ZaffCertificate(cert.k, cert.instance, cert.template, zeta, cert.template_clique)
+    return ZaffCertificate(cert.k, cert.instance, cert.template, zeta)
 
 
 def test_certificate_image_shape_enforced():
@@ -144,7 +145,7 @@ def test_certificate_image_shape_enforced():
 def test_verifiers_refuse_a_level_out_of_range():
     # a well-formed level-1 certificate K2 -> K2 (the identity map)
     zeta = {(v,): IntTensor((2,), {(v,): 1}) for v in (1, 2)}
-    cert = ZaffCertificate(1, clique(2), clique(2), zeta, template_clique=2)
+    cert = ZaffCertificate(1, clique(2), clique(2), zeta)
     assert verify_clique_certificate(cert, clique(2), 2) == (
         False, "need 2 <= k <= n, got k=1, n=2")
     assert verify_zaff_certificate_general(cert, clique(2), clique(2)) == (
@@ -206,6 +207,15 @@ def test_verify_rejects_instance_mismatch():
     for x, a in ((clique(3), clique(3)), (clique(4), clique(4))):
         assert verify_zaff_certificate_general(cert, x, a) == (
             False, "certificate instance/template mismatch")
+
+
+def test_clique_verifier_refuses_a_template_that_is_not_that_clique():
+    cert = k4_cert()  # over K3
+    mismatch = (False, "certificate instance/template mismatch")
+    assert verify_clique_certificate(cert, clique(4), 4) == mismatch
+    # the same images over K3 less an edge
+    less = ZaffCertificate(2, cert.instance, Digraph(3, clique(3).edges - {(1, 2)}), cert.zeta)
+    assert verify_clique_certificate(less, clique(4), 3) == mismatch
 
 
 def test_verify_general_needs_edges():
@@ -408,6 +418,22 @@ def test_certificate_json_general_template():
     assert doc["template"] == json.loads(digraph_to_json(cert2.template))
 
 
+@pytest.mark.parametrize("template, n", [
+    (Digraph(3, frozenset((u, v) for u in (1, 2, 3) for v in (1, 2, 3) if u != v)), 3),
+    (Digraph(1, frozenset()), 1),
+    (Digraph(3, clique(3).edges - {(1, 2)}), None),
+    (Digraph(2, frozenset({(1, 1), (1, 2)})), None),  # 2*1 edges, one of them a loop
+], ids=["K3-listed", "K1", "K3-less-an-edge", "looped"])
+def test_a_clique_template_is_read_off_the_template_and_written_as_a_clique(template, n):
+    zeta = {(v,): IntTensor((template.vertex_count,), {(1,): 1}) for v in (1, 2)}
+    cert = ZaffCertificate(1, clique(2), template, zeta)
+    assert cert.template_clique == n
+    text = certificate_to_json(cert)
+    want = {"clique": n} if n is not None else json.loads(digraph_to_json(template))
+    assert json.loads(text)["template"] == want
+    assert certificate_from_json(text) == cert
+
+
 def test_certificate_json_malformed():
     with pytest.raises(TensorError):
         certificate_from_json("{}")
@@ -463,15 +489,14 @@ def test_certificate_json_refuses_a_repeated_or_unknown_key(edit, reason):
     assert str(info.value) == f"bad certificate JSON: {reason}"
 
 
-@pytest.mark.parametrize("k, template_clique", [(2.0, 3), (True, None), (2, 3.0), (2, True)],
-                         ids=["k-float", "k-bool", "clique-float", "clique-bool"])
-def test_certificate_refuses_a_level_or_clique_that_is_not_an_int(k, template_clique):
+@pytest.mark.parametrize("k", [2.0, True], ids=["k-float", "k-bool"])
+def test_certificate_refuses_a_level_or_clique_that_is_not_an_int(k):
+    # the clique size is read off the template, so only the level is given
     cert = k4_cert()
-    assert cd.ZaffCertificate(2, cert.instance, cert.template, cert.zeta, 3) == cert
+    assert cd.ZaffCertificate(2, cert.instance, cert.template, cert.zeta) == cert
     with pytest.raises(TensorError) as info:
-        cd.ZaffCertificate(k, cert.instance, cert.template, cert.zeta, template_clique)
-    assert str(info.value) == ("k must be an integer and template_clique an integer or None, "
-                               f"got k={k!r}, template_clique={template_clique!r}")
+        cd.ZaffCertificate(k, cert.instance, cert.template, cert.zeta)
+    assert str(info.value) == f"k must be an integer, got k={k!r}"
 
 
 def test_homomorphism_json_reads_canonical_vertex_numbers():
@@ -564,7 +589,7 @@ def perturbed_certificates(draw):
             zeta[x] = zeta[draw(st.sampled_from(xs))]
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     instance = Digraph(n, frozenset(draw(st.sets(st.sampled_from(pairs)))))
-    return ZaffCertificate(k, instance, clique(w), zeta, template_clique=w)
+    return ZaffCertificate(k, instance, clique(w), zeta)
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,9 +617,7 @@ def test_generator_tensoriality_on_mined_certificates():
 def projected_certificate(t, instance, template, k):
     """zeta[x] = project(t, x): affine and tensorial whenever t is affine."""
     xs = itertools.product(range(1, instance.vertex_count + 1), repeat=k)
-    n = template.vertex_count
-    clique_n = n if template == clique(n) else None
-    return ZaffCertificate(k, instance, template, {x: project(t, x) for x in xs}, clique_n)
+    return ZaffCertificate(k, instance, template, {x: project(t, x) for x in xs})
 
 
 EDGE_ONLY_FAILURES = [

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import math
 import re
@@ -669,6 +670,44 @@ def test_cert_verify_general_template(tmp_path, capsys):
     assert invoke(capsys, "cert", "linegraph", str(cert), "-o", str(lowered)) == (0, "", "")
     assert '"clique"' not in lowered.read_text()
     assert invoke(capsys, "cert", "verify", str(lowered)) == (0, "YES\n", "")
+
+
+def sperner_certificate():
+    """The q = 6 fooling chain: the level-4 certificate K6 -> K10 of the
+    crystal H_4, lowered to level 2 on dK6 -> dK10, then pushed along the
+    colouring dK10 -> K6 that maps the edge (u, v) to min(S_u - S_v), for
+    the first ten 3-subsets S_1, ..., S_10 of [6]."""
+    from crystalforge.certificate_desk import (
+        certificate_from_crystal,
+        transform_certificate_homomorphism,
+        transform_certificate_line_digraph,
+    )
+    from crystalforge.crystal_mill import mine_hollow_shadowed_crystal
+    from crystalforge.digraph_lab import line_digraph
+
+    high = certificate_from_crystal(mine_hollow_shadowed_crystal(4, 6), clique(6), 4)
+    low = transform_certificate_line_digraph(high)
+    subsets = [set(s) for s in itertools.combinations(range(1, 7), 3)][:10]
+    _, labels = line_digraph(clique(10))
+    f = {i: min(subsets[u - 1] - subsets[v - 1]) for i, (u, v) in enumerate(labels, start=1)}
+    return transform_certificate_homomorphism(low, f, clique(6))
+
+
+def test_cert_verify_answers_the_same_for_both_spellings_of_a_clique_template(tmp_path, capsys):
+    from crystalforge.certificate_desk import certificate_to_json
+
+    text = certificate_to_json(sperner_certificate())
+    doc = json.loads(text)
+    assert doc["template"] == {"clique": 6}
+    named = tmp_path / "named.json"
+    named.write_text(text)
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(dict(doc, template=json.loads(digraph_to_json(clique(6))))))
+    # the colouring is not injective, so the pushed images put mass on
+    # indices that do not refine their vertex tuple
+    code, stdout, err = invoke(capsys, "cert", "verify", str(named))
+    assert (code, stdout) == (1, "NO\n") and "does not refine" in err
+    assert invoke(capsys, "cert", "verify", str(listed)) == (code, stdout, err)
 
 
 def test_cert_push_hom_bad_map_is_a_format_error(tmp_path, capsys):

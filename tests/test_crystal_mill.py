@@ -213,6 +213,16 @@ def test_quartz_rejects_bad_corners():
             quartz(3, a, b)
 
 
+@pytest.mark.parametrize("n, a, b", [(2.0, (1,), (2,)), (True, (1,), (1,)), (3, (1.0,), (2,)),
+                                     (3, (2,), (True,)), (3, (1, 2), (2, 3.0))],
+                         ids=["n-float", "n-bool", "a-float", "b-bool", "b-integral-float"])
+def test_quartz_refuses_a_size_or_corner_that_is_not_an_int(n, a, b):
+    # quartz(2.0, (1,), (2,)) had shape (2.0,)
+    with pytest.raises(TensorError) as info:
+        quartz(n, a, b)
+    assert str(info.value) == f"n and the corners must be integers, got n={n!r}, a={a}, b={b}"
+
+
 def quartz_laws_hold(n, a, b):
     k = len(a)
     g = quartz(n, a, b)

@@ -66,7 +66,7 @@ def certificates(draw):
     m = template.vertex_count
     zeta = {x: draw(tensors((m,) * k))
             for x in itertools.product(range(1, instance.vertex_count + 1), repeat=k)}
-    return ZaffCertificate(k, instance, template, zeta, template_clique=n)
+    return ZaffCertificate(k, instance, template, zeta)
 
 
 def hom_to_json(f: dict) -> str:
@@ -110,7 +110,7 @@ def work(tmp_path_factory):
     (path / "k3.json").write_text(digraph_to_json(clique(3)), encoding="utf-8")
     cert = ZaffCertificate(2, clique(2), clique(3), {
         x: IntTensor((3, 3), {(1, 2): 1}) for x in itertools.product((1, 2), repeat=2)
-    }, template_clique=3)
+    })
     (path / "cert.json").write_text(certificate_to_json(cert), encoding="utf-8")
     return path
 

@@ -496,6 +496,19 @@ def test_json_refuses_a_repeated_or_unknown_key(edit, reason):
     assert str(info.value) == f"bad shadow-system JSON: {reason}"
 
 
+@pytest.mark.parametrize("widths", [(2.0, True), (2, 2.0), (True, 2)],
+                         ids=["float-and-bool", "float", "bool"])
+def test_shadow_system_refuses_a_width_that_is_not_an_int(widths):
+    # 2.0 == 2 and True == 1, so the shadow shapes matched them, and
+    # realise wrote "widths 2.0 True", which loads_st refuses
+    ints = tuple(map(int, widths))
+    shadows = {(m,): IntTensor((w,), {(1,): 1}) for m, w in enumerate(ints, start=1)}
+    assert ShadowSystem(1, ints, shadows).shape == ints
+    with pytest.raises(TensorError) as info:
+        ShadowSystem(1, widths, shadows)
+    assert str(info.value) == f"widths must be integers, got {widths}"
+
+
 @pytest.mark.parametrize("p", [True, 1.0, "1"], ids=["bool", "float", "string"])
 def test_shadow_system_refuses_a_p_that_is_not_an_int(p):
     shadows = {(1,): IntTensor((2,), {(1,): 1}), (2,): IntTensor((2,), {(2,): 1})}

@@ -202,6 +202,16 @@ def test_project_bad_selector():
         project(T((2, 2), {}), (1, 3))
 
 
+@pytest.mark.parametrize("sel", [(1.7,), (2.0,), "2", (True,), (1, False)],
+                         ids=["float", "integral-float", "string", "true", "false"])
+def test_project_refuses_a_selector_entry_that_is_not_an_int(sel):
+    # int() read 1.7 as mode 1, "2" as mode 2 and True as mode 1
+    t = T((2, 3), {(1, 2): 5})
+    with pytest.raises(TensorError) as info:
+        project(t, sel)
+    assert str(info.value) == f"selector {tuple(sel)} must hold integers"
+
+
 @given(small_tensors, st.data())
 def test_project_composes(t, data):
     q = t.dim
@@ -376,3 +386,10 @@ def test_st_whitespace_rule_is_unchanged():
     whitespace, as ``str.split`` reads it."""
     text = "st 1\ndims\t2\nwidths  2 3 \nentries 2\n 1\t2 -7\n2 \u20033\v10\n"
     assert loads_st(text) == T((2, 3), {(1, 2): -7, (2, 3): 10})
+    # the magic line too: a CRLF file, and words surrounded by whitespace
+    assert loads_st(text.replace("\n", "\r\n")) == T((2, 3), {(1, 2): -7, (2, 3): 10})
+    assert loads_st(" st\t1 \n" + text[5:]) == T((2, 3), {(1, 2): -7, (2, 3): 10})
+    for magic in ("st 01", "st 1 1", "st", "st1", "ST 1"):
+        with pytest.raises(TensorError) as err:
+            loads_st(magic + "\n" + text[5:])
+        assert str(err.value) == f"bad magic line: {magic!r}"
