@@ -15,6 +15,15 @@ def json_int(value) -> int:
     return value
 
 
+def int_args(error: type, **values) -> None:
+    """Refuse with ``error`` the first of ``values`` that is not an ``int``
+    or is a ``bool``, by its keyword: a level, a dimension or a size is
+    never rounded, parsed or read as 0 or 1."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 def json_once(pairs: list) -> dict:
     """The ``object_pairs_hook`` of every JSON loader of the package: the
     object of ``pairs``, with a key that appears twice refused with

@@ -16,7 +16,7 @@ import itertools
 import json
 from typing import Mapping, Optional
 
-from . import Immutable, json_int, json_keys, json_once
+from . import Immutable, int_args, json_int, json_keys, json_once
 from .tensor_core import (
     Index,
     IntTensor,
@@ -88,6 +88,7 @@ def certificate_from_crystal(c: IntTensor, x_graph: Digraph, k: int) -> ZaffCert
     The crystal is checked by ``crystal_mill.shadow``, which refuses a
     check over its read budget before it starts, and a non-crystal.
     """
+    int_args(TensorError, k=k)
     if k < 2:
         raise TensorError(f"certificate level must be >= 2, got k={k}")
     if not x_graph.is_loopless():

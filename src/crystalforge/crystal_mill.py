@@ -15,7 +15,7 @@ import itertools
 from math import comb
 from typing import NamedTuple, Optional
 
-from . import refuse_over
+from . import int_args, refuse_over
 from .tensor_core import (
     Index,
     IntTensor,
@@ -40,6 +40,7 @@ def is_crystal(c: IntTensor, k: int) -> CrystalReport:
     Reports the first mismatching pair (reference tuple (1..k), offending
     tuple) in lexicographic order.
     """
+    int_args(TensorError, k=k)
     if not c.is_cubical():
         raise TensorError(f"shape {c.shape} is not cubical")
     q = c.dim
@@ -83,6 +84,7 @@ def shadow(c: IntTensor, k: int) -> IntTensor:
     # onto 2,000 k-tuples took 0.37 us an entry at q = 12, k = 3, 0.73 us
     # at q = 14, k = 7 and 0.69-0.92 us at q = 18-22, k = 9-11.  (k+1)/4 is
     # above each of these ratios
+    int_args(TensorError, k=k)
     q, nnz, w = c.dim, len(c.entries), 1 + k // 4
     reads = comb(q, k) * (nnz * w + _TUPLE_READS) if 0 <= k <= q else 0
     refuse_over(reads, _MAX_CRYSTAL_READS,
@@ -100,6 +102,7 @@ def crystalise(s: IntTensor, q: int) -> IntTensor:
     (k-1)-crystal for the constant system to be realistic).  A lift over
     ``shadow_realiser._MAX_REALISE_READS`` reads is refused with
     ``TensorError`` before the system is built."""
+    int_args(TensorError, q=q)
     if not s.is_cubical():
         raise TensorError(f"shape {s.shape} is not cubical")
     k = s.dim
@@ -149,6 +152,7 @@ def hollow_crystal_fault(c: IntTensor, k: int) -> Optional[str]:
     """Why ``c`` is not a hollow affine (k-1)-crystal of dimension k and
     width (k^2+k)/2, the miner's contract; None when it is one.  A level
     below 1 has no such crystal and is refused with TensorError."""
+    int_args(TensorError, k=k)
     if k < 1:
         raise TensorError(f"k must be >= 1, got {k}")
     if not c.is_cubical() or c.dim != k:
@@ -209,6 +213,7 @@ def mine_hollow_crystal(k: int) -> IntTensor:
     returned (AssertionError on a mismatch).  k above 9 is refused up front
     with TensorError: H_10 would hold 102,247,563 entries.
     """
+    int_args(TensorError, k=k)
     if k < 1:
         raise TensorError("k must be >= 1")
     if k > _MAX_MINED_K:
@@ -247,6 +252,7 @@ def mine_hollow_crystal(k: int) -> IntTensor:
 def mine_hollow_shadowed_crystal(k: int, q: int) -> IntTensor:
     """An affine k-crystal of dimension q and width (k^2+k)/2 whose
     k-shadow is hollow."""
+    int_args(TensorError, k=k, q=q)
     if not 1 <= k <= q:
         raise TensorError(f"need 1 <= k <= q, got k={k}, q={q}")
     return crystalise(mine_hollow_crystal(k), q)

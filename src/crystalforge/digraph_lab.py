@@ -16,7 +16,7 @@ import json
 import math
 from typing import NamedTuple, Optional
 
-from . import Immutable, json_int, json_keys, json_once, refuse_over
+from . import Immutable, int_args, json_int, json_keys, json_once, refuse_over
 
 Edge = tuple[int, int]
 
@@ -67,6 +67,7 @@ class Digraph(Immutable):
 
 def clique(n: int) -> Digraph:
     """K_n: every ordered pair of distinct vertices is an edge."""
+    int_args(DigraphError, n=n)
     if n < 1:
         raise DigraphError("clique size must be >= 1")
     refuse_over(n * (n - 1), _MAX_EDGES, f"K_{n} has {n}*{n - 1} = {n * (n - 1)} edges",
@@ -106,6 +107,7 @@ def shift_digraph(q: int, i: int) -> Digraph:
     with ``DigraphError`` before anything is listed.  K_1 and K_2 are
     their own line digraphs.
     """
+    int_args(DigraphError, q=q, i=i)
     if q < 1 or i < 0:
         raise DigraphError("need q >= 1 and i >= 0")
     if q <= 2:
@@ -233,6 +235,7 @@ def iterate_a(p: int, i: int) -> int:
     """i-fold iteration of a(p) = 2^p (i = 0 returns p).
 
     Refuses (DigraphError) before an exponent above 10^7 is raised."""
+    int_args(DigraphError, p=p, i=i)
     if p < 1 or i < 0:
         raise DigraphError("need p >= 1 and i >= 0")
     start = p
@@ -254,6 +257,7 @@ def iterate_b(p: int, i: int) -> int:
     """i-fold iteration of b(p) = binom(p, floor(p/2)) (i = 0 returns p).
 
     Refuses (DigraphError) before b is taken of an argument above 14,000."""
+    int_args(DigraphError, p=p, i=i)
     if p < 1 or i < 0:
         raise DigraphError("need p >= 1 and i >= 0")
     start = p
@@ -280,6 +284,7 @@ def fooling_parameters(c: int, d: int, k: int) -> ChromaticParams:
     ``q`` is astronomically large in general, so it is reported by bit
     length, with the exact value included only when it fits in 64 bits.
     """
+    int_args(DigraphError, c=c, d=d, k=k)
     if c < 4:
         raise DigraphError("c must be >= 4 (smaller c needs a separate reduction)")
     if d < c or k < 2:

@@ -69,7 +69,7 @@ from typing import Collection, Iterable, Optional
 
 _Q = Fraction  # the rational type of optima
 
-from . import Immutable, refuse_over
+from . import Immutable, int_args, refuse_over
 from .digraph_lab import Digraph, DigraphError, refines
 
 # the most columns ``build_ip_system`` numbers: the 248,904 of K4 -> K3
@@ -96,15 +96,18 @@ class LinearSystem(Immutable):
     position permutations).  It is empty at k = 1 and read-only.
 
     ``shape`` is (|V(X)|, |V(A)|, k) and ``x_edges`` and ``a_edges`` the
-    sorted edges; from them ``variables`` and ``forced_zero`` are computed
-    on request, by the column numbering of ``build_ip_system``.
-    ``variables[j]`` names column j: ``('l', x, a)`` or ``('m', y, b)``.
-    ``forced_zero`` holds the columns that vanish by pattern, in no row:
-    a lambda column whose a does not refine x and, at k >= 2, a mu column
-    whose b does not refine y.  It is computed without naming a column:
-    which value tuples refine x depends only on the equality pattern of
-    x, so their ranks are found once per pattern.  No decider reads
-    either.  ``alias`` takes part in ``==`` but not in ``hash``.
+    sorted edges.  ``variables`` is decoded from them on request, by the
+    column numbering of ``build_ip_system``: ``variables[j]`` names
+    column j, ``('l', x, a)`` or ``('m', y, b)``.  ``forced_zero`` is read
+    off the system on request: the columns that no equation names and
+    ``alias`` does not map.  The build states pattern vanishing once, by
+    leaving those columns out (a lambda column whose a does not refine x
+    and, at k >= 2, a mu column whose b does not refine y).  Every other
+    column is in a row or an alias key: a live lambda column of a
+    representative slice is in the slice's normalization row, one of
+    another slice is an alias key, and a live mu column is in the mu rows
+    of its edge.  No decider reads either.  ``alias`` takes part in ``==``
+    but not in ``hash``.
     """
 
     __slots__ = ("equations", "alias", "shape", "x_edges", "a_edges")
@@ -125,21 +128,9 @@ class LinearSystem(Immutable):
     @property
     def forced_zero(self) -> frozenset:
         n, m, k = self.shape
-        mk = m**k
-        by_pattern: dict = {}  # the ranks of the value tuples that do not refine a pattern
-        out = []
-        for rank_x, x in enumerate(itertools.product(range(1, n + 1), repeat=k)):
-            bl, nb = _blocks(x)
-            if bl not in by_pattern:
-                live = {ra for _a, ra in _compatible(bl, nb, m)}
-                by_pattern[bl] = [ra for ra in range(mk) if ra not in live]
-            bx = rank_x * mk
-            out += [bx + ra for ra in by_pattern[bl]]
-        if k >= 2:
-            mu0, ne = n**k * mk, len(self.a_edges)
-            out += [mu0 + iy * ne + ib for iy, y in enumerate(self.x_edges)
-                    for ib, b in enumerate(self.a_edges) if not refines(y, b)]
-        return frozenset(out)
+        columns = (n * m) ** k + len(self.x_edges) * len(self.a_edges)
+        return frozenset(range(columns)).difference(
+            self.alias, (j for items, _rhs in self.equations for j, _c in items))
 
 
 def _blocks(t: tuple) -> tuple[tuple[int, ...], int]:
@@ -196,7 +187,8 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     everything computed from them are those of a system keyed by name.  A
     system of more than ``_MAX_COLUMNS`` columns, n^k*m^k + |E(X)|*|E(A)|,
     or a level above ``_MAX_LEVEL`` is refused with ``DigraphError``
-    before anything is listed, and so is a level below 1.
+    before anything is listed, and so is a level below 1 or one that is
+    not an ``int`` (a ``bool`` included).
 
     Everything but the mu rows and columns comes from the held lambda
     block of (n, m, k) (see the module docstring and ``_lambda_block``).
@@ -262,6 +254,7 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> LinearSystem:
     deleting columns commutes with adding rows; the forced-zero set is a
     union of orbits, because refinement is kept by permuting positions.
     """
+    int_args(DigraphError, k=k)
     if k < 1:
         raise DigraphError(f"level k must be >= 1, got {k}")
     n, m = x_graph.vertex_count, a_graph.vertex_count
@@ -874,7 +867,8 @@ def _lowest_terms(row: list, d: int, first=()) -> int:
 def smith_normal_form(m_rows: list[list[int]]):
     """Diagonalize an integer matrix: returns (U, D, V) with U*M*V = D,
     U and V unimodular, and the diagonal entries nonnegative and in a
-    divisibility chain.
+    divisibility chain.  An entry that is not an ``int``, or is a
+    ``bool``, is refused with ``DigraphError``, not rounded or parsed.
 
     One pivot rule.  Every pass over position t swaps the nonzero entry of
     least absolute value in rows >= t and columns >= t (the first in
@@ -894,7 +888,10 @@ def smith_normal_form(m_rows: list[list[int]]):
     """
     r = len(m_rows)
     n = len(m_rows[0]) if r else 0
-    M = [list(map(int, row)) for row in m_rows]
+    M = [list(row) for row in m_rows]
+    bad = [c for row in M for c in row if type(c) is not int]
+    if bad:
+        raise DigraphError(f"matrix entries must be integers, got {bad[0]!r}")
     U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -42,7 +42,7 @@ import math
 import os
 from typing import Mapping, Optional
 
-from . import Immutable, json_int, json_keys, json_once, refuse_over
+from . import Immutable, int_args, json_int, json_keys, json_once, refuse_over
 from .tensor_core import (
     Index,
     IntTensor,
@@ -82,8 +82,7 @@ class ShadowSystem(Immutable):
         without listing those: each key must be one, and then their
         number must be C(q,p)."""
         shape = tuple(shape)
-        if type(p) is not int:
-            raise TensorError(f"p must be an integer, got {p!r}")
+        int_args(TensorError, p=p)
         if not all(type(w) is int for w in shape):
             raise TensorError(f"widths must be integers, got {shape}")
         q = len(shape)

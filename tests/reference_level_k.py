@@ -9,6 +9,10 @@ order, the substitutions in elimination order with each ``lin``'s item
 order, and ``live``.  Then every tableau, pivot, witness and answer built
 on them is unchanged.
 
+``reference_forced_zero`` is ``LinearSystem.forced_zero`` as it was
+before it was read off the built system: the pattern rule worked out
+again from the shape and the edges.  ``forced_zero`` must give this set.
+
 ``_lp_pass`` is the LP pass as it was when its witness went through
 ``Fraction``: the basic solution read off the tableau as ``Fraction``s,
 resolved through the substitutions in ``Fraction``s, and checked over
@@ -188,6 +192,30 @@ def build_ip_system(x_graph: Digraph, a_graph: Digraph, k: int) -> KeyedSystem:
 
     eq_tuple = tuple(sorted(equations))
     return KeyedSystem(variables, eq_tuple, frozenset(forced), alias)
+
+
+def reference_forced_zero(system) -> frozenset:
+    """The columns of a ``LinearSystem`` that vanish by pattern: a lambda
+    column whose a does not refine x and, at k >= 2, a mu column whose b
+    does not refine y.  Which value tuples refine x depends only on the
+    equality pattern of x, so their ranks are found once per pattern."""
+    n, m, k = system.shape
+    mk = m**k
+    by_pattern: dict = {}  # the ranks of the value tuples that do not refine a pattern
+    out = []
+    for rank_x, x in enumerate(itertools.product(range(1, n + 1), repeat=k)):
+        bl, nb = _blocks(x)
+        if bl not in by_pattern:
+            live = {_rank(tuple(vals[b] for b in bl), m)
+                    for vals in itertools.product(range(1, m + 1), repeat=nb)}
+            by_pattern[bl] = [ra for ra in range(mk) if ra not in live]
+        bx = rank_x * mk
+        out += [bx + ra for ra in by_pattern[bl]]
+    if k >= 2:
+        mu0, ne = n**k * mk, len(system.a_edges)
+        out += [mu0 + iy * ne + ib for iy, y in enumerate(system.x_edges)
+                for ib, b in enumerate(system.a_edges) if not refines(y, b)]
+    return frozenset(out)
 
 
 class _Reduced:

@@ -30,6 +30,13 @@ from crystalforge.crystal_mill import (
 from crystalforge.shadow_realiser import increasing_tuples
 from recursive_miner import pad, recursive_miner
 
+from crystalforge.certificate_desk import certificate_from_crystal
+from crystalforge.digraph_lab import Digraph
+
+
+def cycle3():
+    return Digraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+
 
 def dense(shape, rows):
     """Row-major literal -> tensor (for readable fixtures)."""
@@ -418,6 +425,35 @@ def test_shadowed_miner():
     assert rep.shadow == mine_hollow_shadowed_crystal(2, 2)
     with pytest.raises(TensorError, match="^need 1 <= k <= q, got k=3, q=2$"):
         mine_hollow_shadowed_crystal(3, 2)
+
+
+H3 = mine_hollow_crystal(3)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: mine_hollow_crystal(2.0), "k", 2.0),
+        (lambda: mine_hollow_crystal(True), "k", True),
+        (lambda: crystalise(H3, 4.0), "q", 4.0),
+        (lambda: is_crystal(H3, 2.0), "k", 2.0),
+        (lambda: is_crystal(H3, False), "k", False),
+        (lambda: cm.hollow_crystal_fault(H3, 3.0), "k", 3.0),
+        (lambda: mine_hollow_shadowed_crystal(2, 4.0), "q", 4.0),
+        (lambda: mine_hollow_shadowed_crystal("2", 4), "k", "2"),
+        (lambda: shadow(H3, True), "k", True),
+        (lambda: certificate_from_crystal(mine_hollow_shadowed_crystal(2, 4), cycle3(), 2.0),
+         "k", 2.0),
+    ],
+    ids=["mine-float", "mine-bool", "crystalise-float", "is_crystal-float", "is_crystal-bool",
+         "fault-float", "shadowed-float", "shadowed-str", "shadow-bool", "certificate-float"],
+)
+def test_a_level_or_dimension_that_is_not_an_int_is_refused(call, name, value):
+    """A float, a bool or a string is refused by name, not truncated,
+    compared or read as 0 or 1."""
+    with pytest.raises(TensorError) as info:
+        call()
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
 
 def test_width3_shadow_is_minimal_support():

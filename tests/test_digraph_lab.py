@@ -334,6 +334,33 @@ def test_fooling_parameters_small_q():
     assert p.q is None and p.q_bits == 65
 
 
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: clique(3.0), "n", 3.0),
+        (lambda: clique(True), "n", True),
+        (lambda: shift_digraph(3.0, 1), "q", 3.0),
+        (lambda: shift_digraph(3, 1.0), "i", 1.0),
+        (lambda: iterate_a(2.0, 1), "p", 2.0),
+        (lambda: iterate_a(2, True), "i", True),
+        (lambda: iterate_b(5, 1.5), "i", 1.5),
+        (lambda: iterate_b("5", 1), "p", "5"),
+        (lambda: fooling_parameters(6.0, 6, 2), "c", 6.0),
+        (lambda: fooling_parameters(6, 6.0, 2), "d", 6.0),
+        (lambda: fooling_parameters(6, 6, True), "k", True),
+    ],
+    ids=["clique-float", "clique-bool", "shift-q-float", "shift-i-float", "iterate_a-float",
+         "iterate_a-bool", "iterate_b-float", "iterate_b-str", "fooling-c-float",
+         "fooling-d-float", "fooling-k-bool"],
+)
+def test_an_argument_that_is_not_an_int_is_refused(call, name, value):
+    """A float, a bool or a string is refused by name with DigraphError
+    (exit 2 at the CLI), not compared, rounded or raised to a power."""
+    with pytest.raises(DigraphError) as info:
+        call()
+    assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
 def test_fooling_parameters_validation():
     with pytest.raises(DigraphError,
                        match=r"^c must be >= 4 \(smaller c needs a separate reduction\)$"):

@@ -364,7 +364,7 @@ class CheckedSimplex(rx._Simplex):
             self.cost = None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(redundant_systems(), presolved_level_k_rows()))
 def test_rows_and_objective_keep_their_invariants_after_every_pivot(case):
     sx = CheckedSimplex(*case)

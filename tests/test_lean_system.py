@@ -156,7 +156,7 @@ def satisfies(sys, values: dict) -> bool:
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(instances())
 def test_lean_and_full_systems_have_the_same_row_space(case):
     x, a, k = case

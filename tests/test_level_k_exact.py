@@ -6,9 +6,11 @@ its rows; here the systems and the presolves are pinned byte for byte:
 the same system, its decoded ``variables`` and ``forced_zero`` included,
 and the same ``_Reduced`` with its rows, substitutions and their item
 orders, in nonnegative mode, integer mode and integer mode with BA's dead
-set.  The instances are the 138 pairs of the relax sweep (every loopless
-digraph on 1-3 vertices against K2 and K3 at k = |V(X)|), the clique
-ladder up to K4 -> K3 at k = 5, and 300 seeded random pairs with loops.
+set.  ``forced_zero``, read off the built system, is pinned to the
+pattern rule ``reference_forced_zero``.  The instances are the 138 pairs
+of the relax sweep (every loopless digraph on 1-3 vertices against K2
+and K3 at k = |V(X)|), the clique ladder up to K4 -> K3 at k = 5, and
+300 seeded random pairs with loops.
 
 ``build_ip_system`` holds the lambda block of the last (|V(X)|, |V(A)|,
 k) it built, so the sweep and random systems are also built in other
@@ -99,6 +101,14 @@ def _assert_same_system(got, want):
 def test_build_gives_the_reference_system(instances):
     for x, a, k in instances:
         _assert_same_system(rx.build_ip_system(x, a, k), ref.build_ip_system(x, a, k))
+
+
+def test_forced_zero_is_the_pattern_rule():
+    """``forced_zero``, read off the built system, is the set of columns
+    that vanish by pattern, worked out again from the shape and edges."""
+    for x, a, k in SWEEP + LADDER + RANDOM:
+        system = rx.build_ip_system(x, a, k)
+        assert system.forced_zero == ref.reference_forced_zero(system)
 
 
 def _key(case):

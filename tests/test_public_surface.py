@@ -39,8 +39,8 @@ KEPT = {
     "shadow_realiser.system_to_json":
         "writes the shadow-system JSON that the CLI reads; its round-trip tests need it",
     "relaxation_engine.LinearSystem.forced_zero":
-        "the forced-zero columns, computed on request: the tracer's _system_sizes "
-        "counts them, and the oracle comparisons read them",
+        "the forced-zero columns, read off the built system on request: the tracer's "
+        "_system_sizes counts them, and the oracle comparisons read them",
     "relaxation_engine.LinearSystem.variables":
         "the column names, decoded on request: the tracer's _system_sizes counts them, "
         "and the oracle comparisons and the keyed test helpers read them",

@@ -293,6 +293,22 @@ def test_linear_system_is_an_immutable_value():
         a.variables = ()
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_build_ip_system_refuses_a_level_that_is_not_an_int(k):
+    # True would build the level-1 system with shape (2, 2, True)
+    with pytest.raises(DigraphError) as info:
+        build_ip_system(clique(2), clique(2), k)
+    assert str(info.value) == f"k must be an integer, got {k!r}"
+
+
+@pytest.mark.parametrize("entry", [2.5, 2.0, "3", True, Fraction(2), None])
+def test_smith_normal_form_refuses_an_entry_that_is_not_an_int(entry):
+    # 2.5 would be truncated to 2 and "3" parsed as 3 by int()
+    with pytest.raises(DigraphError) as info:
+        smith_normal_form([[2, 1], [1, entry]])
+    assert str(info.value) == f"matrix entries must be integers, got {entry!r}"
+
+
 def test_build_ip_system_needs_level_at_least_one():
     with pytest.raises(ValueError, match="level k must be >= 1"):
         build_ip_system(clique(2), clique(2), 0)
@@ -324,6 +340,8 @@ def test_forced_zero_variables_never_occur():
     for items, _rhs in sys.equations:
         for v, _c in items:
             assert v not in sys.forced_zero
+    # they are the columns, lambda and mu, whose names break the pattern rule
+    assert sys.forced_zero == {j for j, (_t, x, a) in enumerate(sys.variables) if not refines(x, a)}
 
 
 def test_level1_separates_blp_from_aip():
